@@ -23,10 +23,11 @@ import json
 import sys
 
 from .errors import MalformedInput, NotProduct, QsegreError
-from .gaussrat import GaussRat
-from .grassmann import pluecker_measure, pluecker_relations
+from .grassmann import DEFAULT_MAX_CHOOSE, pluecker_measure, pluecker_relations
 from .poly import format_poly
 from .segre import (
+    DEFAULT_MAX_AMPS,
+    DEFAULT_TOL,
     concurrence2,
     generalized_concurrence,
     is_bipartite_separable,
@@ -38,15 +39,11 @@ from .states import (
     local_factors,
     make_bipartition,
     make_local,
+    parse_amplitudes,
     segre_map,
     state_from_json,
     state_to_json,
 )
-from .states import _parse_component  # shared component rules for factor files
-
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_AMPS = 4096
-DEFAULT_MAX_CHOOSE = 10000
 
 
 def _emit(obj) -> None:
@@ -93,20 +90,7 @@ def _load_factors(args):
     for j, vec in enumerate(raw):
         if not isinstance(vec, list) or len(vec) < 2:
             raise MalformedInput(f"factors[{j}]: expected a list of >= 2 [re, im] pairs")
-        parsed = []
-        all_exact = True
-        for i, pair in enumerate(vec):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise MalformedInput(f"factors[{j}][{i}]: expected a [re, im] pair")
-            re = _parse_component(pair[0], f"factors[{j}][{i}][0]", args.exact)
-            im = _parse_component(pair[1], f"factors[{j}][{i}][1]", args.exact)
-            if isinstance(re, float) or isinstance(im, float):
-                all_exact = False
-            parsed.append((re, im))
-        if all_exact:
-            out.append(make_local([GaussRat(re, im) for re, im in parsed]))
-        else:
-            out.append(make_local([complex(float(re), float(im)) for re, im in parsed]))
+        out.append(make_local(parse_amplitudes(vec, f"factors[{j}]", args.exact)))
     return out
 
 

@@ -1,9 +1,9 @@
 """Exact Gaussian rationals and helpers shared by the two arithmetic backends.
 
-Amplitudes live either in the float backend (Python ``complex``) or in the
-exact backend (:class:`GaussRat`, a complex number with ``fractions.Fraction``
-real and imaginary parts).  Code that must work for both goes through the
-small generic helpers at the bottom of this module.
+Amplitudes live either in the float backend (``complex``) or in the exact
+backend (:class:`GaussRat`, a complex number with ``fractions.Fraction`` real
+and imaginary parts).  GaussRat supports the arithmetic numpy ``object``
+arrays need, so one array expression serves both backends.
 """
 
 from __future__ import annotations
@@ -148,20 +148,6 @@ GR_ZERO = GaussRat(0)
 GR_ONE = GaussRat(1)
 
 Scalar = Union[complex, GaussRat]
-
-
-def is_exact_scalar(x) -> bool:
-    return isinstance(x, (GaussRat, int, Fraction))
-
-
-def to_complex(x) -> complex:
-    if isinstance(x, GaussRat):
-        return complex(x)
-    return complex(x)
-
-
-def conj(x: Scalar):
-    return x.conjugate()
 
 
 def abs_sq(x: Scalar):

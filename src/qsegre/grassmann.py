@@ -26,7 +26,8 @@ import numpy as np
 from .errors import IndexOutOfRange, ShapeError, TooLarge, WrongShape
 from .gaussrat import GR_ZERO, GaussRat, Scalar
 from .poly import Monomial, MultiPoly, PluVar, evaluate
-from .states import Bipartition, PureState, flatten, normalize
+from .segre import bipartition_term
+from .states import Bipartition, PureState, amplitude_array, normalize
 
 DEFAULT_MAX_CHOOSE = 10000
 
@@ -102,40 +103,32 @@ def _det(rows: list[list], exact: bool):
     return det
 
 
-def _coerce_matrix(mat) -> tuple[list[list[Scalar]], bool]:
-    if isinstance(mat, np.ndarray):
-        rows = [[complex(x) for x in row] for row in mat]
-        return rows, False
+def _coerce_matrix(mat) -> np.ndarray:
     rows = [list(r) for r in mat]
     if not rows or not rows[0]:
         raise ShapeError("matrix must be nonempty")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ShapeError("ragged matrix")
-    flat = [x for r in rows for x in r]
-    exact = all(isinstance(x, (int, Fraction, GaussRat)) for x in flat)
-    if exact:
-        return [[x if isinstance(x, GaussRat) else GaussRat(x) for x in r] for r in rows], True
-    return [[complex(x) for x in r] for r in rows], False
+    return amplitude_array([x for r in rows for x in r], (len(rows), width), "matrix")
 
 
-def _maximal_minors(rows: list[list[Scalar]], exact: bool) -> dict[tuple[int, ...], Scalar]:
-    k = len(rows)
-    n = len(rows[0])
-    coords = {}
-    for subset in itertools.combinations(range(1, n + 1), k):
-        sub = [[row[i - 1] for i in subset] for row in rows]
-        coords[subset] = _det(sub, exact)
-    return coords
+def _maximal_minors(mat: np.ndarray) -> dict[tuple[int, ...], Scalar]:
+    k, n = mat.shape
+    exact = mat.dtype == object
+    return {
+        subset: _det(mat[:, [i - 1 for i in subset]].tolist(), exact)
+        for subset in itertools.combinations(range(1, n + 1), k)
+    }
 
 
 def pluecker_coordinates(mat) -> PlueckerSet:
     """All k x k column minors of a k x N matrix (k < N); exact for exact input."""
-    rows, exact = _coerce_matrix(mat)
-    k, n = len(rows), len(rows[0])
+    mat = _coerce_matrix(mat)
+    k, n = mat.shape
     if k >= n:
         raise ShapeError(f"need k < N, got k={k}, N={n}")
-    return PlueckerSet(k, n, _maximal_minors(rows, exact))
+    return PlueckerSet(k, n, _maximal_minors(mat))
 
 
 def _insert_sorted(base: tuple[int, ...], extra: int) -> tuple[tuple[int, ...], int]:
@@ -202,9 +195,11 @@ def pluecker_measure(s: PureState, pivot: int = 1) -> float:
     """2 * sqrt(sum_I |P_I|^2) of the k=2 coordinates of the pivot flattening.
 
     The normalized state is flattened to 2 x 2^(m-1) with rows indexed by the
-    pivot qubit; for m = 2 this is the concurrence.  The default pivot is
-    mode 1; the value is pivot-independent only up to the bipartition it
-    selects, so the pivot stays caller-visible.
+    pivot qubit; its k=2 coordinates are that matrix's 2x2 minors, so the sum
+    is the flattening's minor sum and is computed as such.  For m = 2 this is
+    the concurrence.  The default pivot is mode 1; the value is
+    pivot-independent only up to the bipartition it selects, so the pivot
+    stays caller-visible.
     """
     if any(d != 2 for d in s.dims):
         raise WrongShape(f"measure is defined for qubit modes only, got dims {s.dims}")
@@ -212,19 +207,8 @@ def pluecker_measure(s: PureState, pivot: int = 1) -> float:
         raise WrongShape("measure needs >= 2 modes")
     if not 1 <= pivot <= s.num_modes:
         raise IndexOutOfRange(f"pivot {pivot} out of range 1..{s.num_modes}")
-    b = Bipartition((pivot,))
-    if s.exact:
-        f = flatten(s, b)
-        n2 = s.norm_sq()
-        total = Fraction(0)
-        for kk, ll in itertools.combinations(range(f.cols), 2):
-            d = f.entries[0][kk] * f.entries[1][ll] - f.entries[0][ll] * f.entries[1][kk]
-            total += d.abs_sq()
-        return 2.0 * math.sqrt(float(total / (n2 * n2)))
-    mat = flatten(normalize(s), b).entries
-    coords = _maximal_minors([list(mat[0]), list(mat[1])], False)
-    total = sum(abs(p) ** 2 for p in coords.values())
-    return 2.0 * math.sqrt(float(total))
+    term = bipartition_term(s if s.exact else normalize(s), Bipartition((pivot,)))
+    return 2.0 * math.sqrt(float(term))
 
 
 def pluecker_set_to_json(ps: PlueckerSet) -> dict:

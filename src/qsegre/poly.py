@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .errors import MissingVariable
-from .gaussrat import GR_ONE, GR_ZERO, GaussRat, to_complex
+from .gaussrat import GR_ONE, GR_ZERO, GaussRat
 
 
 @dataclass(frozen=True)
@@ -301,9 +301,9 @@ def evaluate(p: MultiPoly, assignment: Mapping[VarId, object]):
         return total
     total = 0j
     for mono, coeff in p._terms.items():
-        term = to_complex(coeff)
+        term = complex(coeff)
         for v, e in mono.factors:
-            term *= to_complex(assignment[v]) ** e
+            term *= complex(assignment[v]) ** e
         total += term
     return total
 

@@ -24,14 +24,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import MalformedInput, TooLarge, WrongShape
-from .gaussrat import GaussRat, Scalar
+from .errors import TooLarge, WrongShape
+from .gaussrat import Scalar
 from .poly import MultiPoly, StateVar
 from .states import (
     Bipartition,
     Flattening,
     PureState,
+    abs_sq_sum,
     canonical_bipartitions,
+    check_tol,
     flatten,
     normalize,
 )
@@ -114,28 +116,15 @@ def state_assignment(s: PureState) -> dict[StateVar, Scalar]:
 def minor_sum(f: Flattening):
     """Sum of squared moduli of all 2x2 minors, via the Gram identity.
 
-    Exact Fraction in the rational backend.  The float path clamps tiny
-    negative roundoff to zero but inherits the identity's cancellation near
-    rank-1 matrices; measures use the singular-value form instead.
+    One path for both backends; only the abs-square sums differ (exact
+    Fraction in the rational backend).  The float value is clamped at zero
+    but inherits the identity's cancellation near rank-1 matrices; measures
+    use the singular-value form instead.
     """
-    if f.exact:
-        fro2 = Fraction(0)
-        for row in f.entries:
-            for x in row:
-                fro2 += x.abs_sq()
-        gsum = Fraction(0)
-        for row_i in f.entries:
-            for row_j in f.entries:
-                g = GaussRat(0)
-                for a, b in zip(row_i, row_j):
-                    g = g + a * b.conjugate()
-                gsum += g.abs_sq()
-        return (fro2 * fro2 - gsum) / 2
     mat = f.entries
-    fro2 = float(np.sum(np.abs(mat) ** 2))
-    g = mat @ mat.conj().T
-    val = (fro2 * fro2 - float(np.sum(np.abs(g) ** 2))) / 2.0
-    return max(val, 0.0)
+    fro2 = abs_sq_sum(mat)
+    val = (fro2 * fro2 - abs_sq_sum(mat @ mat.conj().T)) / 2
+    return val if f.exact else max(val, 0.0)
 
 
 def minor_sum_direct(f: Flattening):
@@ -163,7 +152,7 @@ def _spectral_minor_sum(mat: np.ndarray) -> float:
     return float(np.sum(s2[1:] * prefix[:-1]))
 
 
-def _bipartition_term(s: PureState, b: Bipartition):
+def bipartition_term(s: PureState, b: Bipartition):
     """Minor sum of the normalized state's flattening at b.
 
     Exact backend: minor_sum of the raw flattening divided by ||s||^4, which
@@ -186,7 +175,7 @@ def generalized_concurrence(s: PureState) -> MeasureReport:
         raise WrongShape("measure needs >= 2 modes")
     hat = s if s.exact else normalize(s)
     parts = canonical_bipartitions(s.num_modes)
-    terms = {b: _bipartition_term(hat, b) for b in parts}
+    terms = {b: bipartition_term(hat, b) for b in parts}
     mean = sum(terms.values()) / len(parts)
     value = 2.0 * math.sqrt(float(mean))
     return MeasureReport(value, {b: float(t) for b, t in terms.items()})
@@ -201,18 +190,18 @@ def concurrence2(s: PureState) -> float:
 
 def is_bipartite_separable(s: PureState, b: Bipartition, tol: float = DEFAULT_TOL) -> bool:
     """True iff the flattening at b is rank-1 within tol (minor sum <= tol^2)."""
-    if tol < 0:
-        raise MalformedInput("tol must be nonnegative")
+    check_tol(tol)
     hat = s if s.exact else normalize(s)
-    return _bipartition_term(hat, b) <= tol * tol
+    return bipartition_term(hat, b) <= tol * tol
 
 
 def is_fully_separable(s: PureState, tol: float = DEFAULT_TOL) -> bool:
     """True iff every canonical bipartition is separable at tol."""
+    check_tol(tol)
     if s.num_modes == 1:
         return True
     hat = s if s.exact else normalize(s)
-    return all(_bipartition_term(hat, b) <= tol * tol for b in canonical_bipartitions(s.num_modes))
+    return all(bipartition_term(hat, b) <= tol * tol for b in canonical_bipartitions(s.num_modes))
 
 
 def measure_report_to_json(r: MeasureReport) -> dict:

@@ -1,19 +1,26 @@
 """Multipartite pure states, flattenings, and the coordinate Segre map.
 
-A state is a complex amplitude tensor over m modes, stored flat in row-major
-order with mode 1 most significant: multi-index (i1, ..., im) sits at offset
+A state is a complex amplitude tensor over m modes, held as one read-only
+numpy array of shape ``dims``: multi-index (i1, ..., im) is
+``array[i1, ..., im]``, so the flat row-major order has mode 1 most
+significant and index (i1, ..., im) sits at offset
 sum_j i_j * prod_{l>j} dims_l.  States are projective objects; they are kept
 unnormalized and measures normalize internally.
 
-Two scalar backends are supported throughout: Python ``complex`` and exact
-:class:`~qsegre.gaussrat.GaussRat`.  A state is exact iff all its amplitudes
-are; ``make_state`` coerces int/Fraction input to the exact backend.
+Two scalar backends are supported throughout, and the array's dtype is the
+backend: ``complex128`` for floats, ``object`` holding exact
+:class:`~qsegre.gaussrat.GaussRat` for the exact backend.
+:func:`amplitude_array` is the one rule that picks it.  Each operation below
+is a single numpy expression (transpose, reshape, outer product, slicing)
+shared by both backends.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -28,53 +35,108 @@ from .errors import (
     NotProduct,
     ZeroVector,
 )
-from .gaussrat import GaussRat, Scalar, rational_sqrt, to_complex
+from .gaussrat import GaussRat, Scalar, rational_sqrt
 
 
-@dataclass(frozen=True)
+def amplitude_array(values, shape: tuple[int, ...], label: str = "amps") -> np.ndarray:
+    """Array of ``shape`` from the flat ``values``, in the backend they select.
+
+    Exact (an ``object`` array of GaussRat) iff every entry is an int,
+    Fraction or GaussRat; otherwise a finite ``complex128`` array.  Raises
+    MalformedInput for entries that are not numbers (bool and str included)
+    and NonFinite for NaN/Inf.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iufc":
+        arr = values.astype(np.complex128)
+    else:
+        values = list(values.flat if isinstance(values, np.ndarray) else values)
+        for k, a in enumerate(values):
+            if isinstance(a, bool) or not isinstance(a, (numbers.Number, GaussRat)):
+                raise MalformedInput(f"{label}[{k}]: expected a number, got {type(a).__name__}")
+        if all(isinstance(a, (int, Fraction, GaussRat)) for a in values):
+            arr = np.empty(len(values), dtype=object)
+            arr[:] = [a if isinstance(a, GaussRat) else GaussRat(a) for a in values]
+            return arr.reshape(shape)
+        arr = np.array(values, dtype=np.complex128)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise NonFinite(f"{label}[{bad[0]}] is not finite")
+    return arr.reshape(shape)
+
+
+def abs_sq_sum(arr: np.ndarray):
+    """Sum of |x|^2 over an amplitude array; exact Fraction in the exact backend."""
+    if arr.dtype == object:
+        return sum((x.abs_sq() for x in arr.flat), Fraction(0))
+    return float(np.sum(np.abs(arr) ** 2))
+
+
+def check_tol(tol) -> None:
+    """The one tolerance rule: finite and nonnegative, else MalformedInput."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise MalformedInput(f"tol must be finite and nonnegative, got {tol!r}")
+
+
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """Validated amplitude tensor; build through :func:`make_state`."""
+    """Validated amplitude tensor of shape ``dims``; build through :func:`make_state`."""
 
-    dims: tuple[int, ...]
-    amps: tuple[Scalar, ...]
+    array: np.ndarray
+
+    def __post_init__(self):
+        self.array.flags.writeable = False
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return self.array.shape
 
     @property
     def num_modes(self) -> int:
-        return len(self.dims)
+        return self.array.ndim
 
     @property
     def exact(self) -> bool:
-        return isinstance(self.amps[0], GaussRat)
+        return self.array.dtype == object
+
+    @property
+    def amps(self) -> tuple[Scalar, ...]:
+        """Amplitudes as Python scalars in row-major order."""
+        return tuple(self.array.reshape(-1).tolist())
 
     def to_numpy(self) -> np.ndarray:
-        return np.fromiter((to_complex(a) for a in self.amps), dtype=np.complex128, count=len(self.amps))
+        return self.array.astype(np.complex128).reshape(-1)
 
     def norm_sq(self):
         """Squared 2-norm; exact Fraction in the exact backend."""
-        if self.exact:
-            return sum((a.abs_sq() for a in self.amps), Fraction(0))
-        return float(np.sum(np.abs(self.to_numpy()) ** 2))
+        return abs_sq_sum(self.array)
 
     def offset(self, index: Sequence[int]) -> int:
-        off = 0
-        for i, d in zip(index, self.dims):
-            off = off * d + i
-        return off
+        return int(np.ravel_multi_index(tuple(index), self.dims))
 
     def amplitude(self, index: Sequence[int]) -> Scalar:
-        return self.amps[self.offset(index)]
+        return self.array.item(tuple(index))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalState:
     """One mode's amplitude vector; the projective factor of a product state."""
 
-    dim: int
-    vec: tuple[Scalar, ...]
+    array: np.ndarray
+
+    def __post_init__(self):
+        self.array.flags.writeable = False
+
+    @property
+    def dim(self) -> int:
+        return self.array.shape[0]
+
+    @property
+    def vec(self) -> tuple[Scalar, ...]:
+        return tuple(self.array.tolist())
 
     @property
     def exact(self) -> bool:
-        return isinstance(self.vec[0], GaussRat)
+        return self.array.dtype == object
 
 
 @dataclass(frozen=True)
@@ -98,42 +160,37 @@ class Bipartition:
         return tuple(j for j in range(1, num_modes + 1) if j not in self.left)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Flattening:
     """Matrix view of a state under a bipartition.
 
-    ``entries`` is a complex numpy array in the float backend and a tuple of
-    tuples of GaussRat in the exact backend; both index as entries[r][c].
+    ``entries`` is a read-only rows x cols array in the state's backend.  Any
+    matrix given here (an array or rows of scalars) goes through
+    :func:`amplitude_array`, so its dtype alone says which backend it is in.
     """
 
     rows: int
     cols: int
-    entries: object
+    entries: np.ndarray
+
+    def __post_init__(self):
+        ent = self.entries
+        flat = ent if isinstance(ent, np.ndarray) else [x for row in ent for x in row]
+        arr = amplitude_array(flat, (self.rows, self.cols), "entries")
+        arr.flags.writeable = False
+        object.__setattr__(self, "entries", arr)
 
     @property
     def exact(self) -> bool:
-        return not isinstance(self.entries, np.ndarray)
-
-
-def _coerce_amps(amps: Sequence, label: str = "amps") -> tuple[tuple[Scalar, ...], bool]:
-    """Return (amps, exact); exact iff every entry is int/Fraction/GaussRat."""
-    exact = all(isinstance(a, (int, Fraction, GaussRat)) for a in amps)
-    if exact:
-        return tuple(a if isinstance(a, GaussRat) else GaussRat(a) for a in amps), True
-    out = []
-    for k, a in enumerate(amps):
-        c = complex(a)
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise NonFinite(f"{label}[{k}] is not finite")
-        out.append(c)
-    return tuple(out), False
+        return self.entries.dtype == object
 
 
 def make_state(dims: Sequence[int], amps: Sequence) -> PureState:
     """Validate and build a PureState.  Does not normalize.
 
     Raises DimensionMismatch for bad dims or amplitude count, ZeroVector for
-    the zero tensor, NonFinite for NaN/Inf in the float backend.
+    the zero tensor, NonFinite for NaN/Inf in the float backend, and
+    MalformedInput for amplitudes that are not numbers.
     """
     dims = tuple(dims)
     if not dims:
@@ -144,20 +201,20 @@ def make_state(dims: Sequence[int], amps: Sequence) -> PureState:
     total = math.prod(dims)
     if len(amps) != total:
         raise DimensionMismatch(f"amps has length {len(amps)}, expected {total}")
-    coerced, _ = _coerce_amps(amps)
-    if not any(bool(a) for a in coerced):
+    arr = amplitude_array(amps, dims)
+    if not arr.any():
         raise ZeroVector("all amplitudes are zero")
-    return PureState(dims, coerced)
+    return PureState(arr)
 
 
 def make_local(vec: Sequence) -> LocalState:
     """Validate and build a LocalState from its amplitude vector."""
     if len(vec) < 2:
         raise DimensionMismatch(f"local vector needs >= 2 entries, got {len(vec)}")
-    coerced, _ = _coerce_amps(vec, label="vec")
-    if not any(bool(a) for a in coerced):
+    arr = amplitude_array(vec, (len(vec),), "vec")
+    if not arr.any():
         raise ZeroVector("local vector is zero")
-    return LocalState(len(coerced), coerced)
+    return LocalState(arr)
 
 
 def make_bipartition(left: Iterable[int], num_modes: int) -> Bipartition:
@@ -183,39 +240,28 @@ def canonical_bipartitions(num_modes: int) -> list[Bipartition]:
 
 
 def normalize(s: PureState) -> PureState:
-    """Scale to unit 2-norm.  Stays exact when the norm is rational."""
+    """Scale to unit 2-norm.  Stays exact when the norm is rational.
+
+    The float path first divides by the largest real or imaginary part, so
+    the norm neither overflows nor underflows for any finite nonzero state.
+    """
     if s.exact:
-        n2 = s.norm_sq()
-        r = rational_sqrt(n2)
+        r = rational_sqrt(s.norm_sq())
         if r is not None:
-            inv = GaussRat(1 / r)
-            return PureState(s.dims, tuple(a * inv for a in s.amps))
-        scale = 1.0 / math.sqrt(float(n2))
-        return PureState(s.dims, tuple(to_complex(a) * scale for a in s.amps))
-    arr = s.to_numpy()
-    arr = arr / np.linalg.norm(arr)
-    return PureState(s.dims, tuple(complex(x) for x in arr))
+            return PureState(s.array * GaussRat(1 / r))
+    arr = s.array.astype(np.complex128)
+    arr = arr / max(np.max(np.abs(arr.real)), np.max(np.abs(arr.imag)))
+    return PureState(arr / np.linalg.norm(arr))
 
 
 def segre_map(factors: Sequence[LocalState]) -> PureState:
     """Tensor product of local states: amplitude at (i1..im) = prod_j vec_j[i_j]."""
     if len(factors) < 2:
         raise DimensionMismatch(f"segre_map needs >= 2 factors, got {len(factors)}")
-    dims = tuple(f.dim for f in factors)
-    exact = all(f.exact for f in factors)
-    if exact:
-        amps = []
-        for index in itertools.product(*(range(d) for d in dims)):
-            prod = GaussRat(1)
-            for f, i in zip(factors, index):
-                prod = prod * f.vec[i]
-            amps.append(prod)
-        return PureState(dims, tuple(amps))
-    vecs = [np.array([to_complex(x) for x in f.vec], dtype=np.complex128) for f in factors]
-    arr = vecs[0]
-    for v in vecs[1:]:
-        arr = np.multiply.outer(arr, v)
-    return PureState(dims, tuple(complex(x) for x in arr.reshape(-1)))
+    arrays = [f.array for f in factors]
+    if not all(f.exact for f in factors):
+        arrays = [a.astype(np.complex128) for a in arrays]
+    return PureState(functools.reduce(np.multiply.outer, arrays))
 
 
 def _split_axes(dims: tuple[int, ...], b: Bipartition) -> tuple[list[int], list[int], int, int]:
@@ -238,108 +284,44 @@ def flatten(s: PureState, b: Bipartition) -> Flattening:
     groups, consistent with the global amplitude order.
     """
     left, right, rows, cols = _split_axes(s.dims, b)
-    perm = [j - 1 for j in left] + [j - 1 for j in right]
-    if not s.exact:
-        arr = s.to_numpy().reshape(s.dims)
-        mat = np.ascontiguousarray(arr.transpose(perm).reshape(rows, cols))
-        return Flattening(rows, cols, mat)
-    left_dims = [s.dims[j - 1] for j in left]
-    right_dims = [s.dims[j - 1] for j in right]
-    m = s.num_modes
-    entries = []
-    for rindex in itertools.product(*(range(d) for d in left_dims)):
-        row = []
-        for cindex in itertools.product(*(range(d) for d in right_dims)):
-            full = [0] * m
-            for j, i in zip(left, rindex):
-                full[j - 1] = i
-            for j, i in zip(right, cindex):
-                full[j - 1] = i
-            row.append(s.amplitude(full))
-        entries.append(tuple(row))
-    return Flattening(rows, cols, tuple(entries))
+    mat = s.array.transpose([j - 1 for j in left + right]).reshape(rows, cols)
+    return Flattening(rows, cols, mat)
 
 
 def _pivot_index(s: PureState) -> tuple[int, ...]:
     """Multi-index of the largest-modulus amplitude (first on ties)."""
-    if s.exact:
-        best, best_sq = 0, Fraction(-1)
-        for k, a in enumerate(s.amps):
-            sq = a.abs_sq()
-            if sq > best_sq:
-                best, best_sq = k, sq
-    else:
-        best = int(np.argmax(np.abs(s.to_numpy())))
-    index = []
-    for d in reversed(s.dims):
-        index.append(best % d)
-        best //= d
-    return tuple(reversed(index))
+    mags = np.frompyfunc(GaussRat.abs_sq, 1, 1)(s.array) if s.exact else np.abs(s.array)
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(mags)), s.dims))
 
 
 def local_factors(s: PureState, tol: float) -> list[LocalState]:
     """Invert the Segre map through the max-modulus pivot fiber.
 
     For factor j the vector is the amplitude fiber through the pivot with the
-    j-th index varying.  Raises NotProduct when rebuilding the product from
-    the factors misses the state by more than 10*tol (max-abs, measured on
-    the unit-norm state in the float backend, relative to the norm in the
-    exact backend).
+    j-th index varying; exact factors are scaled to 1 at the pivot, float ones
+    to unit norm.  Raises NotProduct when rebuilding the product from the
+    factors misses the state by more than 10*tol (max-abs, measured on the
+    unit-norm state in the float backend, relative to the norm in the exact
+    backend), and MalformedInput for a negative or non-finite tol.
     """
-    if tol < 0:
-        raise MalformedInput("tol must be nonnegative")
+    check_tol(tol)
     if s.num_modes == 1:
-        hat = normalize(s)
-        return [LocalState(hat.dims[0], hat.amps)]
-    if s.exact:
-        return _local_factors_exact(s, tol)
-    return _local_factors_float(s, tol)
-
-
-def _fiber(s: PureState, pivot: tuple[int, ...], j: int) -> list[Scalar]:
-    out = []
-    for i in range(s.dims[j]):
-        index = list(pivot)
-        index[j] = i
-        out.append(s.amplitude(index))
-    return out
-
-
-def _local_factors_exact(s: PureState, tol: float) -> list[LocalState]:
-    pivot = _pivot_index(s)
-    pv = s.amplitude(pivot)
-    factors = []
-    for j in range(s.num_modes):
-        vec = _fiber(s, pivot, j)
-        anchor = vec[pivot[j]]  # equals pv, nonzero
-        factors.append(LocalState(s.dims[j], tuple(a / anchor for a in vec)))
-    # rebuilt pivot entry is exactly 1, so compare in the pivot chart
-    bound = Fraction(10 * tol) ** 2 * s.norm_sq() / pv.abs_sq() if tol else Fraction(0)
-    worst = Fraction(0)
-    for index in itertools.product(*(range(d) for d in s.dims)):
-        rebuilt = GaussRat(1)
-        for j, i in enumerate(index):
-            rebuilt = rebuilt * factors[j].vec[i]
-        diff = s.amplitude(index) / pv - rebuilt
-        worst = max(worst, diff.abs_sq())
-    if worst > bound:
-        raise NotProduct(f"residual^2 {float(worst):.3e} exceeds bound")
-    return factors
-
-
-def _local_factors_float(s: PureState, tol: float) -> list[LocalState]:
-    hat = normalize(s)
+        return [LocalState(normalize(s).array)]
+    hat = s if s.exact else normalize(s)
     pivot = _pivot_index(hat)
-    factors = []
-    for j in range(hat.num_modes):
-        vec = np.array([to_complex(a) for a in _fiber(hat, pivot, j)], dtype=np.complex128)
-        vec = vec / np.linalg.norm(vec)
-        factors.append(LocalState(hat.dims[j], tuple(complex(x) for x in vec)))
-    rebuilt = segre_map(factors)
-    t = rebuilt.to_numpy()
-    h = hat.to_numpy()
-    lam = h[rebuilt.offset(pivot)] / t[rebuilt.offset(pivot)]
-    residual = float(np.max(np.abs(h - lam * t)))
+    pv = hat.array[pivot]
+    fibers = [hat.array[pivot[:j] + (slice(None),) + pivot[j + 1:]] for j in range(s.num_modes)]
+    factors = [LocalState(v / (pv if s.exact else np.linalg.norm(v))) for v in fibers]
+    rebuilt = segre_map(factors).array
+    if s.exact:
+        # rebuilt pivot entry is exactly 1, so compare in the pivot chart
+        bound = Fraction(10 * tol) ** 2 * s.norm_sq() / pv.abs_sq()
+        worst = max(d.abs_sq() for d in (hat.array / pv - rebuilt).flat)
+        if worst > bound:
+            raise NotProduct(f"residual^2 {float(worst):.3e} exceeds bound")
+        return factors
+    lam = pv / rebuilt[pivot]
+    residual = float(np.max(np.abs(hat.array - lam * rebuilt)))
     if residual > 10 * tol:
         raise NotProduct(f"residual {residual:.3e} exceeds {10 * tol:.3e}")
     return factors
@@ -350,18 +332,7 @@ def permute_modes(s: PureState, perm: Sequence[int]) -> PureState:
     m = s.num_modes
     if sorted(perm) != list(range(1, m + 1)):
         raise IndexOutOfRange(f"perm {perm} is not a permutation of 1..{m}")
-    axes = [p - 1 for p in perm]
-    new_dims = tuple(s.dims[a] for a in axes)
-    if not s.exact:
-        arr = s.to_numpy().reshape(s.dims).transpose(axes)
-        return PureState(new_dims, tuple(complex(x) for x in arr.reshape(-1)))
-    amps = []
-    for index in itertools.product(*(range(d) for d in new_dims)):
-        old = [0] * m
-        for k, a in enumerate(axes):
-            old[a] = index[k]
-        amps.append(s.amplitude(old))
-    return PureState(new_dims, tuple(amps))
+    return PureState(s.array.transpose([p - 1 for p in perm]))
 
 
 def apply_local_unitary(s: PureState, mode: int, u: np.ndarray) -> PureState:
@@ -372,9 +343,8 @@ def apply_local_unitary(s: PureState, mode: int, u: np.ndarray) -> PureState:
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (d, d):
         raise DimensionMismatch(f"matrix shape {u.shape} does not match dim {d}")
-    arr = s.to_numpy().reshape(s.dims)
-    arr = np.moveaxis(np.tensordot(u, arr, axes=([1], [mode - 1])), 0, mode - 1)
-    return PureState(s.dims, tuple(complex(x) for x in arr.reshape(-1)))
+    arr = np.tensordot(u, s.array.astype(np.complex128), axes=([1], [mode - 1]))
+    return PureState(np.moveaxis(arr, 0, mode - 1))
 
 
 def apply_local_unitaries(s: PureState, mats: Sequence[np.ndarray]) -> PureState:
@@ -410,6 +380,26 @@ def _parse_component(value, field: str, exact_only: bool):
     raise MalformedInput(f"{field}: expected number or 'p/q' string")
 
 
+def parse_amplitudes(raw: list, field: str, exact_only: bool = False) -> list[Scalar]:
+    """Parse a JSON list of [re, im] pairs; messages name the offending entry.
+
+    A pair of exact components becomes a GaussRat and a pair with a float a
+    complex, so :func:`amplitude_array` puts the whole vector in the float
+    backend as soon as one component is a float.
+    """
+    out = []
+    for k, pair in enumerate(raw):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise MalformedInput(f"{field}[{k}]: expected a [re, im] pair")
+        re = _parse_component(pair[0], f"{field}[{k}][0]", exact_only)
+        im = _parse_component(pair[1], f"{field}[{k}][1]", exact_only)
+        if isinstance(re, float) or isinstance(im, float):
+            out.append(complex(float(re), float(im)))
+        else:
+            out.append(GaussRat(re, im))
+    return out
+
+
 def state_from_json(obj, exact: bool = False) -> PureState:
     """Parse the state JSON object; messages name the first offending field."""
     if not isinstance(obj, dict):
@@ -427,20 +417,7 @@ def state_from_json(obj, exact: bool = False) -> PureState:
     raw = obj["amps"]
     if not isinstance(raw, list):
         raise MalformedInput("amps: expected a list")
-    parsed = []
-    all_exact = True
-    for k, pair in enumerate(raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise MalformedInput(f"amps[{k}]: expected a [re, im] pair")
-        re = _parse_component(pair[0], f"amps[{k}][0]", exact)
-        im = _parse_component(pair[1], f"amps[{k}][1]", exact)
-        if isinstance(re, float) or isinstance(im, float):
-            all_exact = False
-        parsed.append((re, im))
-    if all_exact:
-        amps = [GaussRat(re, im) for re, im in parsed]
-    else:
-        amps = [complex(float(re), float(im)) for re, im in parsed]
+    amps = parse_amplitudes(raw, "amps", exact)
     try:
         return make_state(dims, amps)
     except (DimensionMismatch, ZeroVector, NonFinite) as exc:

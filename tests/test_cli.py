@@ -171,3 +171,42 @@ def test_byte_identical_output(capsys, ghz_file):
         _, out, _ = run(capsys, ["segre-ideal", "--dims", "2,2,2"])
         outputs.add(out)
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_check_separable_rejects_bad_tol(capsys, bell_file, tol):
+    for extra in ([], ["--partition", "1"]):
+        code, out, err = run(capsys, ["check-separable", "--state", bell_file, "--tol", tol, *extra])
+        assert code == 2
+        assert out == ""
+        assert "tol" in err
+
+
+def test_factor_rejects_bad_tol(capsys, tmp_path):
+    product = write_state(tmp_path / "p.json", [2, 2], [[1, 0], [0, 0], [0, 0], [0, 0]])
+    for tol in ("nan", "-1"):
+        for extra in ([], ["--exact"]):
+            code, out, err = run(capsys, ["factor", "--state", product, "--tol", tol, *extra])
+            assert code == 2
+            assert out == ""
+            assert "tol" in err
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_gen_concurrence_extreme_scale(capsys, tmp_path, scale):
+    s = write_state(tmp_path / "s.json", [2, 2], [[scale, 0], [0, 0], [0, 0], [scale, 0]])
+    code, out, _ = run(capsys, ["gen-concurrence", "--state", s])
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_factors_file_errors_name_the_field(capsys, tmp_path):
+    fpath = tmp_path / "factors.json"
+    fpath.write_text(json.dumps({"factors": [[[1, 0], [0, 0]], [[1, 0], ["x", 0]]]}))
+    code, _, err = run(capsys, ["segre-map", "--factors", str(fpath)])
+    assert code == 2
+    assert "factors[1][1][0]" in err
+    fpath.write_text(json.dumps({"factors": [[[1, 0], [0.5, 0]], [[1, 0], [0, 0]]]}))
+    code, _, err = run(capsys, ["segre-map", "--factors", str(fpath), "--exact"])
+    assert code == 2
+    assert "factors[0][1][0]" in err

@@ -31,7 +31,7 @@ from qsegre import (
     segre_map,
     state_assignment,
 )
-from qsegre.errors import NotProduct
+from qsegre.errors import MalformedInput, NotProduct
 from qsegre.sampling import (
     default_rng,
     random_exact_product_state,
@@ -362,3 +362,35 @@ def test_deterministic_bitwise_reproducibility():
     b = generalized_concurrence(s)
     assert a.value == b.value
     assert a.per_bipartition == b.per_bipartition
+
+
+# ------------------------------------------------- tolerance and scale rules
+
+def test_separability_rejects_bad_tol(bell, bell_exact):
+    b = Bipartition((1,))
+    for s in (bell, bell_exact):
+        for tol in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(MalformedInput, match="tol"):
+                is_fully_separable(s, tol)
+            with pytest.raises(MalformedInput, match="tol"):
+                is_bipartite_separable(s, b, tol)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_measures_at_extreme_scales(scale):
+    s = make_state([2, 2], [scale, 0, 0, scale])
+    assert generalized_concurrence(s).value == pytest.approx(1.0, abs=1e-12)
+    assert not is_fully_separable(s)
+
+
+def test_object_array_flattening_is_exact():
+    u = np.array([GaussRat(1, 2), GaussRat(Fraction(1, 3)), GaussRat(0, -1)], dtype=object)
+    v = np.array([GaussRat(2), GaussRat(Fraction(-1, 2), 1)], dtype=object)
+    rank1 = Flattening(3, 2, np.multiply.outer(u, v))
+    assert rank1.exact
+    assert minor_sum(rank1) == minor_sum_direct(rank1) == 0
+    full = Flattening(2, 2, np.array([[GaussRat(1), GaussRat(0, 1)], [GaussRat(2), GaussRat(3)]], dtype=object))
+    assert full.exact
+    got = minor_sum(full)
+    assert isinstance(got, Fraction)
+    assert got == minor_sum_direct(full) == 13

@@ -353,3 +353,41 @@ def test_state_json_fraction_strings():
     assert s.exact
     assert s.amps[0] == GaussRat(Fraction(1, 3), Fraction(-2, 7))
     assert s.amps[1] == GaussRat(0, 1)
+
+
+# ------------------------------------------------------ one array per state
+
+def test_state_array_is_read_only():
+    for amps in ([1, 0, 0, 1], [SQ2, 0, 0, SQ2]):
+        s = make_state([2, 2], amps)
+        assert s.array.shape == (2, 2)
+        with pytest.raises(ValueError):
+            s.array[0, 0] = 0
+    f = make_local([1.0, 2.0])
+    with pytest.raises(ValueError):
+        f.array[0] = 0
+
+
+def test_make_state_rejects_bool_and_str():
+    with pytest.raises(MalformedInput, match=r"amps\[0\]"):
+        make_state([2], [True, False])
+    with pytest.raises(MalformedInput, match=r"amps\[0\]"):
+        make_state([2], ["1", "0"])
+    with pytest.raises(MalformedInput, match=r"amps\[1\]"):
+        make_state([2], [1.0, "0"])
+    with pytest.raises(MalformedInput, match=r"vec\[1\]"):
+        make_local([1, False])
+
+
+def test_local_factors_rejects_bad_tol(bell, bell_exact):
+    for s in (bell, bell_exact):
+        for tol in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(MalformedInput, match="tol"):
+                local_factors(s, tol)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_normalize_extreme_scales(scale):
+    s = normalize(make_state([2, 2], [scale, 0, 0, scale]))
+    assert s.amps[0] == pytest.approx(SQ2)
+    assert s.amps[3] == pytest.approx(SQ2)
