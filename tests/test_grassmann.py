@@ -51,6 +51,28 @@ def det_oracle(rows):
     return total
 
 
+def relation_product_oracle(k, n):
+    """The (I, J) relation family built as MultiPoly sums term by term,
+    sign-canonicalized, deduplicated (first (I, J) kept) and sorted."""
+    def coord(indices):
+        ordered = tuple(sorted(indices))
+        inv = sum(1 for a, b in itertools.combinations(indices, 2) if a > b)
+        return (-1) ** inv * MultiPoly.variable(PluVar(ordered))
+
+    universe = range(1, n + 1)
+    seen = {}
+    for I in itertools.combinations(universe, k - 1):
+        for J in itertools.combinations(universe, k + 1):
+            poly = MultiPoly()
+            for t, jt in enumerate(J, start=1):
+                if jt not in I:
+                    poly = poly + (-1) ** t * coord(I + (jt,)) * coord(J[:t - 1] + J[t:])
+            if not poly.is_zero():
+                seen.setdefault(poly.sign_canonical(), (I, J))
+    key = lambda p: tuple((m.key(), (c.re, c.im)) for m, c in p.sorted_terms())
+    return [(p, *seen[p]) for p in sorted(seen, key=key)]
+
+
 # ---------------------------------------------------------------- coordinates
 
 def test_row_coordinates_for_k1():
@@ -165,6 +187,12 @@ def test_relations_3_5_are_hodge_duals_of_2_5():
 
     duals = {dualize(r.poly) for r in pluecker_relations(2, 5)}
     assert duals == {r.poly for r in pluecker_relations(3, 5)}
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 6), (3, 5), (3, 6), (3, 7), (4, 7), (2, 8), (5, 7)])
+def test_relations_match_product_oracle(k, n):
+    got = [(r.poly, r.I, r.J) for r in pluecker_relations(k, n)]
+    assert got == relation_product_oracle(k, n)
 
 
 def test_relations_cap_and_shape():

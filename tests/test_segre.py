@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsegre import (
     Bipartition,
     Flattening,
     GaussRat,
+    MultiPoly,
+    StateVar,
     TooLarge,
     WrongShape,
     canonical_bipartitions,
@@ -61,6 +65,32 @@ def expected_generator_count(dims):
     return total // 2
 
 
+def minor_product_oracle(dims):
+    """Every 2x2 minor of every canonical flattening, built by MultiPoly
+    products, sign-canonicalized, deduplicated and sorted by terms."""
+    m = len(dims)
+    seen = {}
+    for b in canonical_bipartitions(m):
+        left = list(b.left)
+        right = [j for j in range(1, m + 1) if j not in b.left]
+        row_ids = list(itertools.product(*(range(dims[j - 1]) for j in left)))
+        col_ids = list(itertools.product(*(range(dims[j - 1]) for j in right)))
+
+        def var(rindex, cindex):
+            out = [0] * m
+            for j, i in zip(left, rindex):
+                out[j - 1] = i
+            for j, i in zip(right, cindex):
+                out[j - 1] = i
+            return MultiPoly.variable(StateVar(tuple(out)))
+
+        for r1, r2 in itertools.combinations(row_ids, 2):
+            for c1, c2 in itertools.combinations(col_ids, 2):
+                minor = var(r1, c1) * var(r2, c2) - var(r1, c2) * var(r2, c1)
+                seen.setdefault(minor.sign_canonical())
+    return sorted(seen, key=lambda p: tuple((mo.key(), (c.re, c.im)) for mo, c in p.sorted_terms()))
+
+
 def exact_flattening(rows):
     ent = tuple(tuple(GaussRat(x) if not isinstance(x, GaussRat) else x for x in r) for r in rows)
     return Flattening(len(rows), len(rows[0]), ent)
@@ -83,6 +113,19 @@ def test_generator_count_matches_oracle():
     for dims in ([2, 2], [2, 3], [2, 2, 2], [3, 2], [2, 2, 3], [2, 2, 2, 2]):
         ideal = segre_generators(dims)
         assert len(ideal) == expected_generator_count(dims), dims
+
+
+dims_up_to_128_amps = st.lists(st.integers(2, 6), min_size=2, max_size=4).filter(
+    lambda d: math.prod(d) <= 128)
+
+
+@settings(max_examples=10, deadline=None)
+@given(dims_up_to_128_amps)
+def test_generators_match_minor_product_oracle(dims):
+    gens = segre_generators(dims).gens
+    want = minor_product_oracle(dims)
+    assert list(gens) == want
+    assert [str(g) for g in gens] == [str(p) for p in want]
 
 
 def test_generators_are_quadrics_with_balanced_monomials():
