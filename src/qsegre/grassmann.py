@@ -23,9 +23,9 @@ from math import comb
 
 import numpy as np
 
-from .errors import IndexOutOfRange, ShapeError, TooLarge, WrongShape
+from .errors import IndexOutOfRange, MissingVariable, ShapeError, TooLarge, WrongShape
 from .gaussrat import GR_ZERO, GaussRat, Scalar
-from .poly import Monomial, MultiPoly, PluVar, evaluate
+from .poly import Monomial, MultiPoly, PluVar
 from .segre import bipartition_term
 from .states import Bipartition, PureState, amplitude_array, normalize
 
@@ -104,7 +104,10 @@ def _det(rows: list[list], exact: bool):
 
 
 def _coerce_matrix(mat) -> np.ndarray:
-    rows = [list(r) for r in mat]
+    try:
+        rows = [list(r) for r in mat]
+    except TypeError:
+        raise ShapeError("matrix must be a sequence of rows") from None
     if not rows or not rows[0]:
         raise ShapeError("matrix must be nonempty")
     width = len(rows[0])
@@ -131,12 +134,53 @@ def pluecker_coordinates(mat) -> PlueckerSet:
     return PlueckerSet(k, n, _maximal_minors(mat))
 
 
-def _insert_sorted(base: tuple[int, ...], extra: int) -> tuple[tuple[int, ...], int]:
-    """Sorted merge of a strictly increasing tuple with one new index, plus the
-    permutation sign of moving the new index into place."""
-    bigger = sum(1 for i in base if i > extra)
-    merged = tuple(sorted(base + (extra,)))
-    return merged, (-1) ** bigger
+Subset = tuple[int, ...]
+RelationTerms = tuple[tuple[tuple[int, int], int], ...]
+
+
+def _relation_terms(k: int, N: int, max_choose: int) -> list[tuple[RelationTerms, Subset, Subset]]:
+    """The relation family as integer terms, with the (I, J) each came from.
+
+    A relation is a tuple of ((a, b), c): coefficient c on P_A P_B, where a < b
+    are ranks of k-subsets in lexicographic order.  Terms are sorted and the
+    first coefficient is positive (``sign_canonical``); the list is sorted
+    like the polynomials' sorted terms, and a relation keeps the first (I, J)
+    that produced it.
+    """
+    if k < 1 or k >= N:
+        raise ShapeError(f"need 1 <= k < N, got k={k}, N={N}")
+    if comb(N, k) > max_choose:
+        raise TooLarge(f"C({N},{k}) = {comb(N, k)} exceeds cap {max_choose}")
+    universe = range(1, N + 1)
+    rank = {subset: r for r, subset in enumerate(itertools.combinations(universe, k))}
+    # for each J, the rank of J without its t-th index and the sign (-1)^t, t from 1
+    js = [(J, [(rank[J[:t] + J[t + 1:]], -1 if t % 2 == 0 else 1) for t in range(k + 1)])
+          for J in itertools.combinations(universe, k + 1)]
+    seen: dict[RelationTerms, tuple[Subset, Subset]] = {}
+    for I in itertools.combinations(universe, k - 1):
+        # P_{I, j} = sign * P_{sorted(I + j)}: the sign is the parity of the
+        # indices of I above j, which moving j into place passes
+        inserted = {j: (rank[tuple(sorted(I + (j,)))], (-1) ** sum(1 for i in I if i > j))
+                    for j in universe if j not in I}
+        for J, drops in js:
+            terms: dict[tuple[int, int], int] = {}
+            for jt, (rest, sign) in zip(J, drops):
+                if jt not in inserted:
+                    continue  # repeated index: coordinate is zero
+                first, coeff = inserted[jt]
+                mono = (first, rest) if first < rest else (rest, first)
+                acc = terms.get(mono, 0) + sign * coeff
+                if acc:
+                    terms[mono] = acc
+                else:
+                    terms.pop(mono, None)
+            if not terms:
+                continue
+            key = tuple(sorted(terms.items()))
+            if key[0][1] < 0:
+                key = tuple((mono, -c) for mono, c in key)
+            seen.setdefault(key, (I, J))
+    return [(key, I, J) for key, (I, J) in sorted(seen.items())]
 
 
 def pluecker_relations(k: int, N: int, max_choose: int = DEFAULT_MAX_CHOOSE) -> list[PlueckerRelation]:
@@ -146,49 +190,39 @@ def pluecker_relations(k: int, N: int, max_choose: int = DEFAULT_MAX_CHOOSE) -> 
     sum_t (-1)^t P_{I, j_t} P_{J \\ j_t}; zero polynomials are dropped and the
     rest deduplicated under sign.  For k = 1 the family is empty.
     """
-    if k < 1 or k >= N:
-        raise ShapeError(f"need 1 <= k < N, got k={k}, N={N}")
-    if comb(N, k) > max_choose:
-        raise TooLarge(f"C({N},{k}) = {comb(N, k)} exceeds cap {max_choose}")
-    universe = range(1, N + 1)
-    seen: dict[MultiPoly, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for I in itertools.combinations(universe, k - 1):
-        for J in itertools.combinations(universe, k + 1):
-            terms: dict[Monomial, GaussRat] = {}
-            for t, jt in enumerate(J, start=1):
-                if jt in I:
-                    continue  # repeated index: coordinate is zero
-                first, sign = _insert_sorted(I, jt)
-                rest = J[:t - 1] + J[t:]
-                mono = Monomial.from_pairs([(PluVar(first), 1), (PluVar(rest), 1)])
-                coeff = GaussRat((-1) ** t * sign)
-                acc = terms.get(mono, GR_ZERO) + coeff
-                if acc:
-                    terms[mono] = acc
-                else:
-                    terms.pop(mono, None)
-            poly = MultiPoly(terms)
-            if poly.is_zero():
-                continue
-            canon = poly.sign_canonical()
-            seen.setdefault(canon, (I, J))
-    rels = [PlueckerRelation(p, ij[0], ij[1]) for p, ij in seen.items()]
-    rels.sort(key=lambda r: tuple((m.key(), (c.re, c.im)) for m, c in r.poly.sorted_terms()))
-    return rels
+    rels = _relation_terms(k, N, max_choose)
+    var = [PluVar(subset) for subset in itertools.combinations(range(1, N + 1), k)]
+    coeff = {c: GaussRat(c) for c in {c for terms, _, _ in rels for _, c in terms}}
+    return [
+        PlueckerRelation(MultiPoly({Monomial(((var[a], 1), (var[b], 1))): coeff[c] for (a, b), c in terms}), I, J)
+        for terms, I, J in rels
+    ]
 
 
 def check_relations(ps: PlueckerSet, max_choose: int = DEFAULT_MAX_CHOOSE):
-    """Max |relation(coords)| over the relation family; exact 0 for minors."""
-    rels = pluecker_relations(ps.k, ps.N, max_choose)
+    """Max |relation(coords)| over the relation family; exact 0 for minors.
+
+    Each relation is summed term by term in sorted-monomial order, straight
+    from its integer terms.
+    """
+    rels = _relation_terms(ps.k, ps.N, max_choose)
     if not rels:
         return Fraction(0) if ps.exact else 0.0
-    assignment = {PluVar(i): v for i, v in ps.coords.items()}
+    vals = []
+    for subset in itertools.combinations(range(1, ps.N + 1), ps.k):
+        if subset not in ps.coords:
+            raise MissingVariable(f"no value for {PluVar(subset)}")
+        vals.append(ps.coords[subset])
+    values = []
+    for terms, _, _ in rels:
+        total = GR_ZERO if ps.exact else 0j
+        for (a, b), c in terms:
+            total += c * vals[a] * vals[b]
+        values.append(total)
     if ps.exact:
-        worst = Fraction(0)
-        for rel in rels:
-            worst = max(worst, evaluate(rel.poly, assignment).abs_sq())
+        worst = max(v.abs_sq() for v in values)
         return Fraction(0) if worst == 0 else math.sqrt(float(worst))
-    return max(abs(evaluate(rel.poly, assignment)) for rel in rels)
+    return max(abs(v) for v in values)
 
 
 def pluecker_measure(s: PureState, pivot: int = 1) -> float:

@@ -244,12 +244,16 @@ def normalize(s: PureState) -> PureState:
 
     The float path first divides by the largest real or imaginary part, so
     the norm neither overflows nor underflows for any finite nonzero state.
+    An exact state with an irrational norm is divided by that part exactly
+    before it becomes float, so amplitudes beyond the float range convert.
     """
+    arr = s.array
     if s.exact:
         r = rational_sqrt(s.norm_sq())
         if r is not None:
-            return PureState(s.array * GaussRat(1 / r))
-    arr = s.array.astype(np.complex128)
+            return PureState(arr * GaussRat(1 / r))
+        arr = arr / max(max(abs(x.re), abs(x.im)) for x in arr.flat)
+    arr = arr.astype(np.complex128)
     arr = arr / max(np.max(np.abs(arr.real)), np.max(np.abs(arr.imag)))
     return PureState(arr / np.linalg.norm(arr))
 

@@ -200,6 +200,14 @@ def test_gen_concurrence_extreme_scale(capsys, tmp_path, scale):
     assert json.loads(out)["value"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_factor_exact_amplitude_beyond_float_range(capsys, tmp_path):
+    s = write_state(tmp_path / "s.json", [2], [[str(10**400), 0], [1, 0]])
+    code, out, err = run(capsys, ["factor", "--state", s])
+    assert code == 0
+    assert "Traceback" not in err
+    assert json.loads(out) == {"factors": [[[1.0, 0.0], [0.0, 0.0]]]}
+
+
 def test_factors_file_errors_name_the_field(capsys, tmp_path):
     fpath = tmp_path / "factors.json"
     fpath.write_text(json.dumps({"factors": [[[1, 0], [0, 0]], [[1, 0], ["x", 0]]]}))

@@ -8,6 +8,7 @@ import pytest
 from qsegre import (
     GaussRat,
     IndexOutOfRange,
+    MissingVariable,
     Monomial,
     MultiPoly,
     PluVar,
@@ -30,6 +31,7 @@ from qsegre.grassmann import PlueckerSet
 from qsegre.sampling import (
     default_rng,
     random_exact_matrix,
+    random_gaussrat,
     random_haar_state,
     random_product_state,
     random_unitary,
@@ -114,6 +116,12 @@ def test_coordinates_shape_errors():
         pluecker_coordinates([[1, 0], [0, 1]])
     with pytest.raises(ShapeError):
         pluecker_coordinates([[1, 0, 0], [0, 1]])
+
+
+def test_coordinates_reject_one_dimensional_input():
+    for mat in ([1, 2, 3], np.array([1, 2, 3]), [GaussRat(1), GaussRat(2)]):
+        with pytest.raises(ShapeError):
+            pluecker_coordinates(mat)
 
 
 def test_signed_lookup():
@@ -222,6 +230,40 @@ def test_check_relations_all_ones_residual():
 def test_check_relations_vacuous_for_k1():
     ps = pluecker_coordinates([[GaussRat(1), GaussRat(2), GaussRat(3)]])
     assert check_relations(ps) == 0
+
+
+def _random_float_matrix(rng, k, n):
+    return rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 6), (3, 7)])
+def test_check_relations_matches_polynomial_evaluation(k, n):
+    # minors of random matrices (residual 0 or rounding) and random
+    # coordinate vectors (nonzero residual), in both backends
+    rng = default_rng(100 * k + n)
+    subsets = list(itertools.combinations(range(1, n + 1), k))
+    sets = [
+        pluecker_coordinates(random_exact_matrix(rng, k, n)),
+        pluecker_coordinates(_random_float_matrix(rng, k, n)),
+        PlueckerSet(k, n, {i: random_gaussrat(rng) for i in subsets}),
+        PlueckerSet(k, n, {i: complex(*rng.normal(size=2)) for i in subsets}),
+    ]
+    rels = pluecker_relations(k, n)
+    for ps in sets:
+        assignment = {PluVar(i): v for i, v in ps.coords.items()}
+        values = [evaluate(rel.poly, assignment) for rel in rels]
+        if ps.exact:
+            worst = max(v.abs_sq() for v in values)
+            assert check_relations(ps) == (0 if worst == 0 else math.sqrt(float(worst)))
+        else:
+            assert check_relations(ps) == pytest.approx(max(map(abs, values)), rel=0, abs=1e-12)
+
+
+def test_check_relations_missing_coordinate():
+    coords = {i: GaussRat(1) for i in itertools.combinations(range(1, 5), 2)}
+    del coords[(2, 3)]
+    with pytest.raises(MissingVariable):
+        check_relations(PlueckerSet(2, 4, coords))
 
 
 # ------------------------------------------------------------------ covariance

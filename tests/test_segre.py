@@ -128,6 +128,14 @@ def test_generators_match_minor_product_oracle(dims):
     assert [str(g) for g in gens] == [str(p) for p in want]
 
 
+def test_generators_sorted_beyond_one_byte_offsets():
+    # 258 amplitudes: offsets above 255 must still sort as numbers
+    gens = segre_generators([2, 129]).gens
+    keys = [tuple(mono.key() for mono, _ in g.sorted_terms()) for g in gens]
+    assert keys == sorted(set(keys))
+    assert len(keys) == math.comb(129, 2)
+
+
 def test_generators_are_quadrics_with_balanced_monomials():
     # Each generator must be a_u*a_v - a_w*a_x with {u_j, v_j} == {w_j, x_j}
     # per mode; that structure forces vanishing under any product assignment.

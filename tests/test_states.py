@@ -118,6 +118,13 @@ def test_normalize_irrational_norm_goes_float():
     assert s.norm_sq() == pytest.approx(1.0)
 
 
+def test_normalize_exact_beyond_float_range():
+    big = normalize(make_state([2], [10**400, 1]))
+    assert big.amps == (1 + 0j, 0j)
+    tiny = normalize(make_state([2], [Fraction(1, 10**400), Fraction(1, 10**400)]))
+    assert tiny.amps == pytest.approx((SQ2, SQ2))
+
+
 def test_normalize_idempotent():
     rng = default_rng(7)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
