@@ -146,6 +146,7 @@ class GaussRat:
 
 GR_ZERO = GaussRat(0)
 GR_ONE = GaussRat(1)
+GR_MINUS_ONE = GaussRat(-1)
 
 Scalar = Union[complex, GaussRat]
 

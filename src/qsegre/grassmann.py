@@ -188,7 +188,9 @@ def pluecker_relations(k: int, N: int, max_choose: int = DEFAULT_MAX_CHOOSE) -> 
 
     Each (I, J) with |I| = k-1 and |J| = k+1 contributes
     sum_t (-1)^t P_{I, j_t} P_{J \\ j_t}; zero polynomials are dropped and the
-    rest deduplicated under sign.  For k = 1 the family is empty.
+    rest deduplicated under sign.  For k = 1 the family is empty.  The terms
+    are enumerated as integer keys and only the surviving relations become
+    polynomials.
     """
     rels = _relation_terms(k, N, max_choose)
     var = [PluVar(subset) for subset in itertools.combinations(range(1, N + 1), k)]

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import TooLarge, WrongShape
-from .gaussrat import GR_ONE, Scalar
+from .gaussrat import GR_MINUS_ONE, GR_ONE, Scalar
 from .poly import Monomial, MultiPoly, StateVar
 from .states import (
     Bipartition,
@@ -40,7 +40,6 @@ from .states import (
 
 DEFAULT_MAX_AMPS = 4096
 DEFAULT_TOL = 1e-10
-GR_MINUS_ONE = -GR_ONE
 
 
 @dataclass(frozen=True)
@@ -78,12 +77,12 @@ def _minor_keys(dims: tuple[int, ...]) -> np.ndarray:
         left = [j - 1 for j in b.left]
         right = [j for j in range(m) if j + 1 not in b.left]
         rows = math.prod(dims[j] for j in left)
-        # offsets grow along every row and column of the flattening, so of
-        # the minor on rows r1 < r2 and columns c1 < c2 the diagonal holds
-        # the smallest offset and is the leading monomial
-        mat = offsets.transpose(left + right).reshape(rows, n // rows)
+        mat = offsets.transpose(left + right).reshape(rows, -1)
         r1, r2 = (r[:, None] for r in np.triu_indices(rows, 1))
-        c1, c2 = np.triu_indices(n // rows, 1)
+        c1, c2 = np.triu_indices(mat.shape[1], 1)
+        # offsets grow along every row and column, so the diagonal a_p a_q of
+        # the minor on rows r1 < r2 and columns c1 < c2 holds the smallest
+        # offset and is the leading monomial
         p, q, c, d = np.broadcast_arrays(mat[r1, c1], mat[r2, c2], mat[r1, c2], mat[r2, c1])
         keys.append(np.stack([p, q, np.minimum(c, d), np.maximum(c, d)], axis=-1).reshape(-1, 4))
     keys = np.concatenate(keys)
