@@ -36,6 +36,7 @@ from .segre import (
     segre_generators,
 )
 from .states import (
+    amplitudes_to_json,
     local_factors,
     make_bipartition,
     make_local,
@@ -64,19 +65,11 @@ def _load_state(args):
     return state_from_json(_load_json(args.state), exact=args.exact)
 
 
-def _parse_dims(text: str) -> list[int]:
-    try:
-        dims = [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise MalformedInput(f"--dims: expected comma-separated integers, got {text!r}") from None
-    return dims
-
-
-def _parse_partition(text: str) -> list[int]:
+def _parse_ints(text: str, flag: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise MalformedInput(f"--partition: expected comma-separated integers, got {text!r}") from None
+        raise MalformedInput(f"{flag}: expected comma-separated integers, got {text!r}") from None
 
 
 def _load_factors(args):
@@ -94,20 +87,10 @@ def _load_factors(args):
     return out
 
 
-def _factors_to_json(factors) -> dict:
-    out = []
-    for f in factors:
-        if f.exact:
-            out.append([[str(a.re), str(a.im)] for a in f.vec])
-        else:
-            out.append([[a.real, a.imag] for a in f.vec])
-    return {"factors": out}
-
-
 def _cmd_check_separable(args) -> int:
     s = _load_state(args)
     if args.partition is not None:
-        b = make_bipartition(_parse_partition(args.partition), s.num_modes)
+        b = make_bipartition(_parse_ints(args.partition, "--partition"), s.num_modes)
         ok = is_bipartite_separable(s, b, args.tol)
         _emit({"separable": ok, "left": list(b.left), "tol": args.tol})
     else:
@@ -132,7 +115,7 @@ def _cmd_pluecker_measure(args) -> int:
 
 
 def _cmd_segre_ideal(args) -> int:
-    ideal = segre_generators(_parse_dims(args.dims), max_amps=args.max_amps)
+    ideal = segre_generators(_parse_ints(args.dims, "--dims"), max_amps=args.max_amps)
     sys.stderr.write(f"{len(ideal.gens)} generators\n")
     for gen in ideal.gens:
         sys.stdout.write(format_poly(gen) + "\n")
@@ -152,7 +135,7 @@ def _cmd_segre_map(args) -> int:
 
 def _cmd_factor(args) -> int:
     factors = local_factors(_load_state(args), args.tol)
-    _emit(_factors_to_json(factors))
+    _emit({"factors": [amplitudes_to_json(f.array) for f in factors]})
     return 0
 
 

@@ -97,8 +97,9 @@ class GaussRat:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def conjugate(self) -> "GaussRat":

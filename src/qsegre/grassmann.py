@@ -26,8 +26,8 @@ import numpy as np
 from .errors import IndexOutOfRange, MissingVariable, ShapeError, TooLarge, WrongShape
 from .gaussrat import GR_ZERO, GaussRat, Scalar
 from .poly import Monomial, MultiPoly, PluVar
-from .segre import bipartition_term
-from .states import Bipartition, PureState, amplitude_array, normalize
+from .segre import split_terms
+from .states import Bipartition, PureState, amplitude_array
 
 DEFAULT_MAX_CHOOSE = 10000
 
@@ -243,7 +243,7 @@ def pluecker_measure(s: PureState, pivot: int = 1) -> float:
         raise WrongShape("measure needs >= 2 modes")
     if not 1 <= pivot <= s.num_modes:
         raise IndexOutOfRange(f"pivot {pivot} out of range 1..{s.num_modes}")
-    term = bipartition_term(s if s.exact else normalize(s), Bipartition((pivot,)))
+    (term,) = split_terms(s, [Bipartition((pivot,))])
     return 2.0 * math.sqrt(float(term))
 
 

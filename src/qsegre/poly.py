@@ -296,7 +296,7 @@ def evaluate(p: MultiPoly, assignment: Mapping[VarId, object]):
                 val = assignment[v]
                 if not isinstance(val, GaussRat):
                     val = GaussRat(val)
-                term = term * val ** e
+                term = term * (val if e == 1 else val ** e)
             total = total + term
         return total
     total = 0j

@@ -8,11 +8,12 @@ equals the pair-product sum of squared singular values of the flattening:
     sum_{2x2 minors} |det|^2 = sum_{i<j} sigma_i^2 sigma_j^2
                              = (||M||_F^4 - ||M M*||_F^2) / 2.
 
-``minor_sum`` uses the right-hand Gram identity (exact in the rational
-backend).  In floats that identity cancels catastrophically near rank-1
-matrices, so the measure and separability predicates evaluate the middle form
-through singular values instead; all three forms are equal in exact
-arithmetic and are cross-checked in the test suite.
+``minor_sum`` is the one definition of that quantity.  Exact flattenings use
+the right-hand Gram identity and return a Fraction; float flattenings use the
+singular values, since the Gram identity cancels catastrophically near rank-1
+matrices in floats.  ``split_terms`` yields the normalized state's minor sum
+at each split, and every measure and separability predicate reduces over it.
+``minor_sum_direct`` enumerates the minors and is the oracle for both.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .states import (
     abs_sq_sum,
     canonical_bipartitions,
     check_tol,
+    flat_matrix,
     flatten,
     normalize,
 )
@@ -69,16 +72,11 @@ def _minor_keys(dims: tuple[int, ...]) -> np.ndarray:
     multi-indices they encode, so the rows sort like the generators' sorted
     terms, and the leading monomial a_p a_q takes +1 as in ``sign_canonical``.
     """
-    n = math.prod(dims)
-    m = len(dims)
-    offsets = np.arange(n, dtype=np.int64).reshape(dims)
+    offsets = np.arange(math.prod(dims), dtype=np.int64).reshape(dims)
     keys = []
-    for b in canonical_bipartitions(m):
-        left = [j - 1 for j in b.left]
-        right = [j for j in range(m) if j + 1 not in b.left]
-        rows = math.prod(dims[j] for j in left)
-        mat = offsets.transpose(left + right).reshape(rows, -1)
-        r1, r2 = (r[:, None] for r in np.triu_indices(rows, 1))
+    for b in canonical_bipartitions(len(dims)):
+        mat = flat_matrix(offsets, b)
+        r1, r2 = (r[:, None] for r in np.triu_indices(mat.shape[0], 1))
         c1, c2 = np.triu_indices(mat.shape[1], 1)
         # offsets grow along every row and column, so the diagonal a_p a_q of
         # the minor on rows r1 < r2 and columns c1 < c2 holds the smallest
@@ -125,17 +123,20 @@ def state_assignment(s: PureState) -> dict[StateVar, Scalar]:
 
 
 def minor_sum(f: Flattening):
-    """Sum of squared moduli of all 2x2 minors, via the Gram identity.
+    """Sum of squared moduli of all 2x2 minors of the flattening.
 
-    One path for both backends; only the abs-square sums differ (exact
-    Fraction in the rational backend).  The float value is clamped at zero
-    but inherits the identity's cancellation near rank-1 matrices; measures
-    use the singular-value form instead.
+    Exact: the Gram identity on the smaller side of the matrix, a Fraction.
+    Float: sum_{i<j} sigma_i^2 sigma_j^2 over the singular values, which
+    does not cancel near rank-1 matrices as the Gram identity does.
     """
     mat = f.entries
-    fro2 = abs_sq_sum(mat)
-    val = (fro2 * fro2 - abs_sq_sum(mat @ mat.conj().T)) / 2
-    return val if f.exact else max(val, 0.0)
+    if f.exact:
+        if f.rows > f.cols:
+            mat = mat.T
+        fro2 = abs_sq_sum(mat)
+        return (fro2 * fro2 - abs_sq_sum(mat @ mat.conj().T)) / 2
+    s2 = np.linalg.svd(mat, compute_uv=False) ** 2
+    return float(np.sum(s2[1:] * np.cumsum(s2)[:-1]))
 
 
 def minor_sum_direct(f: Flattening):
@@ -154,26 +155,18 @@ def minor_sum_direct(f: Flattening):
     return total
 
 
-def _spectral_minor_sum(mat: np.ndarray) -> float:
-    """sum_{i<j} sigma_i^2 sigma_j^2 without cancellation (float backend)."""
-    s2 = np.linalg.svd(mat, compute_uv=False) ** 2
-    if s2.size < 2:
-        return 0.0
-    prefix = np.cumsum(s2)
-    return float(np.sum(s2[1:] * prefix[:-1]))
+def split_terms(s: PureState, splits: Iterable[Bipartition]) -> Iterator:
+    """Lazily yield the normalized state's ``minor_sum`` at each split, in order.
 
-
-def bipartition_term(s: PureState, b: Bipartition):
-    """Minor sum of the normalized state's flattening at b.
-
-    Exact backend: minor_sum of the raw flattening divided by ||s||^4, which
-    equals the normalized minor sum exactly.  Float backend: singular-value
-    evaluation on the normalized flattening.
+    Float states are normalized once and each unit flattening is measured.
+    An exact state's norm may be irrational, so its raw minor sums are
+    divided by ||s||^4 instead, which is the same value exactly.
     """
     if s.exact:
-        n2 = s.norm_sq()
-        return minor_sum(flatten(s, b)) / (n2 * n2)
-    return _spectral_minor_sum(flatten(s, b).entries)
+        n4 = s.norm_sq() ** 2
+        return (minor_sum(flatten(s, b)) / n4 for b in splits)
+    hat = normalize(s)
+    return (minor_sum(flatten(hat, b)) for b in splits)
 
 
 def generalized_concurrence(s: PureState) -> MeasureReport:
@@ -184,9 +177,8 @@ def generalized_concurrence(s: PureState) -> MeasureReport:
     """
     if s.num_modes < 2:
         raise WrongShape("measure needs >= 2 modes")
-    hat = s if s.exact else normalize(s)
     parts = canonical_bipartitions(s.num_modes)
-    terms = {b: bipartition_term(hat, b) for b in parts}
+    terms = dict(zip(parts, split_terms(s, parts)))
     mean = sum(terms.values()) / len(parts)
     value = 2.0 * math.sqrt(float(mean))
     return MeasureReport(value, {b: float(t) for b, t in terms.items()})
@@ -202,17 +194,14 @@ def concurrence2(s: PureState) -> float:
 def is_bipartite_separable(s: PureState, b: Bipartition, tol: float = DEFAULT_TOL) -> bool:
     """True iff the flattening at b is rank-1 within tol (minor sum <= tol^2)."""
     check_tol(tol)
-    hat = s if s.exact else normalize(s)
-    return bipartition_term(hat, b) <= tol * tol
+    (term,) = split_terms(s, [b])
+    return term <= tol * tol
 
 
 def is_fully_separable(s: PureState, tol: float = DEFAULT_TOL) -> bool:
     """True iff every canonical bipartition is separable at tol."""
     check_tol(tol)
-    if s.num_modes == 1:
-        return True
-    hat = s if s.exact else normalize(s)
-    return all(bipartition_term(hat, b) <= tol * tol for b in canonical_bipartitions(s.num_modes))
+    return all(t <= tol * tol for t in split_terms(s, canonical_bipartitions(s.num_modes)))
 
 
 def measure_report_to_json(r: MeasureReport) -> dict:

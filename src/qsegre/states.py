@@ -151,10 +151,7 @@ class Bipartition:
     left: tuple[int, ...]
 
     def canonicalize(self, num_modes: int) -> "Bipartition":
-        if 1 in self.left:
-            return self
-        comp = tuple(j for j in range(1, num_modes + 1) if j not in self.left)
-        return Bipartition(comp)
+        return self if 1 in self.left else Bipartition(self.complement(num_modes))
 
     def complement(self, num_modes: int) -> tuple[int, ...]:
         return tuple(j for j in range(1, num_modes + 1) if j not in self.left)
@@ -268,28 +265,26 @@ def segre_map(factors: Sequence[LocalState]) -> PureState:
     return PureState(functools.reduce(np.multiply.outer, arrays))
 
 
-def _split_axes(dims: tuple[int, ...], b: Bipartition) -> tuple[list[int], list[int], int, int]:
-    m = len(dims)
+def flat_matrix(arr: np.ndarray, b: Bipartition) -> np.ndarray:
+    """The array's modes b.left as rows and the rest as columns.
+
+    Row and column indices are row-major in the sorted order of their mode
+    groups, consistent with the global amplitude order.
+    """
+    m = arr.ndim
     left = b.left
     if not left or list(left) != sorted(set(left)) or left[0] < 1 or left[-1] > m:
         raise IndexOutOfRange(f"bipartition {left} invalid for {m} modes")
     if len(left) == m:
         raise IndexOutOfRange("bipartition must be a proper subset of the modes")
-    right = [j for j in range(1, m + 1) if j not in left]
-    rows = math.prod(dims[j - 1] for j in left)
-    cols = math.prod(dims[j - 1] for j in right)
-    return list(left), right, rows, cols
+    rows = math.prod(arr.shape[j - 1] for j in left)
+    return arr.transpose([j - 1 for j in (*left, *b.complement(m))]).reshape(rows, -1)
 
 
 def flatten(s: PureState, b: Bipartition) -> Flattening:
-    """Matrix of amplitudes with rows indexed by b.left, columns by the rest.
-
-    Row and column indices are row-major in the sorted order of their mode
-    groups, consistent with the global amplitude order.
-    """
-    left, right, rows, cols = _split_axes(s.dims, b)
-    mat = s.array.transpose([j - 1 for j in left + right]).reshape(rows, cols)
-    return Flattening(rows, cols, mat)
+    """Flattening of the state with rows indexed by b.left (see :func:`flat_matrix`)."""
+    mat = flat_matrix(s.array, b)
+    return Flattening(*mat.shape, mat)
 
 
 def _pivot_index(s: PureState) -> tuple[int, ...]:
@@ -404,6 +399,18 @@ def parse_amplitudes(raw: list, field: str, exact_only: bool = False) -> list[Sc
     return out
 
 
+def amplitudes_to_json(arr: np.ndarray) -> list:
+    """The array's amplitudes in row-major order as JSON [re, im] pairs.
+
+    Exact parts become "p/q" strings, which :func:`parse_amplitudes` reads
+    back; float parts stay numbers.
+    """
+    values = arr.reshape(-1).tolist()
+    if arr.dtype == object:
+        return [[str(a.re), str(a.im)] for a in values]
+    return [[a.real, a.imag] for a in values]
+
+
 def state_from_json(obj, exact: bool = False) -> PureState:
     """Parse the state JSON object; messages name the first offending field."""
     if not isinstance(obj, dict):
@@ -429,8 +436,4 @@ def state_from_json(obj, exact: bool = False) -> PureState:
 
 
 def state_to_json(s: PureState) -> dict:
-    if s.exact:
-        amps = [[str(a.re), str(a.im)] for a in s.amps]
-    else:
-        amps = [[a.real, a.imag] for a in s.amps]
-    return {"dims": list(s.dims), "amps": amps}
+    return {"dims": list(s.dims), "amps": amplitudes_to_json(s.array)}

@@ -40,7 +40,10 @@ def test_integer_interop():
     assert 2 * z == GaussRat(2, 4)
     assert z + 1 == GaussRat(2, 2)
     assert 1 - z == GaussRat(0, -2)
+    assert z ** 1 == z
+    assert z ** 2 == z * z
     assert z ** 3 == z * z * z
+    assert z ** 5 == z * z * z * z * z
     assert z ** 0 == GaussRat(1)
 
 

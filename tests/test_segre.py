@@ -220,10 +220,22 @@ def test_minor_sum_gram_matches_enumeration_exact():
     rng = default_rng(22)
     from qsegre.sampling import random_gaussrat
 
-    for _ in range(10):
-        rows = [[random_gaussrat(rng, span=5) for _ in range(4)] for _ in range(4)]
-        f = Flattening(4, 4, tuple(tuple(r) for r in rows))
-        assert minor_sum(f) == minor_sum_direct(f)
+    for r, c in [(4, 4), (2, 5), (5, 2), (3, 7)]:
+        for _ in range(10):
+            rows = [[random_gaussrat(rng, span=5) for _ in range(c)] for _ in range(r)]
+            f = Flattening(r, c, tuple(tuple(row) for row in rows))
+            assert minor_sum(f) == minor_sum_direct(f)
+
+
+def test_minor_sum_near_rank_one_float():
+    # the Gram identity cancels here (relative error up to ~1e3); the
+    # singular-value form agrees with the enumeration to its own rounding
+    rng = default_rng(3)
+    for _ in range(20):
+        u, v, noise = (rng.normal(size=n) + 1j * rng.normal(size=n) for n in (4, 4, (4, 4)))
+        f = float_flattening(np.outer(u, v) + 1e-9 * noise)
+        a, b = minor_sum(f), minor_sum_direct(f)
+        assert abs(a - b) <= 1e-5 * b
 
 
 # ------------------------------------------------------------------- measures
@@ -308,6 +320,11 @@ def test_fully_separable(w3):
         s = random_product_state(rng, [2] * m)
         assert is_fully_separable(s, 1e-10)
     assert not is_fully_separable(w3, 1e-10)
+
+
+def test_single_mode_is_fully_separable():
+    assert is_fully_separable(make_state([3], [1.0, 2j, 0]), 1e-10)
+    assert is_fully_separable(make_state([2], [1, Fraction(1, 2)]), 0)
 
 
 def test_partial_product_not_fully_separable(bell):
