@@ -26,7 +26,6 @@ from .errors import MalformedInput, NotProduct, QsegreError
 from .grassmann import DEFAULT_MAX_CHOOSE, pluecker_measure, pluecker_relations
 from .poly import format_poly
 from .segre import (
-    DEFAULT_MAX_AMPS,
     DEFAULT_TOL,
     concurrence2,
     generalized_concurrence,
@@ -36,6 +35,7 @@ from .segre import (
     segre_generators,
 )
 from .states import (
+    DEFAULT_MAX_AMPS,
     amplitudes_to_json,
     local_factors,
     make_bipartition,
@@ -62,7 +62,7 @@ def _load_json(path: str):
 
 
 def _load_state(args):
-    return state_from_json(_load_json(args.state), exact=args.exact)
+    return state_from_json(_load_json(args.state), exact=args.exact, max_amps=args.max_amps)
 
 
 def _parse_ints(text: str, flag: str) -> list[int]:
@@ -146,6 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_state_flags(p):
         p.add_argument("--state", required=True, help="path to a state JSON file")
         p.add_argument("--exact", action="store_true", help="require the exact rational backend")
+        p.add_argument("--max-amps", type=int, default=DEFAULT_MAX_AMPS, help="largest prod(dims) accepted")
 
     p = sub.add_parser("check-separable", help="rank-1 test across bipartitions")
     add_state_flags(p)
@@ -168,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segre-ideal", help="print the 2x2 minor generators for given dims")
     p.add_argument("--dims", required=True, help="comma-separated mode dimensions")
-    p.add_argument("--max-amps", type=int, default=DEFAULT_MAX_AMPS)
+    p.add_argument("--max-amps", type=int, default=DEFAULT_MAX_AMPS, help="largest prod(dims) accepted")
     p.set_defaults(func=_cmd_segre_ideal)
 
     p = sub.add_parser("pluecker-relations", help="print the quadratic relations of G(k, N)")

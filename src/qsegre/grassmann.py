@@ -15,6 +15,7 @@ implemented, scaled by 2 so the two-qubit case reproduces the concurrence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -138,19 +139,25 @@ Subset = tuple[int, ...]
 RelationTerms = tuple[tuple[tuple[int, int], int], ...]
 
 
-def _relation_terms(k: int, N: int, max_choose: int) -> list[tuple[RelationTerms, Subset, Subset]]:
+def _relation_terms(k: int, N: int, max_choose: int) -> tuple[tuple[RelationTerms, Subset, Subset], ...]:
     """The relation family as integer terms, with the (I, J) each came from.
 
     A relation is a tuple of ((a, b), c): coefficient c on P_A P_B, where a < b
     are ranks of k-subsets in lexicographic order.  Terms are sorted and the
-    first coefficient is positive (``sign_canonical``); the list is sorted
+    first coefficient is positive (``sign_canonical``); the family is sorted
     like the polynomials' sorted terms, and a relation keeps the first (I, J)
-    that produced it.
+    that produced it.  The shape and the cap are checked on every call; the
+    family itself is built once per (k, N).
     """
     if k < 1 or k >= N:
         raise ShapeError(f"need 1 <= k < N, got k={k}, N={N}")
     if comb(N, k) > max_choose:
         raise TooLarge(f"C({N},{k}) = {comb(N, k)} exceeds cap {max_choose}")
+    return _relation_family(k, N)
+
+
+@functools.lru_cache(maxsize=64)
+def _relation_family(k: int, N: int) -> tuple[tuple[RelationTerms, Subset, Subset], ...]:
     universe = range(1, N + 1)
     rank = {subset: r for r, subset in enumerate(itertools.combinations(universe, k))}
     # for each J, the rank of J without its t-th index and the sign (-1)^t, t from 1
@@ -180,7 +187,7 @@ def _relation_terms(k: int, N: int, max_choose: int) -> list[tuple[RelationTerms
             if key[0][1] < 0:
                 key = tuple((mono, -c) for mono, c in key)
             seen.setdefault(key, (I, J))
-    return [(key, I, J) for key, (I, J) in sorted(seen.items())]
+    return tuple((key, I, J) for key, (I, J) in sorted(seen.items()))
 
 
 def pluecker_relations(k: int, N: int, max_choose: int = DEFAULT_MAX_CHOOSE) -> list[PlueckerRelation]:

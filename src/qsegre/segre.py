@@ -8,11 +8,12 @@ equals the pair-product sum of squared singular values of the flattening:
     sum_{2x2 minors} |det|^2 = sum_{i<j} sigma_i^2 sigma_j^2
                              = (||M||_F^4 - ||M M*||_F^2) / 2.
 
-``minor_sum`` is the one definition of that quantity.  Exact flattenings use
-the right-hand Gram identity and return a Fraction; float flattenings use the
-singular values, since the Gram identity cancels catastrophically near rank-1
-matrices in floats.  ``split_terms`` yields the normalized state's minor sum
-at each split, and every measure and separability predicate reduces over it.
+``minor_sum`` is the one definition of that quantity.  Exact flattenings
+clear denominators once, evaluate the right-hand Gram identity over Gaussian
+integers and return one Fraction; float flattenings use the singular values,
+since the Gram identity cancels catastrophically near rank-1 matrices in
+floats.  ``split_terms`` yields the normalized state's minor sum at each
+split, and every measure and separability predicate reduces over it.
 ``minor_sum_direct`` enumerates the minors and is the oracle for both.
 """
 
@@ -30,18 +31,18 @@ from .errors import TooLarge, WrongShape
 from .gaussrat import GR_MINUS_ONE, GR_ONE, Scalar
 from .poly import Monomial, MultiPoly, StateVar
 from .states import (
+    DEFAULT_MAX_AMPS,
     Bipartition,
     Flattening,
     PureState,
-    abs_sq_sum,
     canonical_bipartitions,
     check_tol,
     flat_matrix,
     flatten,
+    gauss_ints,
     normalize,
 )
 
-DEFAULT_MAX_AMPS = 4096
 DEFAULT_TOL = 1e-10
 
 
@@ -125,16 +126,20 @@ def state_assignment(s: PureState) -> dict[StateVar, Scalar]:
 def minor_sum(f: Flattening):
     """Sum of squared moduli of all 2x2 minors of the flattening.
 
-    Exact: the Gram identity on the smaller side of the matrix, a Fraction.
+    Exact: the Gram identity on the smaller side of the matrix, taken in
+    integers over the common denominator of the entries, a Fraction.
     Float: sum_{i<j} sigma_i^2 sigma_j^2 over the singular values, which
     does not cancel near rank-1 matrices as the Gram identity does.
     """
     mat = f.entries
     if f.exact:
-        if f.rows > f.cols:
-            mat = mat.T
-        fro2 = abs_sq_sum(mat)
-        return (fro2 * fro2 - abs_sq_sum(mat @ mat.conj().T)) / 2
+        a, c, den = gauss_ints(mat.T if f.rows > f.cols else mat)
+        # M = (A + iC) / den, so den^2 M M* = (A A^T + C C^T) + i (C A^T - A C^T)
+        g_re = a @ a.T + c @ c.T
+        g_im = c @ a.T - a @ c.T
+        fro2 = int((a * a + c * c).sum())
+        g2 = int((g_re * g_re + g_im * g_im).sum())
+        return Fraction(fro2 * fro2 - g2, 2 * den ** 4)
     s2 = np.linalg.svd(mat, compute_uv=False) ** 2
     return float(np.sum(s2[1:] * np.cumsum(s2)[:-1]))
 

@@ -33,9 +33,12 @@ from .errors import (
     MalformedInput,
     NonFinite,
     NotProduct,
+    TooLarge,
     ZeroVector,
 )
 from .gaussrat import GaussRat, Scalar, rational_sqrt
+
+DEFAULT_MAX_AMPS = 4096
 
 
 def amplitude_array(values, shape: tuple[int, ...], label: str = "amps") -> np.ndarray:
@@ -64,10 +67,25 @@ def amplitude_array(values, shape: tuple[int, ...], label: str = "amps") -> np.n
     return arr.reshape(shape)
 
 
+def gauss_ints(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """An exact array over one common denominator: ``arr == (re + i*im) / den``.
+
+    ``re`` and ``im`` are ``object`` arrays of Python ints with ``arr``'s
+    shape (cleared values outgrow int64), and ``den`` is the lcm of every
+    denominator, so the caller does integer arithmetic and divides once.
+    """
+    flat = arr.reshape(-1).tolist()
+    den = math.lcm(*(x.re.denominator for x in flat), *(x.im.denominator for x in flat))
+    re = np.array([x.re.numerator * (den // x.re.denominator) for x in flat], dtype=object)
+    im = np.array([x.im.numerator * (den // x.im.denominator) for x in flat], dtype=object)
+    return re.reshape(arr.shape), im.reshape(arr.shape), den
+
+
 def abs_sq_sum(arr: np.ndarray):
     """Sum of |x|^2 over an amplitude array; exact Fraction in the exact backend."""
     if arr.dtype == object:
-        return sum((x.abs_sq() for x in arr.flat), Fraction(0))
+        re, im, den = gauss_ints(arr)
+        return Fraction(int((re * re + im * im).sum()), den * den)
     return float(np.sum(np.abs(arr) ** 2))
 
 
@@ -411,8 +429,12 @@ def amplitudes_to_json(arr: np.ndarray) -> list:
     return [[a.real, a.imag] for a in values]
 
 
-def state_from_json(obj, exact: bool = False) -> PureState:
-    """Parse the state JSON object; messages name the first offending field."""
+def state_from_json(obj, exact: bool = False, max_amps: int = DEFAULT_MAX_AMPS) -> PureState:
+    """Parse the state JSON object; messages name the first offending field.
+
+    Raises TooLarge when prod(dims) exceeds ``max_amps``; the amplitude count
+    is checked against dims before any amplitude is parsed.
+    """
     if not isinstance(obj, dict):
         raise MalformedInput("top level: expected an object")
     if "dims" not in obj:
@@ -425,9 +447,14 @@ def state_from_json(obj, exact: bool = False) -> PureState:
     for j, d in enumerate(dims):
         if not isinstance(d, int) or isinstance(d, bool) or d < 2:
             raise MalformedInput(f"dims[{j}]: expected an integer >= 2")
+    total = math.prod(dims)
+    if total > max_amps:
+        raise TooLarge(f"prod(dims) = {total} exceeds cap {max_amps}")
     raw = obj["amps"]
     if not isinstance(raw, list):
         raise MalformedInput("amps: expected a list")
+    if len(raw) != total:
+        raise MalformedInput(f"amps has length {len(raw)}, expected {total}")
     amps = parse_amplitudes(raw, "amps", exact)
     try:
         return make_state(dims, amps)

@@ -218,3 +218,32 @@ def test_factors_file_errors_name_the_field(capsys, tmp_path):
     code, _, err = run(capsys, ["segre-map", "--factors", str(fpath), "--exact"])
     assert code == 2
     assert "factors[0][1][0]" in err
+
+
+STATE_COMMANDS = [["check-separable"], ["concurrence"], ["gen-concurrence"], ["pluecker-measure"], ["factor"]]
+
+
+@pytest.mark.parametrize("command", STATE_COMMANDS)
+def test_state_commands_cap_amplitudes(capsys, tmp_path, command):
+    big = write_state(tmp_path / "big.json", [2] * 13, [[1, 0]] + [[0, 0]] * (2**13 - 1))
+    code, out, err = run(capsys, [*command, "--state", big])
+    assert code == 2
+    assert out == ""
+    assert "cap 4096" in err
+    assert "Traceback" not in err
+    code, _, err = run(capsys, [*command, "--state", big, "--max-amps", "100"])
+    assert code == 2
+    assert "8192 exceeds cap 100" in err
+
+
+def test_state_commands_accept_amplitudes_at_cap(capsys, tmp_path):
+    # a basis state of 12 qubits has 2^12 = DEFAULT_MAX_AMPS amplitudes
+    s = write_state(tmp_path / "s.json", [2] * 12, [[1, 0]] + [[0, 0]] * (2**12 - 1))
+    for command in (["pluecker-measure"], ["factor", "--exact"], ["check-separable", "--partition", "1"]):
+        code, out, err = run(capsys, [*command, "--state", s])
+        assert code == 0, err
+        assert out
+    big = write_state(tmp_path / "big.json", [2] * 13, [[1, 0]] + [[0, 0]] * (2**13 - 1))
+    code, out, _ = run(capsys, ["pluecker-measure", "--state", big, "--max-amps", "8192"])
+    assert code == 0
+    assert json.loads(out) == {"value": 0.0}

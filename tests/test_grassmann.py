@@ -27,7 +27,7 @@ from qsegre import (
     pluecker_relations,
     pluecker_set_to_json,
 )
-from qsegre.grassmann import PlueckerSet
+from qsegre.grassmann import PlueckerSet, _relation_family, _relation_terms
 from qsegre.sampling import (
     default_rng,
     random_exact_matrix,
@@ -210,6 +210,24 @@ def test_relations_cap_and_shape():
         pluecker_relations(4, 4)
     with pytest.raises(ShapeError):
         pluecker_relations(0, 4)
+
+
+def test_relation_family_is_built_once_and_immutable():
+    _relation_family.cache_clear()
+    first = _relation_terms(3, 7, 10000)
+    rels = pluecker_relations(3, 7)
+    rng = default_rng(37)
+    check_relations(pluecker_coordinates(random_exact_matrix(rng, 3, 7)))
+    assert _relation_family.cache_info().misses == 1
+    assert _relation_terms(3, 7, 10000) is first
+    assert isinstance(first, tuple) and all(isinstance(rel, tuple) for rel in first)
+    assert [(rel.I, rel.J) for rel in rels] == [(I, J) for _, I, J in first]
+    # the cap still applies to a family that is already cached
+    with pytest.raises(TooLarge):
+        pluecker_relations(3, 7, max_choose=34)
+    with pytest.raises(TooLarge):
+        check_relations(pluecker_coordinates(random_exact_matrix(rng, 3, 7)), max_choose=34)
+    assert len(pluecker_relations(3, 7, max_choose=35)) == len(first)
 
 
 # ------------------------------------------------------------ check_relations

@@ -36,6 +36,7 @@ from qsegre import (
     state_assignment,
 )
 from qsegre.errors import MalformedInput, NotProduct
+from qsegre.segre import split_terms
 from qsegre.sampling import (
     default_rng,
     random_exact_product_state,
@@ -43,7 +44,7 @@ from qsegre.sampling import (
     random_product_state,
     random_unitary,
 )
-from qsegre.states import apply_local_unitaries, permute_modes
+from qsegre.states import abs_sq_sum, apply_local_unitaries, gauss_ints, permute_modes
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -225,6 +226,75 @@ def test_minor_sum_gram_matches_enumeration_exact():
             rows = [[random_gaussrat(rng, span=5) for _ in range(c)] for _ in range(r)]
             f = Flattening(r, c, tuple(tuple(row) for row in rows))
             assert minor_sum(f) == minor_sum_direct(f)
+
+
+KERNEL_SHAPES = [(1, 4), (2, 5), (5, 2), (3, 7), (8, 2), (4, 4)]
+BIG = 10**400
+
+
+def kernel_entry(rng, kind):
+    """One Gaussian rational of the given kind for the integer-kernel tests."""
+    def part():
+        if kind == "int":
+            return Fraction(int(rng.integers(-9, 10)))
+        if kind == "big_num":
+            return Fraction(int(rng.integers(-9, 10)) * BIG + int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+        if kind == "big_den":
+            return Fraction(int(rng.integers(-9, 10)), BIG + int(rng.integers(0, 3)))
+        return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+
+    if kind == "zeros" and rng.random() < 0.6:
+        return GaussRat(0)
+    re, im = part(), part()
+    if kind == "real":
+        im = 0
+    if kind == "imag":
+        re = 0
+    return GaussRat(re, im)
+
+
+@pytest.mark.parametrize("kind", ["int", "real", "imag", "zeros", "big_num", "big_den", "mixed"])
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_minor_sum_integer_kernel_matches_enumeration(shape, kind):
+    rng = default_rng(sum(shape) * 7 + len(kind))
+    r, c = shape
+    for _ in range(3):
+        f = Flattening(r, c, tuple(tuple(kernel_entry(rng, kind) for _ in range(c)) for _ in range(r)))
+        got = minor_sum(f)
+        assert type(got) is Fraction
+        assert got == minor_sum_direct(f)
+        assert abs_sq_sum(f.entries) == sum((x.abs_sq() for x in f.entries.flat), Fraction(0))
+
+
+def test_gauss_ints_clears_denominators_once():
+    rng = default_rng(5)
+    for kind in ("int", "big_num", "big_den", "mixed", "zeros"):
+        arr = np.array([[kernel_entry(rng, kind) for _ in range(3)] for _ in range(2)], dtype=object)
+        re, im, den = gauss_ints(arr)
+        assert re.shape == im.shape == arr.shape
+        assert all(type(v) is int for v in (*re.flat, *im.flat, den))
+        assert den == math.lcm(*(d for x in arr.flat for d in (x.re.denominator, x.im.denominator)))
+        assert all(GaussRat(Fraction(a, den), Fraction(b, den)) == x for a, b, x in zip(re.flat, im.flat, arr.flat))
+    _, _, den = gauss_ints(np.array([GaussRat(3, -4), GaussRat(0)], dtype=object))
+    assert den == 1
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_exact_split_terms_equal_direct_minor_sums(m):
+    rng = default_rng(60 + m)
+    states = [
+        random_exact_product_state(rng, [2] * m),
+        make_state([2] * m, [kernel_entry(rng, "mixed") for _ in range(2**m)]),
+    ]
+    for s in states:
+        report_terms = generalized_concurrence(s).per_bipartition
+        parts = canonical_bipartitions(m)
+        n4 = s.norm_sq() ** 2
+        for b, term in zip(parts, split_terms(s, parts)):
+            expected = minor_sum_direct(flatten(s, b)) / n4
+            assert type(term) is Fraction
+            assert term == expected
+            assert report_terms[b] == float(expected)
 
 
 def test_minor_sum_near_rank_one_float():

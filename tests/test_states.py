@@ -15,6 +15,7 @@ from qsegre import (
     MalformedInput,
     NonFinite,
     NotProduct,
+    TooLarge,
     ZeroVector,
     canonical_bipartitions,
     flatten,
@@ -398,3 +399,16 @@ def test_normalize_extreme_scales(scale):
     s = normalize(make_state([2, 2], [scale, 0, 0, scale]))
     assert s.amps[0] == pytest.approx(SQ2)
     assert s.amps[3] == pytest.approx(SQ2)
+
+
+def test_state_json_size_cap_precedes_parsing():
+    # amps is not even a list: the cap on prod(dims) is checked first
+    with pytest.raises(TooLarge, match="8192 exceeds cap 4096"):
+        state_from_json({"dims": [2] * 13, "amps": None})
+    with pytest.raises(TooLarge, match="cap 2"):
+        state_from_json({"dims": [2, 2], "amps": [[1, 0]] * 4}, max_amps=2)
+    s = state_from_json({"dims": [2] * 12, "amps": [[1, 0]] + [[0, 0]] * 4095})
+    assert s.dims == (2,) * 12
+    # the amplitude count is checked before any amplitude is parsed
+    with pytest.raises(MalformedInput, match="length 3, expected 4"):
+        state_from_json({"dims": [2, 2], "amps": [[1, 0], ["x", 0], [0, 0]]})
