@@ -8,13 +8,19 @@ equals the pair-product sum of squared singular values of the flattening:
     sum_{2x2 minors} |det|^2 = sum_{i<j} sigma_i^2 sigma_j^2
                              = (||M||_F^4 - ||M M*||_F^2) / 2.
 
-``minor_sum`` is the one definition of that quantity.  Exact flattenings
-clear denominators once, evaluate the right-hand Gram identity over Gaussian
-integers and return one Fraction; float flattenings use the singular values,
-since the Gram identity cancels catastrophically near rank-1 matrices in
-floats.  ``split_terms`` yields the normalized state's minor sum at each
-split, and every measure and separability predicate reduces over it.
-``minor_sum_direct`` enumerates the minors and is the oracle for both.
+``minor_sum`` is the one definition of that quantity, and it runs one private
+kernel per backend.  The exact kernel clears denominators once and evaluates
+the right-hand Gram identity over Gaussian integers, giving one Fraction.  The
+float kernel evaluates the same Gram identity, with the Gram matrix taken on
+the smaller side of the matrix, and keeps it when the result exceeds
+``GRAM_CUTOFF * ||M||_F^4``.  Its absolute error is a few units of rounding
+times ``||M||_F^4``, so above the cutoff the relative error stays within
+about 1e-12.  Below it, near rank-1 matrices where the identity cancels, the
+kernel returns the singular-value form instead.  ``split_terms`` runs the
+same kernels on the flat matrices of an array it has already validated,
+clearing an exact state's denominators once for every split, and every
+measure and separability predicate reduces over it.  ``minor_sum_direct``
+enumerates the minors and is the oracle for both kernels.
 """
 
 from __future__ import annotations
@@ -38,12 +44,14 @@ from .states import (
     canonical_bipartitions,
     check_tol,
     flat_matrix,
-    flatten,
     gauss_ints,
     normalize,
 )
 
 DEFAULT_TOL = 1e-10
+# Float minor sums at or below this fraction of ||M||_F^4 are recomputed from
+# the singular values: the Gram identity's absolute error is ~1e-16 ||M||_F^4.
+GRAM_CUTOFF = 1e-4
 
 
 @dataclass(frozen=True)
@@ -117,31 +125,49 @@ def segre_generators(dims, max_amps: int = DEFAULT_MAX_AMPS) -> SegreIdeal:
 
 def state_assignment(s: PureState) -> dict[StateVar, Scalar]:
     """Map each amplitude variable to the state's value there."""
-    out = {}
-    for pos, index in enumerate(itertools.product(*(range(d) for d in s.dims))):
-        out[StateVar(index)] = s.amps[pos]
-    return out
+    indices = itertools.product(*(range(d) for d in s.dims))
+    return {StateVar(index): a for index, a in zip(indices, s.amps)}
+
+
+def _float_minor_sum(mat: np.ndarray) -> float:
+    """Minor sum of a complex128 matrix: Gram identity, singular values where it cancels."""
+    h = mat.conj().T
+    g = mat @ h if mat.shape[0] <= mat.shape[1] else h @ mat
+    fro4 = g.trace().real ** 2
+    val = (fro4 - np.vdot(g, g).real) / 2
+    if val > GRAM_CUTOFF * fro4:
+        return float(val)
+    s2 = np.linalg.svd(mat, compute_uv=False) ** 2
+    return float(np.sum(s2[1:] * np.cumsum(s2)[:-1]))
+
+
+def _twice_int_minor_sum(a: np.ndarray, c: np.ndarray) -> int:
+    """Twice the minor sum of the Gaussian-integer matrix A + iC, an int.
+
+    The Gram matrix is taken on the smaller side:
+    A A^T + C C^T + i (C A^T - A C^T), whose trace is ||A + iC||_F^2.
+    """
+    if a.shape[0] > a.shape[1]:
+        a, c = a.T, c.T
+    g_re = a @ a.T + c @ c.T
+    x = c @ a.T
+    g_im = x - x.T
+    n = int(g_re.trace())
+    return n * n - int((g_re * g_re + g_im * g_im).sum())
 
 
 def minor_sum(f: Flattening):
     """Sum of squared moduli of all 2x2 minors of the flattening.
 
-    Exact: the Gram identity on the smaller side of the matrix, taken in
-    integers over the common denominator of the entries, a Fraction.
-    Float: sum_{i<j} sigma_i^2 sigma_j^2 over the singular values, which
-    does not cancel near rank-1 matrices as the Gram identity does.
+    Exact: the Gram identity in integers over the common denominator of the
+    entries, a Fraction.  Float: the Gram identity when it is above
+    ``GRAM_CUTOFF * ||M||_F^4``, else sum_{i<j} sigma_i^2 sigma_j^2 over the
+    singular values, which does not cancel near rank-1 matrices.
     """
-    mat = f.entries
     if f.exact:
-        a, c, den = gauss_ints(mat.T if f.rows > f.cols else mat)
-        # M = (A + iC) / den, so den^2 M M* = (A A^T + C C^T) + i (C A^T - A C^T)
-        g_re = a @ a.T + c @ c.T
-        g_im = c @ a.T - a @ c.T
-        fro2 = int((a * a + c * c).sum())
-        g2 = int((g_re * g_re + g_im * g_im).sum())
-        return Fraction(fro2 * fro2 - g2, 2 * den ** 4)
-    s2 = np.linalg.svd(mat, compute_uv=False) ** 2
-    return float(np.sum(s2[1:] * np.cumsum(s2)[:-1]))
+        a, c, den = gauss_ints(f.entries)
+        return Fraction(_twice_int_minor_sum(a, c), 2 * den ** 4)
+    return _float_minor_sum(f.entries)
 
 
 def minor_sum_direct(f: Flattening):
@@ -163,15 +189,18 @@ def minor_sum_direct(f: Flattening):
 def split_terms(s: PureState, splits: Iterable[Bipartition]) -> Iterator:
     """Lazily yield the normalized state's ``minor_sum`` at each split, in order.
 
-    Float states are normalized once and each unit flattening is measured.
-    An exact state's norm may be irrational, so its raw minor sums are
-    divided by ||s||^4 instead, which is the same value exactly.
+    The kernels run on :func:`~qsegre.states.flat_matrix` views of the
+    already validated state, not on new Flattenings.  Float states are
+    normalized once.  An exact state's norm may be irrational, so its
+    denominators are cleared once, to A + iC with n = ||A + iC||_F^2, and
+    each term is (n^2 - ||G||_F^2) / (2 n^2): the denominators cancel.
     """
     if s.exact:
-        n4 = s.norm_sq() ** 2
-        return (minor_sum(flatten(s, b)) / n4 for b in splits)
-    hat = normalize(s)
-    return (minor_sum(flatten(hat, b)) for b in splits)
+        a, c, _ = gauss_ints(s.array)
+        n2 = 2 * int((a * a + c * c).sum()) ** 2
+        return (Fraction(_twice_int_minor_sum(flat_matrix(a, b), flat_matrix(c, b)), n2) for b in splits)
+    hat = normalize(s).array
+    return (_float_minor_sum(flat_matrix(hat, b)) for b in splits)
 
 
 def generalized_concurrence(s: PureState) -> MeasureReport:

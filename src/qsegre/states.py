@@ -47,7 +47,8 @@ def amplitude_array(values, shape: tuple[int, ...], label: str = "amps") -> np.n
     Exact (an ``object`` array of GaussRat) iff every entry is an int,
     Fraction or GaussRat; otherwise a finite ``complex128`` array.  Raises
     MalformedInput for entries that are not numbers (bool and str included)
-    and NonFinite for NaN/Inf.
+    and NonFinite for NaN/Inf and for exact entries beyond the float range in
+    a float array.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "iufc":
         arr = values.astype(np.complex128)
@@ -60,11 +61,33 @@ def amplitude_array(values, shape: tuple[int, ...], label: str = "amps") -> np.n
             arr = np.empty(len(values), dtype=object)
             arr[:] = [a if isinstance(a, GaussRat) else GaussRat(a) for a in values]
             return arr.reshape(shape)
-        arr = np.array(values, dtype=np.complex128)
+        arr = _complex_array(values, label)
+    _check_finite(arr, label)
+    return arr.reshape(shape)
+
+
+def _complex_array(values: list, label: str) -> np.ndarray:
+    """The values as a flat ``complex128`` array.
+
+    Raises NonFinite, naming the entry, for an exact value beyond the float
+    range, where converting it would raise OverflowError.
+    """
+    try:
+        return np.array(values, dtype=np.complex128)
+    except OverflowError:
+        for k, a in enumerate(values):
+            try:
+                complex(a)
+            except OverflowError:
+                raise NonFinite(f"{label}[{k}] is beyond the float range") from None
+        raise
+
+
+def _check_finite(arr: np.ndarray, label: str) -> None:
+    """Raise NonFinite naming the first NaN/Inf entry of a float array, in row-major order."""
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
         raise NonFinite(f"{label}[{bad[0]}] is not finite")
-    return arr.reshape(shape)
 
 
 def gauss_ints(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -274,13 +297,27 @@ def normalize(s: PureState) -> PureState:
 
 
 def segre_map(factors: Sequence[LocalState]) -> PureState:
-    """Tensor product of local states: amplitude at (i1..im) = prod_j vec_j[i_j]."""
+    """Tensor product of local states: amplitude at (i1..im) = prod_j vec_j[i_j].
+
+    Mixed exact and float factors give a float state.  Raises NonFinite when
+    an exact entry or a product amplitude is beyond the float range, and
+    ZeroVector when every float product amplitude underflows to zero.
+    """
     if len(factors) < 2:
         raise DimensionMismatch(f"segre_map needs >= 2 factors, got {len(factors)}")
     arrays = [f.array for f in factors]
-    if not all(f.exact for f in factors):
-        arrays = [a.astype(np.complex128) for a in arrays]
-    return PureState(functools.reduce(np.multiply.outer, arrays))
+    if all(f.exact for f in factors):
+        return PureState(functools.reduce(np.multiply.outer, arrays))
+    arrays = [
+        _complex_array(a.tolist(), f"factors[{j}]") if a.dtype == object else a
+        for j, a in enumerate(arrays)
+    ]
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        arr = functools.reduce(np.multiply.outer, arrays)
+    _check_finite(arr, "amps")
+    if not arr.any():
+        raise ZeroVector("every product amplitude underflows to zero")
+    return PureState(arr)
 
 
 def flat_matrix(arr: np.ndarray, b: Bipartition) -> np.ndarray:

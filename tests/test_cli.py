@@ -247,3 +247,32 @@ def test_state_commands_accept_amplitudes_at_cap(capsys, tmp_path):
     code, out, _ = run(capsys, ["pluecker-measure", "--state", big, "--max-amps", "8192"])
     assert code == 0
     assert json.loads(out) == {"value": 0.0}
+
+
+def assert_clean_exit_2(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and "Warning" not in err
+
+
+def test_segre_map_overflowing_product_exits_2(capsys, tmp_path):
+    fpath = tmp_path / "factors.json"
+    fpath.write_text(json.dumps({"factors": [[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]]}))
+    code, out, err = run(capsys, ["segre-map", "--factors", str(fpath)])
+    assert_clean_exit_2(code, out, err)
+    assert "not finite" in err
+
+
+def test_segre_map_mixed_factor_beyond_float_range_exits_2(capsys, tmp_path):
+    fpath = tmp_path / "factors.json"
+    fpath.write_text(json.dumps({"factors": [[[str(10**400), 0], [1, 0]], [[0.5, 0], [1, 0]]]}))
+    code, out, err = run(capsys, ["segre-map", "--factors", str(fpath)])
+    assert_clean_exit_2(code, out, err)
+    assert "factors[0][0]" in err
+
+
+def test_state_mixing_float_and_huge_exact_component_exits_2(capsys, tmp_path):
+    s = write_state(tmp_path / "s.json", [2, 2], [[0.5, 0], [str(10**400), 0], [0, 0], [1, 0]])
+    code, out, err = run(capsys, ["concurrence", "--state", s])
+    assert_clean_exit_2(code, out, err)
+    assert "amps[1]" in err

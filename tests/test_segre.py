@@ -36,7 +36,7 @@ from qsegre import (
     state_assignment,
 )
 from qsegre.errors import MalformedInput, NotProduct
-from qsegre.segre import split_terms
+from qsegre.segre import GRAM_CUTOFF, split_terms
 from qsegre.sampling import (
     default_rng,
     random_exact_product_state,
@@ -306,6 +306,46 @@ def test_minor_sum_near_rank_one_float():
         f = float_flattening(np.outer(u, v) + 1e-9 * noise)
         a, b = minor_sum(f), minor_sum_direct(f)
         assert abs(a - b) <= 1e-5 * b
+
+
+def singular_value_minor_sum(mat):
+    """Reference float minor sum: sum_{i<j} s_i^2 s_j^2 over numpy's singular values."""
+    s2 = np.linalg.svd(mat, compute_uv=False) ** 2
+    return sum(s2[i] * s2[j] for i, j in itertools.combinations(range(len(s2)), 2))
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_float_split_terms_match_singular_values_across_cutoff(m):
+    # Haar terms take the Gram identity, product terms the singular values,
+    # and the perturbed products put terms on both sides of GRAM_CUTOFF
+    rng = default_rng(70 + m)
+    dims = [2] * m
+    prod = random_product_state(rng, dims).to_numpy()
+    prod /= np.linalg.norm(prod)
+    states = [random_haar_state(rng, dims), make_state(dims, prod)]
+    for eps in (1e-1, 1e-2, 3e-3, 1e-3, 1e-4, 1e-6, 1e-9):
+        noise = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
+        states.append(make_state(dims, prod + eps * noise / np.linalg.norm(noise)))
+    parts = canonical_bipartitions(m)
+    above = set()
+    for s in states:
+        hat = normalize(s)
+        for b, term in zip(parts, split_terms(s, parts)):
+            f = flatten(hat, b)
+            ref = singular_value_minor_sum(f.entries)
+            assert abs(term - ref) <= 1e-12
+            assert abs(term - ref) <= 1e-10 * ref
+            assert minor_sum(f) == term
+            above.add(term > GRAM_CUTOFF)
+    assert above == {True, False}
+
+
+def test_state_assignment_follows_row_major_order():
+    rng = default_rng(75)
+    for s in (random_haar_state(rng, [2, 3, 2]), random_exact_product_state(rng, [3, 2])):
+        got = state_assignment(s)
+        assert list(got) == [StateVar(i) for i in itertools.product(*(range(d) for d in s.dims))]
+        assert all(v == s.amplitude(var.index) for var, v in got.items())
 
 
 # ------------------------------------------------------------------- measures

@@ -172,6 +172,24 @@ def test_segre_map_uniform_three_qubits():
         assert abs(s.amplitude(index) - expected) < 1e-15
 
 
+def test_segre_map_rejects_products_beyond_float_range():
+    huge = make_local([1e308, 1e308])
+    with pytest.raises(NonFinite):
+        segre_map([huge, huge])
+    with pytest.raises(NonFinite, match=r"factors\[0\]\[0\]"):
+        segre_map([make_local([10**400, 1]), make_local([0.5, 1.0])])
+    tiny = make_local([1e-200, 1e-200])
+    with pytest.raises(ZeroVector):
+        segre_map([tiny, tiny])
+    # exact factors stay exact at any size
+    assert segre_map([make_local([10**400, 1]), make_local([1, 2])]).amplitude((0, 1)) == 2 * 10**400
+
+
+def test_make_state_rejects_exact_entries_beyond_float_range_in_float_state():
+    with pytest.raises(NonFinite, match=r"amps\[1\]"):
+        make_state([2, 2], [0.5, GaussRat(10**400), 1, 0])
+
+
 def test_segre_map_needs_two_factors():
     with pytest.raises(DimensionMismatch):
         segre_map([make_local([1, 0])])
