@@ -31,13 +31,13 @@ from .segre import (
     generalized_concurrence,
     is_bipartite_separable,
     is_fully_separable,
+    local_factors,
     measure_report_to_json,
     segre_generators,
 )
 from .states import (
     DEFAULT_MAX_AMPS,
     amplitudes_to_json,
-    local_factors,
     make_bipartition,
     make_local,
     parse_amplitudes,

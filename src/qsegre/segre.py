@@ -1,4 +1,4 @@
-"""Determinantal ideal of the product-state locus and concurrence-type measures.
+"""Determinantal ideal of the product-state locus, measures and factor recovery.
 
 The fully separable states are exactly the rank-1 points of every bipartition
 flattening, so the ideal is generated by all 2x2 flattening minors.  The
@@ -33,13 +33,14 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import TooLarge, WrongShape
-from .gaussrat import GR_MINUS_ONE, GR_ONE, Scalar
+from .errors import NotProduct, TooLarge, WrongShape
+from .gaussrat import GR_MINUS_ONE, GR_ONE, GaussRat, Scalar
 from .poly import Monomial, MultiPoly, StateVar
 from .states import (
     DEFAULT_MAX_AMPS,
     Bipartition,
     Flattening,
+    LocalState,
     PureState,
     canonical_bipartitions,
     check_tol,
@@ -233,9 +234,44 @@ def is_bipartite_separable(s: PureState, b: Bipartition, tol: float = DEFAULT_TO
 
 
 def is_fully_separable(s: PureState, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every canonical bipartition is separable at tol."""
+    """True iff every canonical bipartition is separable at tol.
+
+    Each split term is half the linear entropy of a reduced state, which is
+    subadditive, and a split or its complement has at most m // 2 modes.  So
+    the m one-mode terms decide: any of them above tol^2 fails, and the
+    m // 2 largest summing to at most tol^2 passes.  Only in between are the
+    canonical splits reduced one by one.
+    """
     check_tol(tol)
-    return all(t <= tol * tol for t in split_terms(s, canonical_bipartitions(s.num_modes)))
+    m = s.num_modes
+    bound = tol * tol
+    singles = []
+    for t in split_terms(s, [Bipartition((k,)) for k in range(1, m + 1)] if m > 1 else []):
+        if t > bound:
+            return False
+        singles.append(t)
+    if sum(sorted(singles)[m - m // 2:]) <= bound:
+        return True
+    return all(t <= bound for t in split_terms(s, canonical_bipartitions(m)))
+
+
+def local_factors(s: PureState, tol: float) -> list[LocalState]:
+    """Invert the Segre map through the max-modulus pivot fiber.
+
+    Raises NotProduct exactly when ``is_fully_separable(s, tol)`` is False.
+    Factor j is the amplitude fiber through the pivot with the j-th index
+    varying, scaled to 1 at the pivot if exact and to unit norm if float.
+    """
+    if not is_fully_separable(s, tol):
+        raise NotProduct(f"state is not fully separable at tol {tol!r}")
+    if s.num_modes == 1:
+        return [LocalState(normalize(s).array)]
+    hat = s if s.exact else normalize(s)
+    mags = np.frompyfunc(GaussRat.abs_sq, 1, 1)(hat.array) if s.exact else np.abs(hat.array)
+    pivot = np.unravel_index(int(np.argmax(mags)), s.dims)  # first on ties
+    pv = hat.array[pivot]
+    fibers = [hat.array[pivot[:j] + (slice(None),) + pivot[j + 1:]] for j in range(s.num_modes)]
+    return [LocalState(v / (pv if s.exact else np.linalg.norm(v))) for v in fibers]
 
 
 def measure_report_to_json(r: MeasureReport) -> dict:

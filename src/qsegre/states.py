@@ -32,7 +32,6 @@ from .errors import (
     IndexOutOfRange,
     MalformedInput,
     NonFinite,
-    NotProduct,
     TooLarge,
     ZeroVector,
 )
@@ -66,8 +65,8 @@ def amplitude_array(values, shape: tuple[int, ...], label: str = "amps") -> np.n
     return arr.reshape(shape)
 
 
-def _complex_array(values: list, label: str) -> np.ndarray:
-    """The values as a flat ``complex128`` array.
+def _complex_array(values, label: str) -> np.ndarray:
+    """The flat list or array of values as a flat ``complex128`` array.
 
     Raises NonFinite, naming the entry, for an exact value beyond the float
     range, where converting it would raise OverflowError.
@@ -145,7 +144,8 @@ class PureState:
         return tuple(self.array.reshape(-1).tolist())
 
     def to_numpy(self) -> np.ndarray:
-        return self.array.astype(np.complex128).reshape(-1)
+        """Flat ``complex128`` copy; NonFinite for exact amplitudes beyond the float range."""
+        return _complex_array(self.array.reshape(-1), "amps")
 
     def norm_sq(self):
         """Squared 2-norm; exact Fraction in the exact backend."""
@@ -282,6 +282,8 @@ def normalize(s: PureState) -> PureState:
 
     The float path first divides by the largest real or imaginary part, so
     the norm neither overflows nor underflows for any finite nonzero state.
+    Its power-of-two exponent is taken off each part exactly first: complex
+    division multiplies by the reciprocal, which is infinite for a subnormal.
     An exact state with an irrational norm is divided by that part exactly
     before it becomes float, so amplitudes beyond the float range convert.
     """
@@ -292,7 +294,9 @@ def normalize(s: PureState) -> PureState:
             return PureState(arr * GaussRat(1 / r))
         arr = arr / max(max(abs(x.re), abs(x.im)) for x in arr.flat)
     arr = arr.astype(np.complex128)
-    arr = arr / max(np.max(np.abs(arr.real)), np.max(np.abs(arr.imag)))
+    big, e = np.frexp(max(np.max(np.abs(arr.real)), np.max(np.abs(arr.imag))))
+    arr.real, arr.imag = np.ldexp(arr.real, -e), np.ldexp(arr.imag, -e)
+    arr = arr / big
     return PureState(arr / np.linalg.norm(arr))
 
 
@@ -342,45 +346,6 @@ def flatten(s: PureState, b: Bipartition) -> Flattening:
     return Flattening(*mat.shape, mat)
 
 
-def _pivot_index(s: PureState) -> tuple[int, ...]:
-    """Multi-index of the largest-modulus amplitude (first on ties)."""
-    mags = np.frompyfunc(GaussRat.abs_sq, 1, 1)(s.array) if s.exact else np.abs(s.array)
-    return tuple(int(i) for i in np.unravel_index(int(np.argmax(mags)), s.dims))
-
-
-def local_factors(s: PureState, tol: float) -> list[LocalState]:
-    """Invert the Segre map through the max-modulus pivot fiber.
-
-    For factor j the vector is the amplitude fiber through the pivot with the
-    j-th index varying; exact factors are scaled to 1 at the pivot, float ones
-    to unit norm.  Raises NotProduct when rebuilding the product from the
-    factors misses the state by more than 10*tol (max-abs, measured on the
-    unit-norm state in the float backend, relative to the norm in the exact
-    backend), and MalformedInput for a negative or non-finite tol.
-    """
-    check_tol(tol)
-    if s.num_modes == 1:
-        return [LocalState(normalize(s).array)]
-    hat = s if s.exact else normalize(s)
-    pivot = _pivot_index(hat)
-    pv = hat.array[pivot]
-    fibers = [hat.array[pivot[:j] + (slice(None),) + pivot[j + 1:]] for j in range(s.num_modes)]
-    factors = [LocalState(v / (pv if s.exact else np.linalg.norm(v))) for v in fibers]
-    rebuilt = segre_map(factors).array
-    if s.exact:
-        # rebuilt pivot entry is exactly 1, so compare in the pivot chart
-        bound = Fraction(10 * tol) ** 2 * s.norm_sq() / pv.abs_sq()
-        worst = max(d.abs_sq() for d in (hat.array / pv - rebuilt).flat)
-        if worst > bound:
-            raise NotProduct(f"residual^2 {float(worst):.3e} exceeds bound")
-        return factors
-    lam = pv / rebuilt[pivot]
-    residual = float(np.max(np.abs(hat.array - lam * rebuilt)))
-    if residual > 10 * tol:
-        raise NotProduct(f"residual {residual:.3e} exceeds {10 * tol:.3e}")
-    return factors
-
-
 def permute_modes(s: PureState, perm: Sequence[int]) -> PureState:
     """Reorder modes: new mode k carries old mode perm[k-1] (perm is 1-based)."""
     m = s.num_modes
@@ -397,7 +362,7 @@ def apply_local_unitary(s: PureState, mode: int, u: np.ndarray) -> PureState:
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (d, d):
         raise DimensionMismatch(f"matrix shape {u.shape} does not match dim {d}")
-    arr = np.tensordot(u, s.array.astype(np.complex128), axes=([1], [mode - 1]))
+    arr = np.tensordot(u, s.to_numpy().reshape(s.dims), axes=([1], [mode - 1]))
     return PureState(np.moveaxis(arr, 0, mode - 1))
 
 
@@ -448,7 +413,10 @@ def parse_amplitudes(raw: list, field: str, exact_only: bool = False) -> list[Sc
         re = _parse_component(pair[0], f"{field}[{k}][0]", exact_only)
         im = _parse_component(pair[1], f"{field}[{k}][1]", exact_only)
         if isinstance(re, float) or isinstance(im, float):
-            out.append(complex(float(re), float(im)))
+            try:
+                out.append(complex(float(re), float(im)))
+            except OverflowError:
+                raise NonFinite(f"{field}[{k}] is beyond the float range") from None
         else:
             out.append(GaussRat(re, im))
     return out

@@ -1,7 +1,12 @@
+import io
 import json
 import math
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsegre.cli import main
 
@@ -192,12 +197,15 @@ def test_factor_rejects_bad_tol(capsys, tmp_path):
             assert "tol" in err
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310, 5e-324])
 def test_gen_concurrence_extreme_scale(capsys, tmp_path, scale):
     s = write_state(tmp_path / "s.json", [2, 2], [[scale, 0], [0, 0], [0, 0], [scale, 0]])
     code, out, _ = run(capsys, ["gen-concurrence", "--state", s])
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(1.0, abs=1e-12)
+    code, out, _ = run(capsys, ["factor", "--state", s])
+    assert code == 1
+    assert out == ""
 
 
 def test_factor_exact_amplitude_beyond_float_range(capsys, tmp_path):
@@ -276,3 +284,80 @@ def test_state_mixing_float_and_huge_exact_component_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, ["concurrence", "--state", s])
     assert_clean_exit_2(code, out, err)
     assert "amps[1]" in err
+    # one pair mixing a huge exact component with a float
+    s = write_state(tmp_path / "s.json", [2, 2], [[1, 0], [0, 0], [str(10**400), 0.5], [1, 0]])
+    for command in STATE_COMMANDS:
+        code, out, err = run(capsys, [*command, "--state", s])
+        assert_clean_exit_2(code, out, err)
+        assert "amps[2]" in err
+
+
+def test_check_separable_and_factor_agree_near_threshold(capsys, tmp_path):
+    # a00 = 1 and a11 = 5e-10: the split term 2.5e-19 exceeds tol^2 = 1e-20,
+    # though a max-abs residual rule at 10 tol would accept the state as |00>
+    for eps in (5e-10, "1/2000000000"):
+        s = write_state(tmp_path / "s.json", [2, 2], [[1, 0], [0, 0], [0, 0], [eps, 0]])
+        code, out, _ = run(capsys, ["check-separable", "--state", s])
+        assert code == 0
+        assert json.loads(out)["separable"] is False
+        code, out, err = run(capsys, ["factor", "--state", s])
+        assert code == 1
+        assert out == ""
+        assert "not fully separable" in err
+
+
+# ------------------------------------------------------------------ CLI fuzz
+
+HUGE = 10**400
+components = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, -1e308, 1.7976931348623157e308, 1e-310, 5e-324, -5e-324]),
+    st.integers(-9, 9),
+    st.sampled_from([HUGE, -HUGE, str(HUGE), f"1/{HUGE}", f"-{HUGE}/7"]),
+    st.builds("{}/{}".format, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+)
+pairs = st.lists(components, min_size=2, max_size=2)
+states = (
+    st.lists(st.integers(2, 4), min_size=1, max_size=4)
+    .filter(lambda dims: math.prod(dims) <= 16)
+    .flatmap(lambda dims: st.fixed_dictionaries(
+        {"dims": st.just(dims), "amps": st.lists(pairs, min_size=math.prod(dims), max_size=math.prod(dims))}
+    ))
+)
+factor_files = st.fixed_dictionaries(
+    {"factors": st.lists(st.lists(pairs, min_size=2, max_size=4), min_size=2, max_size=3)}
+)
+FUZZ_ARGV = [
+    ["check-separable"], ["check-separable", "--partition", "1"], ["check-separable", "--tol", "0"],
+    ["concurrence"], ["gen-concurrence"], ["gen-concurrence", "--exact"], ["pluecker-measure"],
+    ["factor"], ["factor", "--tol", "0"], ["factor", "--exact"],
+]
+
+
+def reject_constant(name):
+    raise ValueError(f"stdout holds {name}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(states, st.sampled_from(FUZZ_ARGV), st.just("--state")),
+        st.tuples(factor_files, st.sampled_from([["segre-map"], ["segre-map", "--exact"]]), st.just("--factors")),
+    )
+)
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, case):
+    doc, argv, option = case
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main([*argv, option, str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    lines = out.getvalue().splitlines()
+    if code:
+        assert lines == []
+    else:
+        assert len(lines) == 1
+        json.loads(lines[0], parse_constant=reject_constant)

@@ -458,6 +458,38 @@ def test_separability_agrees_with_local_factors():
             local_factors(haar, 1e-10)
 
 
+def near_threshold_products(rng, tol, per_m):
+    """Product states moved by eps ~ tol * 10^U(-1, 1) in norm, float and exact."""
+    for m in range(2, 7):
+        for exact in (False, True):
+            for _ in range(per_m // 3 if exact else per_m):
+                p = random_exact_product_state(rng, [2] * m) if exact else random_product_state(rng, [2] * m)
+                d = rng.normal(size=2 ** m) + 1j * rng.normal(size=2 ** m)
+                eps = tol * 10 ** rng.uniform(-1, 1) * math.sqrt(float(p.norm_sq()))
+                delta = eps * d / np.linalg.norm(d)
+                if exact:
+                    delta = [GaussRat(Fraction(x.real), Fraction(x.imag)) for x in delta]
+                yield make_state([2] * m, [a + x for a, x in zip(p.amps, delta)])
+
+
+def test_fully_separable_equals_full_reduction_near_threshold():
+    tol = 1e-10
+    fallbacks = {False: 0, True: 0}
+    for s in near_threshold_products(default_rng(3), tol, per_m=36):
+        m = s.num_modes
+        full = all(t <= tol * tol for t in split_terms(s, canonical_bipartitions(m)))
+        assert is_fully_separable(s, tol) == full
+        try:
+            local_factors(s, tol)
+            assert full
+        except NotProduct:
+            assert not full
+        singles = list(split_terms(s, [Bipartition((k,)) for k in range(1, m + 1)]))
+        fallbacks[s.exact] += max(singles) <= tol * tol < sum(sorted(singles)[m - m // 2:])
+    # the one-mode terms left the verdict open, so the full reduction decided
+    assert fallbacks[False] >= 1 and fallbacks[True] >= 1, fallbacks
+
+
 # ----------------------------------------------------------------- invariance
 
 def test_local_unitary_invariance():

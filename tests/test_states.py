@@ -17,6 +17,7 @@ from qsegre import (
     NotProduct,
     TooLarge,
     ZeroVector,
+    apply_local_unitary,
     canonical_bipartitions,
     flatten,
     local_factors,
@@ -188,6 +189,15 @@ def test_segre_map_rejects_products_beyond_float_range():
 def test_make_state_rejects_exact_entries_beyond_float_range_in_float_state():
     with pytest.raises(NonFinite, match=r"amps\[1\]"):
         make_state([2, 2], [0.5, GaussRat(10**400), 1, 0])
+
+
+def test_exact_state_beyond_float_range_to_float_raises_non_finite():
+    s = make_state([2, 2], [1, 1, 0, 10**400])
+    with pytest.raises(NonFinite, match=r"amps\[3\]"):
+        s.to_numpy()
+    with pytest.raises(NonFinite, match=r"amps\[3\]"):
+        apply_local_unitary(s, 1, np.eye(2))
+    assert make_state([2, 2], [1, 1, 0, 10**300]).to_numpy()[3] == 1e300
 
 
 def test_segre_map_needs_two_factors():
@@ -412,7 +422,7 @@ def test_local_factors_rejects_bad_tol(bell, bell_exact):
                 local_factors(s, tol)
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310, 5e-324])
 def test_normalize_extreme_scales(scale):
     s = normalize(make_state([2, 2], [scale, 0, 0, scale]))
     assert s.amps[0] == pytest.approx(SQ2)
