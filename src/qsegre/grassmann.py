@@ -2,10 +2,24 @@
 Plucker entanglement measure for multi-qubit states.
 
 Coordinates P_I are the maximal minors of a k x N matrix, labeled by strictly
-increasing k-subsets I of {1..N}.  The relation family is generated from all
-increasing index pairs (I, J) with |I| = k-1, |J| = k+1; each term resolves
-repeated indices to zero and out-of-order indices by permutation sign, and the
-surviving polynomials are sign-canonicalized and deduplicated.
+increasing k-subsets I of {1..N}.  They are computed all at once, one row at a
+time, by Laplace expansion along the last row: with P_r(S) the minor on the
+top r+1 rows and the columns S = (s_0 < ... < s_r),
+
+    P_r(S) = sum_t (-1)^(r+t) M[r, s_t] P_{r-1}(S without s_t),  P_{-1}() = 1.
+
+Each level is one numpy expression over index arrays that depend only on
+(k, N).  The expansion only multiplies and adds, so it needs no pivot and no
+division: an exact matrix is cleared to Gaussian integers once
+(``states.gauss_ints``) and divided by den^k at the end, and both backends run
+the same loop on separate real and imaginary parts.  Level r holds
+C(N, r+1) minors, so the widest level has C(N, min(k, N // 2)); that count
+is capped like the relation family's C(N, k).
+
+The relation family is generated from all increasing index pairs (I, J) with
+|I| = k-1, |J| = k+1; each term resolves repeated indices to zero and
+out-of-order indices by permutation sign, and the surviving polynomials are
+sign-canonicalized and deduplicated.
 
 The measure reads "square root of the sum of each coordinate times its
 conjugate" (an l2 norm of the coordinate vector).  A literal product over all
@@ -28,7 +42,7 @@ from .errors import IndexOutOfRange, MissingVariable, ShapeError, TooLarge, Wron
 from .gaussrat import GR_ZERO, GaussRat, Scalar
 from .poly import Monomial, MultiPoly, PluVar
 from .segre import split_terms
-from .states import Bipartition, PureState, amplitude_array
+from .states import Bipartition, PureState, _check_finite, amplitude_array, gauss_ints
 
 DEFAULT_MAX_CHOOSE = 10000
 
@@ -72,38 +86,6 @@ def _parity(indices: tuple[int, ...]) -> int:
     return inv % 2
 
 
-def _det(rows: list[list], exact: bool):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        a, b, c = rows[0]
-        d, e, f = rows[1]
-        g, h, i = rows[2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    work = [list(r) for r in rows]
-    det = GaussRat(1) if exact else 1 + 0j
-    for col in range(n):
-        if exact:
-            piv = next((r for r in range(col, n) if work[r][col]), None)
-        else:
-            piv = max(range(col, n), key=lambda r: abs(work[r][col]))
-            if work[piv][col] == 0:
-                piv = None
-        if piv is None:
-            return GaussRat(0) if exact else 0j
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        det = det * work[col][col]
-        for r in range(col + 1, n):
-            factor = work[r][col] / work[col][col]
-            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return det
-
-
 def _coerce_matrix(mat) -> np.ndarray:
     try:
         rows = [list(r) for r in mat]
@@ -117,22 +99,57 @@ def _coerce_matrix(mat) -> np.ndarray:
     return amplitude_array([x for r in rows for x in r], (len(rows), width), "matrix")
 
 
-def _maximal_minors(mat: np.ndarray) -> dict[tuple[int, ...], Scalar]:
+@functools.lru_cache(maxsize=64)
+def _minor_plan(k: int, N: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Per row r: the (r+1)-subsets S of the columns, in lexicographic order;
+    the rank of each S without its t-th column among the r-subsets; and the
+    cofactor signs (-1)^(r+t)."""
+    plan, rank = [], {(): 0}
+    for r in range(k):
+        subsets = list(itertools.combinations(range(N), r + 1))
+        drops = [[rank[S[:t] + S[t + 1:]] for t in range(r + 1)] for S in subsets]
+        rank = {S: i for i, S in enumerate(subsets)}
+        plan.append((np.array(subsets), np.array(drops), (-1) ** (r + np.arange(r + 1))))
+    return tuple(plan)
+
+
+def _maximal_minors(mat: np.ndarray) -> list[Scalar]:
+    """Every k x k column minor of the k x N ``mat``, columns in lexicographic order."""
     k, n = mat.shape
     exact = mat.dtype == object
-    return {
-        subset: _det(mat[:, [i - 1 for i in subset]].tolist(), exact)
-        for subset in itertools.combinations(range(1, n + 1), k)
-    }
+    re, im, den = gauss_ints(mat) if exact else (mat.real, mat.imag, 1)
+    p_re, p_im = np.ones(1, re.dtype), np.zeros(1, re.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row_re, row_im, (cols, drops, sign) in zip(re, im, _minor_plan(k, n)):
+            a, b, c, d = row_re[cols], row_im[cols], p_re[drops], p_im[drops]
+            sign = sign.astype(re.dtype)
+            p_re, p_im = (a * c - b * d) @ sign, (a * d + b * c) @ sign
+    if exact:
+        scale = den**k
+        return [GaussRat(Fraction(x, scale), Fraction(y, scale))
+                for x, y in zip(p_re.tolist(), p_im.tolist())]
+    coords = p_re.astype(np.complex128)
+    coords.imag = p_im
+    _check_finite(coords, "coords")
+    return coords.tolist()
 
 
 def pluecker_coordinates(mat) -> PlueckerSet:
-    """All k x k column minors of a k x N matrix (k < N); exact for exact input."""
+    """All k x k column minors of a k x N matrix (k < N); exact for exact input.
+
+    Raises TooLarge when the widest level of the expansion, C(N, min(k, N // 2))
+    minors, exceeds DEFAULT_MAX_CHOOSE, and NonFinite when a float minor, or a
+    product on the way to it, is beyond the float range.
+    """
     mat = _coerce_matrix(mat)
     k, n = mat.shape
     if k >= n:
         raise ShapeError(f"need k < N, got k={k}, N={n}")
-    return PlueckerSet(k, n, _maximal_minors(mat))
+    widest = min(k, n // 2)
+    if comb(n, widest) > DEFAULT_MAX_CHOOSE:
+        raise TooLarge(f"C({n},{widest}) = {comb(n, widest)} minors per row exceeds cap {DEFAULT_MAX_CHOOSE}")
+    subsets = itertools.combinations(range(1, n + 1), k)
+    return PlueckerSet(k, n, dict(zip(subsets, _maximal_minors(mat))))
 
 
 Subset = tuple[int, ...]

@@ -388,6 +388,9 @@ def _parse_component(value, field: str, exact_only: bool):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction expands exponents: a 10-byte "1e-1000000" is a 3.3M-bit denominator
+        if "e" in value or "E" in value:
+            raise MalformedInput(f"{field}: exponent not allowed in fraction literal {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

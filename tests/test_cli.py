@@ -135,6 +135,17 @@ def test_exit_code_2_on_malformed(capsys, tmp_path):
     assert code == 2
     assert "--dims" in err
 
+    # exponent strings would make Fraction build a multi-megabit denominator
+    huge = write_state(tmp_path / "exp.json", [2, 2], [["1e-1000000", 0], [0, 0], [0, 0], [1, 0]])
+    code, _, err = run(capsys, ["concurrence", "--state", huge])
+    assert code == 2
+    assert "amps[0][0]" in err
+    fpath = tmp_path / "exp_factors.json"
+    fpath.write_text(json.dumps({"factors": [[[1, 0], [0, "1E-1000000"]], [[1, 0], [1, 0]]]}))
+    code, _, err = run(capsys, ["segre-map", "--factors", str(fpath)])
+    assert code == 2
+    assert "factors[0][1][1]" in err
+
 
 def test_exit_code_2_on_wrong_shape(capsys, ghz_file):
     code, _, err = run(capsys, ["concurrence", "--state", ghz_file])

@@ -11,6 +11,7 @@ from qsegre import (
     MissingVariable,
     Monomial,
     MultiPoly,
+    NonFinite,
     PluVar,
     ShapeError,
     TooLarge,
@@ -93,13 +94,34 @@ def test_coordinate_plane():
 
 def test_coordinates_match_det_oracle():
     rng = default_rng(61)
-    for k, n in ((2, 4), (3, 5)):
+    mats = [random_exact_matrix(rng, k, n) for k, n in ((2, 4), (3, 5), (4, 6), (5, 7))]
+    # rank-deficient: the last row is a combination of the others
+    for k, n in ((3, 5), (4, 6)):
         m = random_exact_matrix(rng, k, n)
+        m[-1] = [GaussRat(2, 1) * a - b for a, b in zip(m[0], m[1])]
+        mats.append(m)
+    # zero leading columns
+    for k, n in ((2, 4), (4, 7)):
+        m = random_exact_matrix(rng, k, n)
+        for row in m:
+            row[0] = row[1] = GaussRat(0)
+        mats.append(m)
+    for m in mats:
+        k, n = len(m), len(m[0])
         ps = pluecker_coordinates(m)
         assert len(ps.coords) == math.comb(n, k)
         for subset, value in ps.coords.items():
             sub = [[row[i - 1] for i in subset] for row in m]
             assert value == det_oracle(sub)
+    frng = np.random.default_rng(61)
+    for k in range(1, 6):
+        for n in (k + 1, k + 3):
+            m = _random_float_matrix(frng, k, n)
+            ps = pluecker_coordinates(m)
+            dets = {s: np.linalg.det(m[:, [i - 1 for i in s]]) for s in ps.coords}
+            scale = max(1.0, max(map(abs, dets.values())))
+            assert all(type(v) is complex for v in ps.coords.values())
+            assert max(abs(ps.coords[s] - d) for s, d in dets.items()) <= 1e-12 * scale
 
 
 def test_coordinates_satisfy_klein_exactly():
@@ -116,6 +138,24 @@ def test_coordinates_shape_errors():
         pluecker_coordinates([[1, 0], [0, 1]])
     with pytest.raises(ShapeError):
         pluecker_coordinates([[1, 0, 0], [0, 1]])
+
+
+def test_coordinates_cap_on_widest_level():
+    # the expansion holds C(N, j) minors at its j-th row; the widest is j = min(k, N // 2)
+    for shape in ((8, 16), (29, 30), (2, 142)):
+        with pytest.raises(TooLarge, match="cap"):
+            pluecker_coordinates(np.ones(shape))
+    for k, n in ((7, 15), (14, 15), (2, 141)):
+        assert len(pluecker_coordinates(np.ones((k, n))).coords) == math.comb(n, k)
+
+
+def test_float_coordinates_beyond_float_range_raise():
+    with pytest.raises(NonFinite, match="coords"):
+        pluecker_coordinates([[1e200, 0, 1.0], [0, 1e200, 1.0]])
+    with pytest.raises(NonFinite, match="coords"):
+        pluecker_coordinates(np.full((3, 4), 1e200))
+    ps = pluecker_coordinates([[2.0**500, 0, 1.0], [0, 2.0**500, 1.0]])
+    assert ps.coords[(1, 2)] == 2.0**1000
 
 
 def test_coordinates_reject_one_dimensional_input():
@@ -288,7 +328,7 @@ def test_check_relations_missing_coordinate():
 
 def test_left_multiplication_scales_by_det():
     rng = default_rng(72)
-    for k, n in ((2, 4), (3, 5)):
+    for k, n in ((2, 4), (3, 5), (4, 6)):
         m = random_exact_matrix(rng, k, n)
         g = random_exact_matrix(rng, k, k)
         gm = [
