@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -317,11 +318,39 @@ def test_check_relations_matches_polynomial_evaluation(k, n):
             assert check_relations(ps) == pytest.approx(max(map(abs, values)), rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 6), (3, 7)])
+def test_exact_check_relations_equals_evaluate_oracle_on_perturbed_minors(k, n):
+    # exact minors with a few coordinates nudged by small Gaussian rationals
+    # of unlike denominators: the residual is nonzero, small and exact
+    rng = default_rng(300 * k + n)
+    rels = pluecker_relations(k, n)
+    for trial in range(4):
+        coords = dict(pluecker_coordinates(random_exact_matrix(rng, k, n)).coords)
+        subsets = list(coords)
+        for pos in rng.choice(len(subsets), size=trial + 1, replace=False):
+            nudge = GaussRat(Fraction(1, int(rng.integers(2, 10**6))), Fraction(int(rng.integers(-3, 4)), 997))
+            coords[subsets[pos]] += nudge
+        ps = PlueckerSet(k, n, coords)
+        assignment = {PluVar(i): v for i, v in coords.items()}
+        worst = max(evaluate(rel.poly, assignment).abs_sq() for rel in rels)
+        assert worst != 0
+        assert check_relations(ps) == math.sqrt(float(worst))
+
+
 def test_check_relations_missing_coordinate():
     coords = {i: GaussRat(1) for i in itertools.combinations(range(1, 5), 2)}
     del coords[(2, 3)]
     with pytest.raises(MissingVariable):
         check_relations(PlueckerSet(2, 4, coords))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_check_relations_missing_coordinate_is_named(exact):
+    subsets = list(itertools.combinations(range(1, 8), 3))
+    for missing in (subsets[0], subsets[17], subsets[-1]):
+        coords = {i: GaussRat(i[0], i[1]) if exact else complex(*i[:2]) for i in subsets if i != missing}
+        with pytest.raises(MissingVariable, match=re.escape(str(PluVar(missing)))):
+            check_relations(PlueckerSet(3, 7, coords))
 
 
 # ------------------------------------------------------------------ covariance
