@@ -39,8 +39,8 @@ from math import comb
 import numpy as np
 
 from .errors import IndexOutOfRange, MissingVariable, ShapeError, TooLarge, WrongShape
-from .gaussrat import GR_ZERO, GaussRat, Scalar
-from .poly import Monomial, MultiPoly, PluVar
+from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussRat, Scalar
+from .poly import MultiPoly, PluVar, pair_monomials
 from .segre import split_terms
 from .states import Bipartition, PureState, _check_finite, amplitude_array, gauss_ints
 
@@ -217,10 +217,11 @@ def pluecker_relations(k: int, N: int, max_choose: int = DEFAULT_MAX_CHOOSE) -> 
     polynomials.
     """
     rels = _relation_terms(k, N, max_choose)
-    var = [PluVar(subset) for subset in itertools.combinations(range(1, N + 1), k)]
-    coeff = {c: GaussRat(c) for c in {c for terms, _, _ in rels for _, c in terms}}
+    mono = pair_monomials([PluVar(subset) for subset in itertools.combinations(range(1, N + 1), k)])
+    coeff = {1: GR_ONE, -1: GR_MINUS_ONE}
+    coeff.update((c, GaussRat(c)) for terms, _, _ in rels for _, c in terms if c not in coeff)
     return [
-        PlueckerRelation(MultiPoly({Monomial(((var[a], 1), (var[b], 1))): coeff[c] for (a, b), c in terms}), I, J)
+        PlueckerRelation(MultiPoly({mono(a, b): coeff[c] for (a, b), c in terms}), I, J)
         for terms, I, J in rels
     ]
 
@@ -229,7 +230,9 @@ def check_relations(ps: PlueckerSet, max_choose: int = DEFAULT_MAX_CHOOSE):
     """Max |relation(coords)| over the relation family; exact 0 for minors.
 
     Each relation is summed term by term in sorted-monomial order, straight
-    from its integer terms.
+    from its integer terms.  Exact coordinates are cleared to Gaussian
+    integers once (``states.gauss_ints``), each relation is summed in Python
+    ints, and the worst |value|^2 is divided by den^4 at the end.
     """
     rels = _relation_terms(ps.k, ps.N, max_choose)
     if not rels:
@@ -239,15 +242,23 @@ def check_relations(ps: PlueckerSet, max_choose: int = DEFAULT_MAX_CHOOSE):
         if subset not in ps.coords:
             raise MissingVariable(f"no value for {PluVar(subset)}")
         vals.append(ps.coords[subset])
+    if ps.exact:
+        re, im, den = gauss_ints(np.array(vals, dtype=object))
+        re, im = re.tolist(), im.tolist()
+        worst = 0
+        for terms, _, _ in rels:
+            x = y = 0
+            for (a, b), c in terms:
+                x += c * (re[a] * re[b] - im[a] * im[b])
+                y += c * (re[a] * im[b] + im[a] * re[b])
+            worst = max(worst, x * x + y * y)
+        return Fraction(0) if worst == 0 else math.sqrt(float(Fraction(worst, den**4)))
     values = []
     for terms, _, _ in rels:
-        total = GR_ZERO if ps.exact else 0j
+        total = 0j
         for (a, b), c in terms:
             total += c * vals[a] * vals[b]
         values.append(total)
-    if ps.exact:
-        worst = max(v.abs_sq() for v in values)
-        return Fraction(0) if worst == 0 else math.sqrt(float(worst))
     return max(abs(v) for v in values)
 
 

@@ -5,91 +5,145 @@ Variables name either state amplitudes (``a[i1...im]``) or Plucker coordinates
 float world enters only through :func:`evaluate` with complex assignments.
 Terms are kept canonical: sorted variables inside each monomial, no zero
 exponents, no zero coefficients.
+
+Variables (:class:`StateVar`, :class:`PluVar`) and :class:`Monomial` are
+immutable atoms whose constructor computes, once per object, the sort
+``key()``, its hash and the printed ``text``; equality, hashing, sorting and
+:func:`format_poly` only read them.  ``Monomial``'s constructor is the one
+canonicalizing path.  The family builders share atoms within one call: one
+variable per index and, through :func:`pair_monomials`, one monomial per
+index pair, so a family pays these costs once per distinct atom, not once
+per term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import MissingVariable
-from .gaussrat import GR_ONE, GR_ZERO, GaussRat
+from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussRat
 
 
-@dataclass(frozen=True)
-class StateVar:
+class _Atom:
+    """A variable or monomial: compared, hashed and printed by what its
+    constructor computed once, the sort key and the text."""
+
+    __slots__ = ("_key", "_hash", "text")
+
+    def _freeze(self, key: tuple, text: str) -> None:
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "text", text)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def key(self) -> tuple:
+        return self._key
+
+    def __eq__(self, other):
+        if not isinstance(other, _Atom):
+            return NotImplemented
+        return self is other or (type(self) is type(other) and self._key == other._key)
+
+    def __hash__(self):
+        return self._hash
+
+    def __str__(self):
+        return self.text
+
+
+def _check_indices(indices, low: int, what: str) -> None:
+    """A nonempty tuple of ints >= low; bools are rejected like in ``states.amplitude_array``."""
+    if not isinstance(indices, tuple) or not indices:
+        raise ValueError(f"bad {what} {indices!r}: expected a nonempty tuple")
+    for i in indices:
+        if isinstance(i, bool) or not isinstance(i, int) or i < low:
+            raise ValueError(f"bad {what} {indices!r}: expected ints >= {low}, got {type(i).__name__} {i!r}")
+
+
+class StateVar(_Atom):
     """Amplitude variable named by its multi-index."""
 
-    index: tuple[int, ...]
+    __slots__ = ("index",)
 
-    def __post_init__(self):
-        if not self.index or any((not isinstance(i, int)) or i < 0 for i in self.index):
-            raise ValueError(f"bad amplitude multi-index {self.index!r}")
+    def __init__(self, index: tuple[int, ...]):
+        _check_indices(index, 0, "amplitude multi-index")
+        object.__setattr__(self, "index", index)
+        sep = "" if all(i <= 9 for i in index) else ","
+        self._freeze(("a", index), "a[" + sep.join(map(str, index)) + "]")
 
-    def key(self):
-        return ("a", self.index)
-
-    def __str__(self):
-        if all(i <= 9 for i in self.index):
-            return "a[" + "".join(map(str, self.index)) + "]"
-        return "a[" + ",".join(map(str, self.index)) + "]"
+    def __repr__(self):
+        return f"StateVar(index={self.index!r})"
 
 
-@dataclass(frozen=True)
-class PluVar:
+class PluVar(_Atom):
     """Plucker coordinate variable named by a strictly increasing index subset."""
 
-    subset: tuple[int, ...]
+    __slots__ = ("subset",)
 
-    def __post_init__(self):
-        if not self.subset or any(not isinstance(i, int) or i < 1 for i in self.subset):
-            raise ValueError(f"bad Plucker subset {self.subset!r}")
-        if any(a >= b for a, b in zip(self.subset, self.subset[1:])):
-            raise ValueError(f"Plucker subset {self.subset!r} not strictly increasing")
+    def __init__(self, subset: tuple[int, ...]):
+        _check_indices(subset, 1, "Plucker subset")
+        if any(a >= b for a, b in zip(subset, subset[1:])):
+            raise ValueError(f"Plucker subset {subset!r} not strictly increasing")
+        object.__setattr__(self, "subset", subset)
+        self._freeze(("P", subset), "P[" + ",".join(map(str, subset)) + "]")
 
-    def key(self):
-        return ("P", self.subset)
-
-    def __str__(self):
-        return "P[" + ",".join(map(str, self.subset)) + "]"
+    def __repr__(self):
+        return f"PluVar(subset={self.subset!r})"
 
 
 VarId = Union[StateVar, PluVar]
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Product of variables with positive integer exponents, sorted by key."""
+class Monomial(_Atom):
+    """Product of variables with positive integer exponents, sorted by key.
 
-    factors: tuple[tuple[VarId, int], ...]
+    The constructor is the one canonicalizing path: it merges repeated
+    variables, drops zero exponents, sorts by variable key, and raises
+    ValueError on a negative exponent.
+    """
+
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: Iterable[tuple[VarId, int]] = ()):
+        merged: dict[VarId, int] = {}
+        for var, exp in factors:
+            if isinstance(exp, bool) or not isinstance(exp, int) or exp < 0:
+                raise ValueError(f"bad exponent {exp!r} on {var}: expected an int >= 0")
+            if exp:
+                merged[var] = merged.get(var, 0) + exp
+        pairs = tuple(sorted(merged.items(), key=lambda ve: ve[0]._key))
+        object.__setattr__(self, "factors", pairs)
+        text = "*".join(v.text if e == 1 else f"{v.text}^{e}" for v, e in pairs)
+        self._freeze(tuple((v._key, e) for v, e in pairs), text or "1")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[VarId, int]]) -> "Monomial":
-        merged: dict[VarId, int] = {}
-        for var, exp in pairs:
-            if exp < 0:
-                raise ValueError("negative exponent")
-            if exp:
-                merged[var] = merged.get(var, 0) + exp
-        return cls(tuple(sorted(merged.items(), key=lambda ve: ve[0].key())))
+        return cls(pairs)
 
     def degree(self) -> int:
         return sum(e for _, e in self.factors)
 
-    def key(self):
-        return tuple((v.key(), e) for v, e in self.factors)
-
     def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial.from_pairs(self.factors + other.factors)
+        return Monomial(self.factors + other.factors)
 
     def variables(self):
         return [v for v, _ in self.factors]
 
-    def __str__(self):
-        if not self.factors:
-            return "1"
-        return "*".join(str(v) if e == 1 else f"{v}^{e}" for v, e in self.factors)
+    def __repr__(self):
+        return f"Monomial(factors={self.factors!r})"
+
+
+def pair_monomials(variables: list[VarId]) -> Callable[[int, int], Monomial]:
+    """``mono(a, b)``, the Monomial variables[a] * variables[b], built once per
+    pair (a, b) for as long as the caller keeps ``mono``."""
+    @functools.cache
+    def mono(a: int, b: int) -> Monomial:
+        return Monomial(((variables[a], 1), (variables[b], 1)))
+    return mono
 
 
 ONE_MONOMIAL = Monomial(())
@@ -223,13 +277,13 @@ class MultiPoly:
         return hash(frozenset(self._terms.items()))
 
     def sorted_terms(self) -> list[tuple[Monomial, GaussRat]]:
-        return sorted(self._terms.items(), key=lambda mc: mc[0].key())
+        return sorted(self._terms.items(), key=lambda mc: mc[0]._key)
 
     def leading(self) -> tuple[Monomial, GaussRat] | None:
         """Term with the lexicographically first monomial, or None if zero."""
         if not self._terms:
             return None
-        mono = min(self._terms, key=lambda m: m.key())
+        mono = min(self._terms, key=lambda m: m._key)
         return mono, self._terms[mono]
 
     def sign_canonical(self) -> "MultiPoly":
@@ -312,23 +366,28 @@ def format_poly(p: MultiPoly) -> str:
     """Render one polynomial in the line format.
 
     Terms are sorted by monomial; each prints as ``coef*mono`` with unit
-    coefficients dropped and real/imaginary zero parts omitted.
+    coefficients dropped, real/imaginary zero parts omitted, and a coefficient
+    with both parts nonzero parenthesized.  The shared ``GR_ONE`` and
+    ``GR_MINUS_ONE`` print without any arithmetic.
     """
     items = p.sorted_terms()
     if not items:
         return "0"
     parts = []
-    for pos, (mono, coeff) in enumerate(items):
+    for mono, coeff in items:
+        if coeff is GR_ONE or coeff is GR_MINUS_ONE:
+            parts += (" - " if coeff is GR_MINUS_ONE else " + ", mono.text)
+            continue
         neg = _is_negative(coeff)
         mag = -coeff if neg else coeff
-        if mono is ONE_MONOMIAL or not mono.factors:
+        if not mono.factors:
             body = str(mag)
         elif mag == GR_ONE:
-            body = str(mono)
+            body = mono.text
+        elif mag.re and mag.im:
+            body = f"({mag})*{mono.text}"
         else:
-            body = f"{mag}*{mono}"
-        if pos == 0:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append((" - " if neg else " + ") + body)
+            body = f"{mag}*{mono.text}"
+        parts += (" - " if neg else " + ", body)
+    parts[0] = "-" if parts[0] == " - " else ""
     return "".join(parts)

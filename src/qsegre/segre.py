@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import NotProduct, TooLarge, WrongShape
 from .gaussrat import GR_MINUS_ONE, GR_ONE, GaussRat, Scalar
-from .poly import Monomial, MultiPoly, StateVar
+from .poly import MultiPoly, StateVar, pair_monomials
 from .states import (
     DEFAULT_MAX_AMPS,
     Bipartition,
@@ -115,10 +115,9 @@ def segre_generators(dims, max_amps: int = DEFAULT_MAX_AMPS) -> SegreIdeal:
         raise WrongShape(f"mode dimensions must be integers >= 2, got {dims}")
     if math.prod(dims) > max_amps:
         raise TooLarge(f"prod(dims) = {math.prod(dims)} exceeds cap {max_amps}")
-    var = [StateVar(index) for index in itertools.product(*(range(d) for d in dims))]
+    mono = pair_monomials([StateVar(index) for index in itertools.product(*(range(d) for d in dims))])
     gens = tuple(
-        MultiPoly({Monomial(((var[p], 1), (var[q], 1))): GR_ONE,
-                   Monomial(((var[r], 1), (var[s], 1))): GR_MINUS_ONE})
+        MultiPoly({mono(p, q): GR_ONE, mono(r, s): GR_MINUS_ONE})
         for p, q, r, s in _minor_keys(dims).tolist()
     )
     return SegreIdeal(dims, gens)

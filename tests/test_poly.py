@@ -226,3 +226,40 @@ def test_variable_rendering_and_validation():
         PluVar((2, 2))
     with pytest.raises(ValueError):
         PluVar((3, 1))
+
+
+def test_format_parenthesizes_complex_coefficients():
+    a00, a11 = (Monomial(((StateVar(i), 1),)) for i in ((0, 0), (1, 1)))
+    p = MultiPoly({a00: GaussRat(1, 1), a11: GaussRat(-2, 3)})
+    assert format_poly(p) == "(1+i)*a[00] - (2-3*i)*a[11]"
+    assert format_poly(-p) == "-(1+i)*a[00] + (2-3*i)*a[11]"
+    # one nonzero part needs no parentheses
+    q = MultiPoly({a00: GaussRat(Fraction(1, 2)), a11: GaussRat(0, -3)})
+    assert format_poly(q) == "1/2*a[00] - 3*i*a[11]"
+
+
+def test_monomial_constructor_canonicalizes():
+    x, y = StateVar((0, 0)), StateVar((1, 1))
+    m = Monomial(((x, 1), (y, 1)))
+    swapped = Monomial(((y, 1), (x, 1)))
+    assert swapped == m and hash(swapped) == hash(m) and swapped.factors == m.factors
+    assert StateVar((0, 0)) == x and hash(StateVar((0, 0))) == hash(x) and x != PluVar((1,))
+    with pytest.raises(AttributeError):
+        x.index = (1, 1)
+    assert MultiPoly({swapped: GaussRat(2)}) == MultiPoly({m: GaussRat(2)})
+    assert Monomial(((x, 1), (y, 0), (x, 2))).factors == ((x, 3),)
+    assert Monomial(((x, 0),)) == Monomial(()) and str(Monomial(((x, 0),))) == "1"
+    assert str(Monomial(((y, 2), (x, 1), (y, 1)))) == "a[00]*a[11]^3"
+    assert Monomial.from_pairs([(y, 1), (x, 1)]) == m
+    for bad in (-1, True, 1.0):
+        with pytest.raises(ValueError):
+            Monomial(((x, bad),))
+
+
+def test_variables_reject_bool_indices():
+    for index in ((True,), (0, False)):
+        with pytest.raises(ValueError, match="bool"):
+            StateVar(index)
+    for subset in ((1, True), (True, 2)):
+        with pytest.raises(ValueError, match="bool"):
+            PluVar(subset)
