@@ -40,6 +40,11 @@ class _Atom:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, whose one argument
+        # is the subclass's own slot (index, subset or factors)
+        return type(self), (getattr(self, type(self).__slots__[0]),)
+
     def key(self) -> tuple:
         return self._key
 
@@ -366,8 +371,8 @@ def format_poly(p: MultiPoly) -> str:
     """Render one polynomial in the line format.
 
     Terms are sorted by monomial; each prints as ``coef*mono`` with unit
-    coefficients dropped, real/imaginary zero parts omitted, and a coefficient
-    with both parts nonzero parenthesized.  The shared ``GR_ONE`` and
+    coefficients dropped, real/imaginary zero parts omitted, and a monomial's
+    coefficient with both parts nonzero parenthesized.  The shared ``GR_ONE`` and
     ``GR_MINUS_ONE`` print without any arithmetic.
     """
     items = p.sorted_terms()

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -254,6 +256,13 @@ def test_monomial_constructor_canonicalizes():
     for bad in (-1, True, 1.0):
         with pytest.raises(ValueError):
             Monomial(((x, bad),))
+
+
+def test_atoms_survive_pickle_and_copy():
+    x, y = StateVar((0, 12)), PluVar((1, 3))
+    for atom in (x, y, Monomial(((x, 2), (y, 1))), Monomial(())):
+        for clone in (pickle.loads(pickle.dumps(atom)), copy.deepcopy(atom), copy.copy(atom)):
+            assert clone == atom and hash(clone) == hash(atom) and str(clone) == str(atom)
 
 
 def test_variables_reject_bool_indices():
