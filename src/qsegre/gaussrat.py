@@ -32,6 +32,9 @@ class GaussRat:
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return GaussRat, (self.re, self.im)
+
     @classmethod
     def _coerce(cls, x) -> "GaussRat":
         if isinstance(x, GaussRat):
@@ -150,14 +153,6 @@ GR_ONE = GaussRat(1)
 GR_MINUS_ONE = GaussRat(-1)
 
 Scalar = Union[complex, GaussRat]
-
-
-def abs_sq(x: Scalar):
-    """|x|^2: exact Fraction for GaussRat, float otherwise."""
-    if isinstance(x, GaussRat):
-        return x.abs_sq()
-    x = complex(x)
-    return x.real * x.real + x.imag * x.imag
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:

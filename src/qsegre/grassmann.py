@@ -10,16 +10,17 @@ top r+1 rows and the columns S = (s_0 < ... < s_r),
 
 Each level is one numpy expression over index arrays that depend only on
 (k, N).  The expansion only multiplies and adds, so it needs no pivot and no
-division: an exact matrix is cleared to Gaussian integers once
-(``states.gauss_ints``) and divided by den^k at the end, and both backends run
-the same loop on separate real and imaginary parts.  Level r holds
-C(N, r+1) minors, so the widest level has C(N, min(k, N // 2)); that count
-is capped like the relation family's C(N, k).
+division: both backends run it on the parts ``states.gauss_ints`` gives, and
+exact minors are divided by den^k at the end.  Level r holds C(N, r+1)
+minors, so the widest level has C(N, min(k, N // 2)); that count is capped
+like the relation family's C(N, k).
 
 The relation family is generated from all increasing index pairs (I, J) with
 |I| = k-1, |J| = k+1; each term resolves repeated indices to zero and
 out-of-order indices by permutation sign, and the surviving polynomials are
-sign-canonicalized and deduplicated.
+sign-canonicalized and deduplicated.  It is cached per (k, N) as read-only
+flat integer term arrays: ``check_relations`` evaluates them in one
+expression for both backends, and ``pluecker_relations`` slices them.
 
 The measure reads "square root of the sum of each coordinate times its
 conjugate" (an l2 norm of the coordinate vector).  A literal product over all
@@ -38,11 +39,11 @@ from math import comb
 
 import numpy as np
 
-from .errors import IndexOutOfRange, MissingVariable, ShapeError, TooLarge, WrongShape
+from .errors import IndexOutOfRange, MissingVariable, NonFinite, ShapeError, TooLarge, WrongShape
 from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussRat, Scalar
 from .poly import MultiPoly, PluVar, pair_monomials
 from .segre import split_terms
-from .states import Bipartition, PureState, _check_finite, amplitude_array, gauss_ints
+from .states import Bipartition, PureState, _check_finite, amplitude_array, amplitudes_to_json, gauss_ints
 
 DEFAULT_MAX_CHOOSE = 10000
 
@@ -116,15 +117,14 @@ def _minor_plan(k: int, N: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarra
 def _maximal_minors(mat: np.ndarray) -> list[Scalar]:
     """Every k x k column minor of the k x N ``mat``, columns in lexicographic order."""
     k, n = mat.shape
-    exact = mat.dtype == object
-    re, im, den = gauss_ints(mat) if exact else (mat.real, mat.imag, 1)
+    re, im, den = gauss_ints(mat)
     p_re, p_im = np.ones(1, re.dtype), np.zeros(1, re.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         for row_re, row_im, (cols, drops, sign) in zip(re, im, _minor_plan(k, n)):
             a, b, c, d = row_re[cols], row_im[cols], p_re[drops], p_im[drops]
             sign = sign.astype(re.dtype)
             p_re, p_im = (a * c - b * d) @ sign, (a * d + b * c) @ sign
-    if exact:
+    if mat.dtype == object:
         scale = den**k
         return [GaussRat(Fraction(x, scale), Fraction(y, scale))
                 for x, y in zip(p_re.tolist(), p_im.tolist())]
@@ -153,18 +153,20 @@ def pluecker_coordinates(mat) -> PlueckerSet:
 
 
 Subset = tuple[int, ...]
-RelationTerms = tuple[tuple[tuple[int, int], int], ...]
+RelationFamily = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[tuple[Subset, Subset], ...]]
 
 
-def _relation_terms(k: int, N: int, max_choose: int) -> tuple[tuple[RelationTerms, Subset, Subset], ...]:
-    """The relation family as integer terms, with the (I, J) each came from.
+def _relation_terms(k: int, N: int, max_choose: int) -> RelationFamily:
+    """The relation family as flat integer term arrays ``(a, b, c, rel)`` and
+    the tuple of (I, J) pairs, one per relation.
 
-    A relation is a tuple of ((a, b), c): coefficient c on P_A P_B, where a < b
-    are ranks of k-subsets in lexicographic order.  Terms are sorted and the
-    first coefficient is positive (``sign_canonical``); the family is sorted
-    like the polynomials' sorted terms, and a relation keeps the first (I, J)
-    that produced it.  The shape and the cap are checked on every call; the
-    family itself is built once per (k, N).
+    Term t is the coefficient c[t] on P_A P_B of relation rel[t], where
+    a[t] < b[t] are the ranks of the k-subsets A and B in lexicographic order.
+    Each relation's terms are consecutive and sorted, and its first
+    coefficient is positive (``sign_canonical``); the relations are sorted
+    like the polynomials' sorted terms, and each keeps the first (I, J) that
+    produced it.  The arrays are read-only.  The shape and the cap are checked
+    on every call; the family itself is built once per (k, N).
     """
     if k < 1 or k >= N:
         raise ShapeError(f"need 1 <= k < N, got k={k}, N={N}")
@@ -174,13 +176,13 @@ def _relation_terms(k: int, N: int, max_choose: int) -> tuple[tuple[RelationTerm
 
 
 @functools.lru_cache(maxsize=64)
-def _relation_family(k: int, N: int) -> tuple[tuple[RelationTerms, Subset, Subset], ...]:
+def _relation_family(k: int, N: int) -> RelationFamily:
     universe = range(1, N + 1)
     rank = {subset: r for r, subset in enumerate(itertools.combinations(universe, k))}
     # for each J, the rank of J without its t-th index and the sign (-1)^t, t from 1
     js = [(J, [(rank[J[:t] + J[t + 1:]], -1 if t % 2 == 0 else 1) for t in range(k + 1)])
           for J in itertools.combinations(universe, k + 1)]
-    seen: dict[RelationTerms, tuple[Subset, Subset]] = {}
+    seen: dict[tuple, tuple[Subset, Subset]] = {}
     for I in itertools.combinations(universe, k - 1):
         # P_{I, j} = sign * P_{sorted(I + j)}: the sign is the parity of the
         # indices of I above j, which moving j into place passes
@@ -204,7 +206,11 @@ def _relation_family(k: int, N: int) -> tuple[tuple[RelationTerms, Subset, Subse
             if key[0][1] < 0:
                 key = tuple((mono, -c) for mono, c in key)
             seen.setdefault(key, (I, J))
-    return tuple((key, I, J) for key, (I, J) in sorted(seen.items()))
+    family = sorted(seen.items())
+    rows = [(a, b, c, r) for r, (key, _) in enumerate(family) for (a, b), c in key]
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
+    cols.flags.writeable = False
+    return (*cols, tuple(pair for _, pair in family))
 
 
 def pluecker_relations(k: int, N: int, max_choose: int = DEFAULT_MAX_CHOOSE) -> list[PlueckerRelation]:
@@ -214,52 +220,47 @@ def pluecker_relations(k: int, N: int, max_choose: int = DEFAULT_MAX_CHOOSE) -> 
     sum_t (-1)^t P_{I, j_t} P_{J \\ j_t}; zero polynomials are dropped and the
     rest deduplicated under sign.  For k = 1 the family is empty.  The terms
     are enumerated as integer keys and only the surviving relations become
-    polynomials.
+    polynomials, each from its slice of the family's term arrays.
     """
-    rels = _relation_terms(k, N, max_choose)
+    a, b, c, rel, pairs = _relation_terms(k, N, max_choose)
     mono = pair_monomials([PluVar(subset) for subset in itertools.combinations(range(1, N + 1), k)])
-    coeff = {1: GR_ONE, -1: GR_MINUS_ONE}
-    coeff.update((c, GaussRat(c)) for terms, _, _ in rels for _, c in terms if c not in coeff)
-    return [
-        PlueckerRelation(MultiPoly({mono(a, b): coeff[c] for (a, b), c in terms}), I, J)
-        for terms, I, J in rels
-    ]
+    coeff = {z: GaussRat(z) for z in set(c.tolist())} | {1: GR_ONE, -1: GR_MINUS_ONE}
+    terms = [(mono(x, y), coeff[z]) for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
+    bounds = np.searchsorted(rel, range(len(pairs) + 1)).tolist()
+    return [PlueckerRelation(MultiPoly(dict(terms[i:j])), *pair)
+            for i, j, pair in zip(bounds, bounds[1:], pairs)]
 
 
 def check_relations(ps: PlueckerSet, max_choose: int = DEFAULT_MAX_CHOOSE):
     """Max |relation(coords)| over the relation family; exact 0 for minors.
 
-    Each relation is summed term by term in sorted-monomial order, straight
-    from its integer terms.  Exact coordinates are cleared to Gaussian
-    integers once (``states.gauss_ints``), each relation is summed in Python
-    ints, and the worst |value|^2 is divided by den^4 at the end.
+    One expression for both backends on the parts from ``states.gauss_ints``:
+    every term c * P_A * P_B at once, each relation's terms added in order
+    (``np.add.at``), and the worst |value|^2 divided by den^4 once.  Float
+    parts are divided by a power of two first, as in ``normalize``, so no
+    product overflows; NonFinite only when the residual is not a finite float.
     """
-    rels = _relation_terms(ps.k, ps.N, max_choose)
-    if not rels:
-        return Fraction(0) if ps.exact else 0.0
+    a, b, c, rel, pairs = _relation_terms(ps.k, ps.N, max_choose)
     vals = []
     for subset in itertools.combinations(range(1, ps.N + 1), ps.k):
         if subset not in ps.coords:
             raise MissingVariable(f"no value for {PluVar(subset)}")
         vals.append(ps.coords[subset])
-    if ps.exact:
-        re, im, den = gauss_ints(np.array(vals, dtype=object))
-        re, im = re.tolist(), im.tolist()
-        worst = 0
-        for terms, _, _ in rels:
-            x = y = 0
-            for (a, b), c in terms:
-                x += c * (re[a] * re[b] - im[a] * im[b])
-                y += c * (re[a] * im[b] + im[a] * re[b])
-            worst = max(worst, x * x + y * y)
-        return Fraction(0) if worst == 0 else math.sqrt(float(Fraction(worst, den**4)))
-    values = []
-    for terms, _, _ in rels:
-        total = 0j
-        for (a, b), c in terms:
-            total += c * vals[a] * vals[b]
-        values.append(total)
-    return max(abs(v) for v in values)
+    re, im, den = gauss_ints(np.array(vals))
+    e = 0 if ps.exact else int(np.frexp(max(np.abs(re).max(), np.abs(im).max()))[1])
+    if e:
+        re, im = np.ldexp(re, -e), np.ldexp(im, -e)
+    x, y = np.zeros((2, len(pairs)), re.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(x, rel, c * (re[a] * re[b] - im[a] * im[b]))
+        np.add.at(y, rel, c * (re[a] * im[b] + im[a] * re[b]))
+        if ps.exact:
+            worst = (x * x + y * y).max(initial=0)
+            return Fraction(0) if worst == 0 else math.sqrt(float(Fraction(worst, den**4)))
+        residual = float(np.ldexp(np.hypot(x, y).max(initial=0.0), 2 * e))
+    if not math.isfinite(residual):
+        raise NonFinite("relation residual is beyond the float range or not finite")
+    return residual
 
 
 def pluecker_measure(s: PureState, pivot: int = 1) -> float:
@@ -283,11 +284,7 @@ def pluecker_measure(s: PureState, pivot: int = 1) -> float:
 
 
 def pluecker_set_to_json(ps: PlueckerSet) -> dict:
-    coords = []
-    for subset in sorted(ps.coords):
-        v = ps.coords[subset]
-        if ps.exact:
-            coords.append({"I": list(subset), "re": str(v.re), "im": str(v.im)})
-        else:
-            coords.append({"I": list(subset), "re": v.real, "im": v.imag})
+    subsets = sorted(ps.coords)
+    pairs = amplitudes_to_json(np.array([ps.coords[subset] for subset in subsets]))
+    coords = [{"I": list(subset), "re": re, "im": im} for subset, (re, im) in zip(subsets, pairs)]
     return {"k": ps.k, "N": ps.N, "coords": coords}

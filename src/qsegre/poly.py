@@ -201,6 +201,9 @@ class MultiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
+    def __reduce__(self):
+        return MultiPoly, (self._terms,)
+
     @classmethod
     def zero(cls) -> "MultiPoly":
         return cls()
@@ -371,9 +374,10 @@ def format_poly(p: MultiPoly) -> str:
     """Render one polynomial in the line format.
 
     Terms are sorted by monomial; each prints as ``coef*mono`` with unit
-    coefficients dropped, real/imaginary zero parts omitted, and a monomial's
-    coefficient with both parts nonzero parenthesized.  The shared ``GR_ONE`` and
-    ``GR_MINUS_ONE`` print without any arithmetic.
+    coefficients dropped, real/imaginary zero parts omitted, and a
+    coefficient with both parts nonzero parenthesized, constant terms
+    included.  The shared ``GR_ONE`` and ``GR_MINUS_ONE`` print without any
+    arithmetic.
     """
     items = p.sorted_terms()
     if not items:
@@ -385,14 +389,13 @@ def format_poly(p: MultiPoly) -> str:
             continue
         neg = _is_negative(coeff)
         mag = -coeff if neg else coeff
+        text = f"({mag})" if mag.re and mag.im else str(mag)
         if not mono.factors:
-            body = str(mag)
+            body = text
         elif mag == GR_ONE:
             body = mono.text
-        elif mag.re and mag.im:
-            body = f"({mag})*{mono.text}"
         else:
-            body = f"{mag}*{mono.text}"
+            body = f"{text}*{mono.text}"
         parts += (" - " if neg else " + ", body)
     parts[0] = "-" if parts[0] == " - " else ""
     return "".join(parts)

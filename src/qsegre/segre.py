@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import NotProduct, TooLarge, WrongShape
-from .gaussrat import GR_MINUS_ONE, GR_ONE, GaussRat, Scalar
+from .gaussrat import GR_MINUS_ONE, GR_ONE, Scalar
 from .poly import MultiPoly, StateVar, pair_monomials
 from .states import (
     DEFAULT_MAX_AMPS,
@@ -266,8 +266,8 @@ def local_factors(s: PureState, tol: float) -> list[LocalState]:
     if s.num_modes == 1:
         return [LocalState(normalize(s).array)]
     hat = s if s.exact else normalize(s)
-    mags = np.frompyfunc(GaussRat.abs_sq, 1, 1)(hat.array) if s.exact else np.abs(hat.array)
-    pivot = np.unravel_index(int(np.argmax(mags)), s.dims)  # first on ties
+    re, im, _ = gauss_ints(hat.array)
+    pivot = np.unravel_index(int(np.argmax(re * re + im * im)), s.dims)  # first on ties
     pv = hat.array[pivot]
     fibers = [hat.array[pivot[:j] + (slice(None),) + pivot[j + 1:]] for j in range(s.num_modes)]
     return [LocalState(v / (pv if s.exact else np.linalg.norm(v))) for v in fibers]

@@ -90,12 +90,15 @@ def _check_finite(arr: np.ndarray, label: str) -> None:
 
 
 def gauss_ints(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """An exact array over one common denominator: ``arr == (re + i*im) / den``.
+    """Real and imaginary parts over one common denominator: ``arr == (re + i*im) / den``.
 
-    ``re`` and ``im`` are ``object`` arrays of Python ints with ``arr``'s
-    shape (cleared values outgrow int64), and ``den`` is the lcm of every
-    denominator, so the caller does integer arithmetic and divides once.
+    The one rule that turns either backend into parts, so an expression on
+    ``re`` and ``im`` serves both.  A float array gives its own ``real`` and
+    ``imag`` and den 1; an exact array gives ``object`` arrays of Python ints
+    (cleared values outgrow int64) over the lcm of every denominator.
     """
+    if arr.dtype != object:
+        return arr.real, arr.imag, 1
     flat = arr.reshape(-1).tolist()
     den = math.lcm(*(x.re.denominator for x in flat), *(x.im.denominator for x in flat))
     re = np.array([x.re.numerator * (den // x.re.denominator) for x in flat], dtype=object)
@@ -105,10 +108,9 @@ def gauss_ints(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 
 def abs_sq_sum(arr: np.ndarray):
     """Sum of |x|^2 over an amplitude array; exact Fraction in the exact backend."""
-    if arr.dtype == object:
-        re, im, den = gauss_ints(arr)
-        return Fraction(int((re * re + im * im).sum()), den * den)
-    return float(np.sum(np.abs(arr) ** 2))
+    re, im, den = gauss_ints(arr)
+    total = (re * re + im * im).sum()
+    return Fraction(int(total), den * den) if arr.dtype == object else float(total)
 
 
 def check_tol(tol) -> None:

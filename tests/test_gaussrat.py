@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qsegre import GaussRat
-from qsegre.gaussrat import abs_sq, rational_sqrt
+from qsegre.gaussrat import rational_sqrt
 
 small_fracs = st.builds(
     Fraction, st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=12)
@@ -76,11 +76,6 @@ def test_conjugation_and_modulus(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     assert (a * b).abs_sq() == a.abs_sq() * b.abs_sq()
     assert (a * a.conjugate()) == GaussRat(a.abs_sq())
-
-
-def test_abs_sq_helper_on_complex():
-    assert abs_sq(3 + 4j) == pytest.approx(25.0)
-    assert abs_sq(GaussRat(3, 4)) == Fraction(25)
 
 
 def test_rational_sqrt():

@@ -261,14 +261,15 @@ def test_relation_family_is_built_once_and_immutable():
     check_relations(pluecker_coordinates(random_exact_matrix(rng, 3, 7)))
     assert _relation_family.cache_info().misses == 1
     assert _relation_terms(3, 7, 10000) is first
-    assert isinstance(first, tuple) and all(isinstance(rel, tuple) for rel in first)
-    assert [(rel.I, rel.J) for rel in rels] == [(I, J) for _, I, J in first]
+    *arrays, pairs = first
+    assert isinstance(pairs, tuple) and not any(arr.flags.writeable for arr in arrays)
+    assert [(rel.I, rel.J) for rel in rels] == list(pairs)
     # the cap still applies to a family that is already cached
     with pytest.raises(TooLarge):
         pluecker_relations(3, 7, max_choose=34)
     with pytest.raises(TooLarge):
         check_relations(pluecker_coordinates(random_exact_matrix(rng, 3, 7)), max_choose=34)
-    assert len(pluecker_relations(3, 7, max_choose=35)) == len(first)
+    assert len(pluecker_relations(3, 7, max_choose=35)) == len(pairs)
 
 
 # ------------------------------------------------------------ check_relations
@@ -335,6 +336,31 @@ def test_exact_check_relations_equals_evaluate_oracle_on_perturbed_minors(k, n):
         worst = max(evaluate(rel.poly, assignment).abs_sq() for rel in rels)
         assert worst != 0
         assert check_relations(ps) == math.sqrt(float(worst))
+
+
+def test_check_relations_exact_matches_float_image():
+    # the exact and float backends share one expression: on exact minors
+    # with nudged coordinates, the float image gives the exact residual
+    rng = default_rng(41)
+    for k, n in ((2, 5), (3, 7), (4, 8)):
+        coords = dict(pluecker_coordinates(random_exact_matrix(rng, k, n)).coords)
+        for subset in list(coords)[::5]:
+            coords[subset] += GaussRat(Fraction(1, int(rng.integers(2, 1000))), Fraction(-1, 7))
+        exact = check_relations(PlueckerSet(k, n, coords))
+        image = check_relations(PlueckerSet(k, n, {i: complex(v) for i, v in coords.items()}))
+        assert exact > 0 and image == pytest.approx(exact, rel=1e-12)
+
+
+def test_float_check_relations_finite_near_float_range():
+    # coordinates near 1e160 overflow every term P_A P_B; the residual of
+    # minors is still small and finite
+    ps = pluecker_coordinates(default_rng(0).normal(size=(2, 4)) * 1e80)
+    big = max(abs(v) for v in ps.coords.values())
+    residual = check_relations(ps)
+    assert math.isfinite(residual) and residual / big <= 1e-12 * big
+    # a residual that is itself beyond the float range raises
+    with pytest.raises(NonFinite, match="residual"):
+        check_relations(PlueckerSet(2, 4, {i: 1e160 + 0j for i in ps.coords}))
 
 
 def test_check_relations_missing_coordinate():

@@ -17,10 +17,13 @@ from qsegre import (
     evaluate,
     format_poly,
     is_homogeneous,
+    make_state,
+    pluecker_coordinates,
     poly_add,
     poly_mul,
 )
-from qsegre.sampling import default_rng, random_gaussrat
+from qsegre.poly import ONE_MONOMIAL
+from qsegre.sampling import default_rng, random_exact_matrix, random_gaussrat
 
 
 def sv(*index):
@@ -198,7 +201,7 @@ def test_format_quadrics():
 
 def test_format_zero_and_constants():
     assert format_poly(MultiPoly.zero()) == "0"
-    assert format_poly(MultiPoly.const(GaussRat(Fraction(-1, 2), Fraction(3, 4)))) == "-1/2-3/4*i"
+    assert format_poly(MultiPoly.const(GaussRat(Fraction(-1, 2), Fraction(3, 4)))) == "-(1/2-3/4*i)"
 
 
 def test_format_coefficients_and_powers():
@@ -263,6 +266,19 @@ def test_atoms_survive_pickle_and_copy():
     for atom in (x, y, Monomial(((x, 2), (y, 1))), Monomial(())):
         for clone in (pickle.loads(pickle.dumps(atom)), copy.deepcopy(atom), copy.copy(atom)):
             assert clone == atom and hash(clone) == hash(atom) and str(clone) == str(atom)
+
+
+def test_exact_values_survive_pickle_and_copy():
+    rng = default_rng(11)
+    x = StateVar((0, 1))
+    poly = MultiPoly({Monomial(((x, 2),)): GaussRat(Fraction(1, 2), -3), ONE_MONOMIAL: GaussRat(0, 5)})
+    state = make_state([2, 2], [random_gaussrat(rng) for _ in range(4)])
+    ps = pluecker_coordinates(random_exact_matrix(rng, 2, 4))
+    for value in (GaussRat(Fraction(-1, 2), Fraction(3, 4)), poly, ps):
+        for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert clone == value
+    for clone in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+        assert clone.dims == state.dims and clone.amps == state.amps
 
 
 def test_variables_reject_bool_indices():

@@ -277,6 +277,10 @@ def test_gauss_ints_clears_denominators_once():
         assert all(GaussRat(Fraction(a, den), Fraction(b, den)) == x for a, b, x in zip(re.flat, im.flat, arr.flat))
     _, _, den = gauss_ints(np.array([GaussRat(3, -4), GaussRat(0)], dtype=object))
     assert den == 1
+    # a float array is its own real and imaginary parts over 1
+    arr = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    re, im, den = gauss_ints(arr)
+    assert den == 1 and np.array_equal(re, arr.real) and np.array_equal(im, arr.imag)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
