@@ -15,7 +15,27 @@ from typing import Union
 RatLike = Union[int, Fraction, str]
 
 
-class GaussRat:
+class Frozen:
+    """Base of the immutable value types: setting or deleting an attribute
+    raises, and copy, pickle and the repr go through the constructor's
+    arguments, which are the class's own ``__slots__`` in order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):  # also __delattr__, which passes no value
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, slot) for slot in type(self).__slots__)
+
+    def __repr__(self):
+        args = ", ".join(f"{slot}={getattr(self, slot)!r}" for slot in type(self).__slots__)
+        return f"{type(self).__name__}({args})"
+
+
+class GaussRat(Frozen):
     """A Gaussian rational a + b*i with exact rational a, b.
 
     Immutable; supports the field operations, conjugation, and exact squared
@@ -28,12 +48,6 @@ class GaussRat:
     def __init__(self, re: RatLike = 0, im: RatLike = 0):
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRat is immutable")
-
-    def __reduce__(self):  # copy and pickle rebuild through the constructor
-        return GaussRat, (self.re, self.im)
 
     @classmethod
     def _coerce(cls, x) -> "GaussRat":

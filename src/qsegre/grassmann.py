@@ -43,7 +43,8 @@ from .errors import IndexOutOfRange, MissingVariable, NonFinite, ShapeError, Too
 from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussRat, Scalar
 from .poly import MultiPoly, PluVar, pair_monomials
 from .segre import split_terms
-from .states import Bipartition, PureState, _check_finite, amplitude_array, amplitudes_to_json, gauss_ints
+from .states import (Bipartition, PureState, _check_finite, amplitude_array, amplitudes_to_json,
+                     gauss_ints, scale_parts)
 
 DEFAULT_MAX_CHOOSE = 10000
 
@@ -237,7 +238,7 @@ def check_relations(ps: PlueckerSet, max_choose: int = DEFAULT_MAX_CHOOSE):
     One expression for both backends on the parts from ``states.gauss_ints``:
     every term c * P_A * P_B at once, each relation's terms added in order
     (``np.add.at``), and the worst |value|^2 divided by den^4 once.  Float
-    parts are divided by a power of two first, as in ``normalize``, so no
+    parts are divided by a power of two first (``states.scale_parts``), so no
     product overflows; NonFinite only when the residual is not a finite float.
     """
     a, b, c, rel, pairs = _relation_terms(ps.k, ps.N, max_choose)
@@ -247,9 +248,7 @@ def check_relations(ps: PlueckerSet, max_choose: int = DEFAULT_MAX_CHOOSE):
             raise MissingVariable(f"no value for {PluVar(subset)}")
         vals.append(ps.coords[subset])
     re, im, den = gauss_ints(np.array(vals))
-    e = 0 if ps.exact else int(np.frexp(max(np.abs(re).max(), np.abs(im).max()))[1])
-    if e:
-        re, im = np.ldexp(re, -e), np.ldexp(im, -e)
+    re, im, e = (re, im, 0) if ps.exact else scale_parts(re, im)
     x, y = np.zeros((2, len(pairs)), re.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         np.add.at(x, rel, c * (re[a] * re[b] - im[a] * im[b]))

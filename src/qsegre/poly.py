@@ -23,27 +23,20 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import MissingVariable
-from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussRat
+from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, Frozen, GaussRat
 
 
-class _Atom:
+class _Atom(Frozen):
     """A variable or monomial: compared, hashed and printed by what its
     constructor computed once, the sort key and the text."""
 
     __slots__ = ("_key", "_hash", "text")
 
-    def _freeze(self, key: tuple, text: str) -> None:
+    def _freeze(self, arg, key: tuple, text: str) -> None:
+        object.__setattr__(self, type(self).__slots__[0], arg)  # the constructor's one argument
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "text", text)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, whose one argument
-        # is the subclass's own slot (index, subset or factors)
-        return type(self), (getattr(self, type(self).__slots__[0]),)
 
     def key(self) -> tuple:
         return self._key
@@ -76,12 +69,8 @@ class StateVar(_Atom):
 
     def __init__(self, index: tuple[int, ...]):
         _check_indices(index, 0, "amplitude multi-index")
-        object.__setattr__(self, "index", index)
         sep = "" if all(i <= 9 for i in index) else ","
-        self._freeze(("a", index), "a[" + sep.join(map(str, index)) + "]")
-
-    def __repr__(self):
-        return f"StateVar(index={self.index!r})"
+        self._freeze(index, ("a", index), "a[" + sep.join(map(str, index)) + "]")
 
 
 class PluVar(_Atom):
@@ -93,11 +82,7 @@ class PluVar(_Atom):
         _check_indices(subset, 1, "Plucker subset")
         if any(a >= b for a, b in zip(subset, subset[1:])):
             raise ValueError(f"Plucker subset {subset!r} not strictly increasing")
-        object.__setattr__(self, "subset", subset)
-        self._freeze(("P", subset), "P[" + ",".join(map(str, subset)) + "]")
-
-    def __repr__(self):
-        return f"PluVar(subset={self.subset!r})"
+        self._freeze(subset, ("P", subset), "P[" + ",".join(map(str, subset)) + "]")
 
 
 VarId = Union[StateVar, PluVar]
@@ -121,9 +106,8 @@ class Monomial(_Atom):
             if exp:
                 merged[var] = merged.get(var, 0) + exp
         pairs = tuple(sorted(merged.items(), key=lambda ve: ve[0]._key))
-        object.__setattr__(self, "factors", pairs)
         text = "*".join(v.text if e == 1 else f"{v.text}^{e}" for v, e in pairs)
-        self._freeze(tuple((v._key, e) for v, e in pairs), text or "1")
+        self._freeze(pairs, tuple((v._key, e) for v, e in pairs), text or "1")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[VarId, int]]) -> "Monomial":
@@ -137,9 +121,6 @@ class Monomial(_Atom):
 
     def variables(self):
         return [v for v, _ in self.factors]
-
-    def __repr__(self):
-        return f"Monomial(factors={self.factors!r})"
 
 
 def pair_monomials(variables: list[VarId]) -> Callable[[int, int], Monomial]:
@@ -184,7 +165,7 @@ def _is_negative(c: GaussRat) -> bool:
     return c.re < 0 or (c.re == 0 and c.im < 0)
 
 
-class MultiPoly:
+class MultiPoly(Frozen):
     """Immutable sparse polynomial: map from Monomial to nonzero GaussRat."""
 
     __slots__ = ("_terms",)
@@ -197,12 +178,6 @@ class MultiPoly:
                 if c:
                     clean[mono] = c
         object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
-
-    def __reduce__(self):
-        return MultiPoly, (self._terms,)
 
     @classmethod
     def zero(cls) -> "MultiPoly":

@@ -35,7 +35,7 @@ from .errors import (
     TooLarge,
     ZeroVector,
 )
-from .gaussrat import GaussRat, Scalar, rational_sqrt
+from .gaussrat import Frozen, GaussRat, Scalar, rational_sqrt
 
 DEFAULT_MAX_AMPS = 4096
 
@@ -106,10 +106,22 @@ def gauss_ints(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return re.reshape(arr.shape), im.reshape(arr.shape), den
 
 
+def scale_parts(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(re / 2**e, im / 2**e, e)`` with the largest float part scaled into
+    [0.5, 1), so products of parts do not overflow; exact but for subnormals."""
+    e = int(np.frexp(max(np.abs(re).max(), np.abs(im).max()))[1])
+    return np.ldexp(re, -e), np.ldexp(im, -e), e
+
+
 def abs_sq_sum(arr: np.ndarray):
-    """Sum of |x|^2 over an amplitude array; exact Fraction in the exact backend."""
+    """Sum of |x|^2 over an amplitude array; exact Fraction in the exact backend.
+
+    NonFinite when a float sum overflows; every term is at most the sum, so scaling cannot help."""
     re, im, den = gauss_ints(arr)
-    total = (re * re + im * im).sum()
+    with np.errstate(over="ignore"):
+        total = (re * re + im * im).sum()
+    if total == math.inf:
+        raise NonFinite("squared norm is beyond the float range")
     return Fraction(int(total), den * den) if arr.dtype == object else float(total)
 
 
@@ -119,14 +131,14 @@ def check_tol(tol) -> None:
         raise MalformedInput(f"tol must be finite and nonnegative, got {tol!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(Frozen):
     """Validated amplitude tensor of shape ``dims``; build through :func:`make_state`."""
 
-    array: np.ndarray
+    __slots__ = ("array",)
 
-    def __post_init__(self):
-        self.array.flags.writeable = False
+    def __init__(self, array: np.ndarray):
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -160,14 +172,14 @@ class PureState:
         return self.array.item(tuple(index))
 
 
-@dataclass(frozen=True, eq=False)
-class LocalState:
+class LocalState(Frozen):
     """One mode's amplitude vector; the projective factor of a product state."""
 
-    array: np.ndarray
+    __slots__ = ("array",)
 
-    def __post_init__(self):
-        self.array.flags.writeable = False
+    def __init__(self, array: np.ndarray):
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
 
     @property
     def dim(self) -> int:
@@ -200,8 +212,7 @@ class Bipartition:
         return tuple(j for j in range(1, num_modes + 1) if j not in self.left)
 
 
-@dataclass(frozen=True, eq=False)
-class Flattening:
+class Flattening(Frozen):
     """Matrix view of a state under a bipartition.
 
     ``entries`` is a read-only rows x cols array in the state's backend.  Any
@@ -209,15 +220,14 @@ class Flattening:
     :func:`amplitude_array`, so its dtype alone says which backend it is in.
     """
 
-    rows: int
-    cols: int
-    entries: np.ndarray
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        ent = self.entries
-        flat = ent if isinstance(ent, np.ndarray) else [x for row in ent for x in row]
-        arr = amplitude_array(flat, (self.rows, self.cols), "entries")
+    def __init__(self, rows: int, cols: int, entries):
+        flat = entries if isinstance(entries, np.ndarray) else [x for row in entries for x in row]
+        arr = amplitude_array(flat, (rows, cols), "entries")
         arr.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -296,9 +306,8 @@ def normalize(s: PureState) -> PureState:
             return PureState(arr * GaussRat(1 / r))
         arr = arr / max(max(abs(x.re), abs(x.im)) for x in arr.flat)
     arr = arr.astype(np.complex128)
-    big, e = np.frexp(max(np.max(np.abs(arr.real)), np.max(np.abs(arr.imag))))
-    arr.real, arr.imag = np.ldexp(arr.real, -e), np.ldexp(arr.imag, -e)
-    arr = arr / big
+    arr.real, arr.imag, _ = scale_parts(arr.real, arr.imag)
+    arr = arr / max(np.abs(arr.real).max(), np.abs(arr.imag).max())
     return PureState(arr / np.linalg.norm(arr))
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -5,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qsegre import (
     GaussRat,
@@ -13,6 +16,7 @@ from qsegre import (
     Monomial,
     MultiPoly,
     NonFinite,
+    NotProduct,
     PluVar,
     ShapeError,
     TooLarge,
@@ -20,7 +24,11 @@ from qsegre import (
     check_relations,
     evaluate,
     flatten,
+    generalized_concurrence,
+    is_bipartite_separable,
+    is_fully_separable,
     is_homogeneous,
+    local_factors,
     make_state,
     minor_sum,
     normalize,
@@ -28,8 +36,10 @@ from qsegre import (
     pluecker_measure,
     pluecker_relations,
     pluecker_set_to_json,
+    segre_map,
 )
 from qsegre.grassmann import PlueckerSet, _relation_family, _relation_terms
+from qsegre.segre import DEFAULT_TOL
 from qsegre.sampling import (
     default_rng,
     random_exact_matrix,
@@ -349,6 +359,97 @@ def test_check_relations_exact_matches_float_image():
         exact = check_relations(PlueckerSet(k, n, coords))
         image = check_relations(PlueckerSet(k, n, {i: complex(v) for i, v in coords.items()}))
         assert exact > 0 and image == pytest.approx(exact, rel=1e-12)
+
+
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+gaussrats = st.builds(GaussRat, small_fractions, small_fractions)
+
+
+@st.composite
+def exact_block_states(draw):
+    """An exact state over m <= 5 modes: the tensor product of blocks of
+    consecutive modes, each a nonzero exact tensor.  One block per mode gives
+    a product state, one block a generic state, and blocks in between are
+    separable at some splits only."""
+    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=5).filter(lambda d: math.prod(d) <= 48))
+    cuts = sorted(draw(st.sets(st.integers(1, len(dims) - 1))))
+    blocks = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(dims)]):
+        n = math.prod(dims[lo:hi])
+        amps = draw(st.lists(gaussrats, min_size=n, max_size=n).filter(any))
+        blocks.append(np.array(amps, dtype=object).reshape(dims[lo:hi]))
+    return make_state(dims, functools.reduce(np.multiply.outer, blocks).reshape(-1).tolist())
+
+
+@st.composite
+def exact_matrices(draw):
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k + 1, 6))
+    return [draw(st.lists(gaussrats, min_size=n, max_size=n)) for _ in range(k)]
+
+
+def proportional(u, v, rel=1e-12):
+    """Float check that the vectors u and v span the same line."""
+    u, v = (np.array([complex(x) for x in np.ravel(w)]) for w in (u, v))
+    return np.linalg.norm(u - v * (np.vdot(v, u) / np.vdot(v, v))) <= rel * np.linalg.norm(u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_block_states())
+def test_state_operations_agree_across_backends(exact):
+    # every public state operation on an exact state and on its float image
+    image = make_state(exact.dims, exact.to_numpy())
+    report, image_report = generalized_concurrence(exact), generalized_concurrence(image)
+    assert image_report.value == pytest.approx(report.value, abs=1e-12)
+    for b, term in report.per_bipartition.items():
+        assert image_report.per_bipartition[b] == pytest.approx(term, abs=1e-12)
+    if all(d == 2 for d in exact.dims):
+        for pivot in range(1, exact.num_modes + 1):
+            assert pluecker_measure(image, pivot) == pytest.approx(pluecker_measure(exact, pivot), abs=1e-12)
+    # the predicates agree on inputs kept clear of tol: every split term is
+    # exactly 0 or far above tol^2 (a one-mode split's complement has the same term)
+    tol = DEFAULT_TOL
+    assume(all(t == 0 or t > 1e-12 for t in report.per_bipartition.values()))
+    for b in report.per_bipartition:
+        assert is_bipartite_separable(image, b, tol) == is_bipartite_separable(exact, b, tol)
+    separable = is_fully_separable(exact, tol)
+    assert is_fully_separable(image, tol) == separable
+    assert separable == all(t == 0 for t in report.per_bipartition.values())
+    if not separable:
+        for s in (exact, image):
+            with pytest.raises(NotProduct):
+                local_factors(s, tol)
+        return
+    # the factors of both backends span the same lines, and their products the state
+    factors, image_factors = local_factors(exact, tol), local_factors(image, tol)
+    for u, v in zip(factors, image_factors):
+        assert proportional(v.array, u.array)
+    product = segre_map(factors).array.reshape(-1)
+    amps = exact.array.reshape(-1)
+    k = next(i for i, a in enumerate(amps) if a)
+    assert (product == amps * (product[k] / amps[k])).all()
+    assert proportional(segre_map(image_factors).array, image.array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_matrices(), gaussrats)
+def test_pluecker_operations_agree_across_backends(rows, nudge):
+    exact = pluecker_coordinates(rows)
+    image = pluecker_coordinates([[complex(x) for x in row] for row in rows])
+    # Hadamard: no k x k minor exceeds the product of the row norms
+    bound = math.prod(math.hypot(*(abs(x) for x in row)) for row in rows)
+    for subset, value in exact.coords.items():
+        assert abs(image.coords[subset] - complex(value)) <= 1e-12 * bound
+    assert check_relations(exact) == 0
+    assert check_relations(image) <= 1e-12 * bound**2
+    # off the Grassmannian, the float image of nudged coordinates gives the exact residual
+    coords = dict(exact.coords)
+    first = next(iter(coords))
+    coords[first] += nudge
+    nudged = PlueckerSet(exact.k, exact.N, coords)
+    nudged_image = PlueckerSet(exact.k, exact.N, {i: complex(v) for i, v in coords.items()})
+    scale = (bound + abs(nudge)) ** 2
+    assert check_relations(nudged_image) == pytest.approx(float(check_relations(nudged)), abs=1e-12 * scale)
 
 
 def test_float_check_relations_finite_near_float_range():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qsegre import (
     ANY_DEGREE,
+    Bipartition,
     GaussRat,
     MissingVariable,
     Monomial,
@@ -15,8 +16,10 @@ from qsegre import (
     PluVar,
     StateVar,
     evaluate,
+    flatten,
     format_poly,
     is_homogeneous,
+    make_local,
     make_state,
     pluecker_coordinates,
     poly_add,
@@ -261,24 +264,51 @@ def test_monomial_constructor_canonicalizes():
             Monomial(((x, bad),))
 
 
+def clones(value):
+    return pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)
+
+
 def test_atoms_survive_pickle_and_copy():
     x, y = StateVar((0, 12)), PluVar((1, 3))
     for atom in (x, y, Monomial(((x, 2), (y, 1))), Monomial(())):
-        for clone in (pickle.loads(pickle.dumps(atom)), copy.deepcopy(atom), copy.copy(atom)):
+        for clone in clones(atom):
             assert clone == atom and hash(clone) == hash(atom) and str(clone) == str(atom)
+            assert repr(clone) == repr(atom)
+    # deleting a slot would leave an atom without its key, hash or text
+    for atom, slot in ((x, "text"), (x, "index"), (y, "_key"), (Monomial(((x, 1),)), "factors")):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(atom, slot)
+        assert hasattr(atom, slot)
 
 
 def test_exact_values_survive_pickle_and_copy():
     rng = default_rng(11)
     x = StateVar((0, 1))
     poly = MultiPoly({Monomial(((x, 2),)): GaussRat(Fraction(1, 2), -3), ONE_MONOMIAL: GaussRat(0, 5)})
-    state = make_state([2, 2], [random_gaussrat(rng) for _ in range(4)])
     ps = pluecker_coordinates(random_exact_matrix(rng, 2, 4))
     for value in (GaussRat(Fraction(-1, 2), Fraction(3, 4)), poly, ps):
-        for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        for clone in clones(value):
             assert clone == value
-    for clone in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
-        assert clone.dims == state.dims and clone.amps == state.amps
+    # the array types rebuild through their constructors, so clones keep
+    # read-only arrays in both backends
+    exact = make_state([2, 2], [random_gaussrat(rng) for _ in range(4)])
+    floats = make_state([2, 3], rng.normal(size=6) + 1j * rng.normal(size=6))
+    for state in (exact, floats):
+        for clone in clones(state):
+            assert clone.dims == state.dims and clone.amps == state.amps
+            assert not clone.array.flags.writeable
+    local = make_local([GaussRat(1, 2), Fraction(-1, 3)])
+    for clone in clones(local):
+        assert clone.vec == local.vec and not clone.array.flags.writeable
+    for state in (exact, floats):
+        f = flatten(state, Bipartition((1,)))
+        for clone in clones(f):
+            assert (clone.rows, clone.cols) == (f.rows, f.cols) and not clone.entries.flags.writeable
+            assert clone.entries.tolist() == f.entries.tolist() and clone.exact == f.exact
+    for value, slot in ((GaussRat(1, 2), "im"), (poly, "_terms"), (exact, "array")):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(value, slot)
+        assert hasattr(value, slot)
 
 
 def test_variables_reject_bool_indices():

@@ -429,6 +429,17 @@ def test_normalize_extreme_scales(scale):
     assert s.amps[3] == pytest.approx(SQ2)
 
 
+def test_norm_sq_beyond_float_range_raises():
+    # every term is at most the sum, so only a squared norm that is itself
+    # beyond the float range overflows; it raises instead of returning inf
+    with pytest.raises(NonFinite, match="squared norm"):
+        make_state([2, 2], [1e200, 0, 0, 1e200]).norm_sq()
+    with pytest.raises(NonFinite, match="squared norm"):
+        make_state([2], [1e155j, 1e155]).norm_sq()
+    assert make_state([2, 2], [1e150, 0, 0, 1e150]).norm_sq() == pytest.approx(2e300)
+    assert make_state([2], [10**200, 1]).norm_sq() == 10**400 + 1
+
+
 def test_state_json_size_cap_precedes_parsing():
     # amps is not even a list: the cap on prod(dims) is checked first
     with pytest.raises(TooLarge, match="8192 exceeds cap 4096"):
