@@ -15,6 +15,7 @@ import numpy as np
 
 from qsegre import generalized_concurrence, is_fully_separable
 from qsegre.sampling import default_rng, random_haar_state, random_product_state
+from qsegre.segre import DEFAULT_TOL
 
 
 def scan(rng, m, samples, tol):
@@ -37,7 +38,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--modes", type=int, nargs="+", default=[2, 3, 4, 5])
     parser.add_argument("--samples", type=int, default=200)
-    parser.add_argument("--tol", type=float, default=1e-10)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 

@@ -35,6 +35,11 @@ class Frozen:
         return f"{type(self).__name__}({args})"
 
 
+def is_int(x) -> bool:
+    """An int that is not a bool: the one rule for indices, modes and shape parameters."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class GaussRat(Frozen):
     """A Gaussian rational a + b*i with exact rational a, b.
 

@@ -40,11 +40,11 @@ from math import comb
 import numpy as np
 
 from .errors import IndexOutOfRange, MissingVariable, NonFinite, ShapeError, TooLarge, WrongShape
-from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussRat, Scalar
+from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussRat, Scalar, is_int
 from .poly import MultiPoly, PluVar, pair_monomials
 from .segre import split_terms
-from .states import (Bipartition, PureState, _check_finite, amplitude_array, amplitudes_to_json,
-                     gauss_ints, scale_parts)
+from .states import (Bipartition, PureState, _check_finite, _complex_array, amplitude_array,
+                     amplitudes_to_json, gauss_ints, scale_parts)
 
 DEFAULT_MAX_CHOOSE = 10000
 
@@ -59,7 +59,8 @@ class PlueckerSet:
 
     @property
     def exact(self) -> bool:
-        return isinstance(next(iter(self.coords.values())), GaussRat)
+        """True iff every coordinate is exact, the rule of ``states.amplitude_array``."""
+        return all(isinstance(v, GaussRat) for v in self.coords.values())
 
     def get(self, indices) -> Scalar:
         """Coordinate for an arbitrary index list: 0 on repeats, signed on
@@ -169,7 +170,7 @@ def _relation_terms(k: int, N: int, max_choose: int) -> RelationFamily:
     produced it.  The arrays are read-only.  The shape and the cap are checked
     on every call; the family itself is built once per (k, N).
     """
-    if k < 1 or k >= N:
+    if not (is_int(k) and is_int(N)) or k < 1 or k >= N:
         raise ShapeError(f"need 1 <= k < N, got k={k}, N={N}")
     if comb(N, k) > max_choose:
         raise TooLarge(f"C({N},{k}) = {comb(N, k)} exceeds cap {max_choose}")
@@ -235,7 +236,9 @@ def pluecker_relations(k: int, N: int, max_choose: int = DEFAULT_MAX_CHOOSE) -> 
 def check_relations(ps: PlueckerSet, max_choose: int = DEFAULT_MAX_CHOOSE):
     """Max |relation(coords)| over the relation family; exact 0 for minors.
 
-    One expression for both backends on the parts from ``states.gauss_ints``:
+    A set that mixes exact and float coordinates takes the float backend,
+    as in ``states.amplitude_array``.  One expression for both backends on
+    the parts from ``states.gauss_ints``:
     every term c * P_A * P_B at once, each relation's terms added in order
     (``np.add.at``), and the worst |value|^2 divided by den^4 once.  Float
     parts are divided by a power of two first (``states.scale_parts``), so no
@@ -247,13 +250,14 @@ def check_relations(ps: PlueckerSet, max_choose: int = DEFAULT_MAX_CHOOSE):
         if subset not in ps.coords:
             raise MissingVariable(f"no value for {PluVar(subset)}")
         vals.append(ps.coords[subset])
-    re, im, den = gauss_ints(np.array(vals))
-    re, im, e = (re, im, 0) if ps.exact else scale_parts(re, im)
+    exact = ps.exact
+    re, im, den = gauss_ints(np.array(vals, dtype=object) if exact else _complex_array(vals, "coords"))
+    re, im, e = (re, im, 0) if exact else scale_parts(re, im)
     x, y = np.zeros((2, len(pairs)), re.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         np.add.at(x, rel, c * (re[a] * re[b] - im[a] * im[b]))
         np.add.at(y, rel, c * (re[a] * im[b] + im[a] * re[b]))
-        if ps.exact:
+        if exact:
             worst = (x * x + y * y).max(initial=0)
             return Fraction(0) if worst == 0 else math.sqrt(float(Fraction(worst, den**4)))
         residual = float(np.ldexp(np.hypot(x, y).max(initial=0.0), 2 * e))

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import MissingVariable
-from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, Frozen, GaussRat
+from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, Frozen, GaussRat, is_int
 
 
 class _Atom(Frozen):
@@ -54,11 +54,11 @@ class _Atom(Frozen):
 
 
 def _check_indices(indices, low: int, what: str) -> None:
-    """A nonempty tuple of ints >= low; bools are rejected like in ``states.amplitude_array``."""
+    """A nonempty tuple of ints >= low; bools are rejected (``gaussrat.is_int``)."""
     if not isinstance(indices, tuple) or not indices:
         raise ValueError(f"bad {what} {indices!r}: expected a nonempty tuple")
     for i in indices:
-        if isinstance(i, bool) or not isinstance(i, int) or i < low:
+        if not is_int(i) or i < low:
             raise ValueError(f"bad {what} {indices!r}: expected ints >= {low}, got {type(i).__name__} {i!r}")
 
 

@@ -35,24 +35,29 @@ from .errors import (
     TooLarge,
     ZeroVector,
 )
-from .gaussrat import Frozen, GaussRat, Scalar, rational_sqrt
+from .gaussrat import Frozen, GaussRat, Scalar, is_int, rational_sqrt
 
 DEFAULT_MAX_AMPS = 4096
 
 
 def amplitude_array(values, shape: tuple[int, ...], label: str = "amps") -> np.ndarray:
-    """Array of ``shape`` from the flat ``values``, in the backend they select.
+    """Array of ``shape`` from the ``values``, in the backend they select.
 
     Exact (an ``object`` array of GaussRat) iff every entry is an int,
     Fraction or GaussRat; otherwise a finite ``complex128`` array.  Raises
-    MalformedInput for entries that are not numbers (bool and str included)
-    and NonFinite for NaN/Inf and for exact entries beyond the float range in
-    a float array.
+    DimensionMismatch unless there are prod(shape) values (an array counts all
+    its entries), MalformedInput for entries that are not numbers (bool and
+    str included) and NonFinite for NaN/Inf and for exact entries beyond the
+    float range in a float array.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "iufc":
-        arr = values.astype(np.complex128)
+        values = values.reshape(-1)
     else:
         values = list(values.flat if isinstance(values, np.ndarray) else values)
+    total = math.prod(shape)
+    if len(values) != total:
+        raise DimensionMismatch(f"{label} has length {len(values)}, expected {total}")
+    if isinstance(values, list):
         for k, a in enumerate(values):
             if isinstance(a, bool) or not isinstance(a, (numbers.Number, GaussRat)):
                 raise MalformedInput(f"{label}[{k}]: expected a number, got {type(a).__name__}")
@@ -60,7 +65,7 @@ def amplitude_array(values, shape: tuple[int, ...], label: str = "amps") -> np.n
             arr = np.empty(len(values), dtype=object)
             arr[:] = [a if isinstance(a, GaussRat) else GaussRat(a) for a in values]
             return arr.reshape(shape)
-        arr = _complex_array(values, label)
+    arr = _complex_array(values, label)
     _check_finite(arr, label)
     return arr.reshape(shape)
 
@@ -84,9 +89,9 @@ def _complex_array(values, label: str) -> np.ndarray:
 
 def _check_finite(arr: np.ndarray, label: str) -> None:
     """Raise NonFinite naming the first NaN/Inf entry of a float array, in row-major order."""
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise NonFinite(f"{label}[{bad[0]}] is not finite")
+    finite = np.isfinite(arr)
+    if np.count_nonzero(finite) < finite.size:  # cheaper than .all() on small arrays
+        raise NonFinite(f"{label}[{np.flatnonzero(~finite)[0]}] is not finite")
 
 
 def gauss_ints(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -126,19 +131,35 @@ def abs_sq_sum(arr: np.ndarray):
 
 
 def check_tol(tol) -> None:
-    """The one tolerance rule: finite and nonnegative, else MalformedInput."""
-    if not (math.isfinite(tol) and tol >= 0):
+    """The one tolerance rule: a finite nonnegative real that is not a bool, else MalformedInput."""
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and math.isfinite(tol) and tol >= 0):
         raise MalformedInput(f"tol must be finite and nonnegative, got {tol!r}")
 
 
-class PureState(Frozen):
-    """Validated amplitude tensor of shape ``dims``; build through :func:`make_state`."""
+class _Amplitudes(Frozen):
+    """The states' one constructor: NonFinite for NaN/Inf in a float array,
+    ZeroVector for an all-zero one, and the array is made read-only."""
 
-    __slots__ = ("array",)
+    __slots__ = ()
 
     def __init__(self, array: np.ndarray):
+        if array.dtype != object:
+            _check_finite(array, "amps")
+        if not np.count_nonzero(array):
+            raise ZeroVector("all amplitudes are zero")
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
+
+    @property
+    def exact(self) -> bool:
+        return self.array.dtype == object
+
+
+class PureState(_Amplitudes):
+    """Finite, nonzero amplitude tensor of shape ``dims``; build through :func:`make_state`."""
+
+    __slots__ = ("array",)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -147,10 +168,6 @@ class PureState(Frozen):
     @property
     def num_modes(self) -> int:
         return self.array.ndim
-
-    @property
-    def exact(self) -> bool:
-        return self.array.dtype == object
 
     @property
     def amps(self) -> tuple[Scalar, ...]:
@@ -172,14 +189,10 @@ class PureState(Frozen):
         return self.array.item(tuple(index))
 
 
-class LocalState(Frozen):
+class LocalState(_Amplitudes):
     """One mode's amplitude vector; the projective factor of a product state."""
 
     __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray):
-        array.flags.writeable = False
-        object.__setattr__(self, "array", array)
 
     @property
     def dim(self) -> int:
@@ -188,10 +201,6 @@ class LocalState(Frozen):
     @property
     def vec(self) -> tuple[Scalar, ...]:
         return tuple(self.array.tolist())
-
-    @property
-    def exact(self) -> bool:
-        return self.array.dtype == object
 
 
 @dataclass(frozen=True)
@@ -235,12 +244,12 @@ class Flattening(Frozen):
         return self.entries.dtype == object
 
 
-def make_state(dims: Sequence[int], amps: Sequence) -> PureState:
+def make_state(dims: Sequence[int], amps) -> PureState:
     """Validate and build a PureState.  Does not normalize.
 
-    Raises DimensionMismatch for bad dims or amplitude count, ZeroVector for
-    the zero tensor, NonFinite for NaN/Inf in the float backend, and
-    MalformedInput for amplitudes that are not numbers.
+    ``amps`` holds prod(dims) amplitudes in row-major order, flat or as an
+    array.  Raises DimensionMismatch for bad dims; :func:`amplitude_array`
+    and the PureState constructor check the amplitudes.
     """
     dims = tuple(dims)
     if not dims:
@@ -248,27 +257,22 @@ def make_state(dims: Sequence[int], amps: Sequence) -> PureState:
     for j, d in enumerate(dims):
         if not isinstance(d, int) or d < 2:
             raise DimensionMismatch(f"dims[{j}] must be an integer >= 2, got {d!r}")
-    total = math.prod(dims)
-    if len(amps) != total:
-        raise DimensionMismatch(f"amps has length {len(amps)}, expected {total}")
-    arr = amplitude_array(amps, dims)
-    if not arr.any():
-        raise ZeroVector("all amplitudes are zero")
-    return PureState(arr)
+    return PureState(amplitude_array(amps, dims))
 
 
 def make_local(vec: Sequence) -> LocalState:
     """Validate and build a LocalState from its amplitude vector."""
     if len(vec) < 2:
         raise DimensionMismatch(f"local vector needs >= 2 entries, got {len(vec)}")
-    arr = amplitude_array(vec, (len(vec),), "vec")
-    if not arr.any():
-        raise ZeroVector("local vector is zero")
-    return LocalState(arr)
+    return LocalState(amplitude_array(vec, (len(vec),), "vec"))
 
 
 def make_bipartition(left: Iterable[int], num_modes: int) -> Bipartition:
     """Validate a row group against the mode count {1..num_modes}."""
+    left = tuple(left)
+    for j in left:
+        if not is_int(j):
+            raise IndexOutOfRange(f"bipartition mode {j!r}: expected an int")
     modes = tuple(sorted(set(left)))
     if not modes:
         raise IndexOutOfRange("bipartition is empty")
@@ -316,7 +320,8 @@ def segre_map(factors: Sequence[LocalState]) -> PureState:
 
     Mixed exact and float factors give a float state.  Raises NonFinite when
     an exact entry or a product amplitude is beyond the float range, and
-    ZeroVector when every float product amplitude underflows to zero.
+    ZeroVector ("all amplitudes are zero") when every float product amplitude
+    underflows to zero; the PureState constructor makes both checks.
     """
     if len(factors) < 2:
         raise DimensionMismatch(f"segre_map needs >= 2 factors, got {len(factors)}")
@@ -328,11 +333,7 @@ def segre_map(factors: Sequence[LocalState]) -> PureState:
         for j, a in enumerate(arrays)
     ]
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        arr = functools.reduce(np.multiply.outer, arrays)
-    _check_finite(arr, "amps")
-    if not arr.any():
-        raise ZeroVector("every product amplitude underflows to zero")
-    return PureState(arr)
+        return PureState(functools.reduce(np.multiply.outer, arrays))
 
 
 def flat_matrix(arr: np.ndarray, b: Bipartition) -> np.ndarray:
@@ -366,14 +367,16 @@ def permute_modes(s: PureState, perm: Sequence[int]) -> PureState:
 
 
 def apply_local_unitary(s: PureState, mode: int, u: np.ndarray) -> PureState:
-    """Apply a d x d matrix to one mode (float backend)."""
+    """Apply a d x d matrix to one mode (float backend); the PureState
+    constructor rejects a zero or non-finite result."""
     if mode < 1 or mode > s.num_modes:
         raise IndexOutOfRange(f"mode {mode} out of range 1..{s.num_modes}")
     d = s.dims[mode - 1]
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (d, d):
         raise DimensionMismatch(f"matrix shape {u.shape} does not match dim {d}")
-    arr = np.tensordot(u, s.to_numpy().reshape(s.dims), axes=([1], [mode - 1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        arr = np.tensordot(u, s.to_numpy().reshape(s.dims), axes=([1], [mode - 1]))
     return PureState(np.moveaxis(arr, 0, mode - 1))
 
 
@@ -464,7 +467,7 @@ def state_from_json(obj, exact: bool = False, max_amps: int = DEFAULT_MAX_AMPS) 
     if not isinstance(dims, list) or not dims:
         raise MalformedInput("dims: expected a nonempty list")
     for j, d in enumerate(dims):
-        if not isinstance(d, int) or isinstance(d, bool) or d < 2:
+        if not is_int(d) or d < 2:
             raise MalformedInput(f"dims[{j}]: expected an integer >= 2")
     total = math.prod(dims)
     if total > max_amps:

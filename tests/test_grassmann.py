@@ -186,6 +186,7 @@ def test_signed_lookup():
     assert ps3.get((3, 1, 2)) == ps3.coords[(1, 2, 3)]
     with pytest.raises(IndexOutOfRange):
         ps.get((1, 9))
+    assert PlueckerSet(2, 4, {}).get((1, 1)) == 0
 
 
 # ------------------------------------------------------------------ relations
@@ -261,6 +262,11 @@ def test_relations_cap_and_shape():
         pluecker_relations(4, 4)
     with pytest.raises(ShapeError):
         pluecker_relations(0, 4)
+    for k, n in ((2.0, 4), (True, 4), (2, 4.0)):
+        with pytest.raises(ShapeError):
+            pluecker_relations(k, n)
+        with pytest.raises(ShapeError):
+            check_relations(PlueckerSet(k, n, {}))
 
 
 def test_relation_family_is_built_once_and_immutable():
@@ -359,6 +365,9 @@ def test_check_relations_exact_matches_float_image():
         exact = check_relations(PlueckerSet(k, n, coords))
         image = check_relations(PlueckerSet(k, n, {i: complex(v) for i, v in coords.items()}))
         assert exact > 0 and image == pytest.approx(exact, rel=1e-12)
+        # a set mixing both backends takes the float one, like amplitude_array
+        mixed = {i: complex(v) if j % 2 else v for j, (i, v) in enumerate(coords.items())}
+        assert check_relations(PlueckerSet(k, n, mixed)) == image
 
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)

@@ -583,7 +583,7 @@ def test_deterministic_bitwise_reproducibility():
 def test_separability_rejects_bad_tol(bell, bell_exact):
     b = Bipartition((1,))
     for s in (bell, bell_exact):
-        for tol in (-1.0, float("nan"), float("inf")):
+        for tol in (-1.0, float("nan"), float("inf"), "x", None, True):
             with pytest.raises(MalformedInput, match="tol"):
                 is_fully_separable(s, tol)
             with pytest.raises(MalformedInput, match="tol"):

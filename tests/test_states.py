@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from qsegre import (
     Bipartition,
     DimensionMismatch,
+    Flattening,
     GaussRat,
     IndexOutOfRange,
+    LocalState,
     MalformedInput,
     NonFinite,
     NotProduct,
+    PureState,
     TooLarge,
     ZeroVector,
     apply_local_unitary,
@@ -65,6 +68,16 @@ def test_make_state_basis_vector():
 def test_make_state_wrong_length():
     with pytest.raises(DimensionMismatch):
         make_state([2, 2], [1, 0, 0])
+    # an array counts all its entries
+    with pytest.raises(DimensionMismatch, match="amps has length 6, expected 4"):
+        make_state([2, 2], np.ones((2, 3)))
+    s = make_state([2, 2], np.array([[1, 0], [0, 1]]))
+    assert s.dims == (2, 2) and s.amps == (1, 0, 0, 1) and not s.exact
+
+
+def test_flattening_rejects_ragged_rows():
+    with pytest.raises(DimensionMismatch, match="entries has length 3, expected 4"):
+        Flattening(2, 2, [[1, 2], [3]])
 
 
 def test_make_state_row_major_offset():
@@ -84,6 +97,11 @@ def test_make_state_rejects_zero_and_nonfinite():
         make_state([2, 1], [1, 0])
     with pytest.raises(DimensionMismatch):
         make_state([], [])
+    # the constructor checks any array, whichever builder made it
+    with pytest.raises(ZeroVector):
+        PureState(np.zeros((2, 2), dtype=np.complex128))
+    with pytest.raises(NonFinite, match=r"amps\[1\] is not finite"):
+        LocalState(np.array([1.0, np.nan], dtype=np.complex128))
 
 
 def test_exact_backend_detection():
@@ -180,7 +198,7 @@ def test_segre_map_rejects_products_beyond_float_range():
     with pytest.raises(NonFinite, match=r"factors\[0\]\[0\]"):
         segre_map([make_local([10**400, 1]), make_local([0.5, 1.0])])
     tiny = make_local([1e-200, 1e-200])
-    with pytest.raises(ZeroVector):
+    with pytest.raises(ZeroVector, match="all amplitudes are zero"):
         segre_map([tiny, tiny])
     # exact factors stay exact at any size
     assert segre_map([make_local([10**400, 1]), make_local([1, 2])]).amplitude((0, 1)) == 2 * 10**400
@@ -212,6 +230,8 @@ def test_make_local_validation():
         make_local([1])
     with pytest.raises(NonFinite):
         make_local([float("inf"), 0.0])
+    with pytest.raises(DimensionMismatch, match="vec has length 4, expected 2"):
+        make_local(np.eye(2))
     f = make_local([Fraction(1, 2), 0])
     assert f.dim == 2 and f.exact
 
@@ -251,6 +271,9 @@ def test_flatten_rejects_improper():
         flatten(s, Bipartition((0, 1)))
     with pytest.raises(IndexOutOfRange):
         make_bipartition([], 2)
+    for mode in ("a", True, 1.0):
+        with pytest.raises(IndexOutOfRange, match="expected an int"):
+            make_bipartition([mode], 3)
 
 
 def test_flatten_complement_transpose():
@@ -404,6 +427,19 @@ def test_state_array_is_read_only():
         f.array[0] = 0
 
 
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("u, error", [
+    pytest.param(np.zeros((2, 2)), ZeroVector, id="zero"),
+    pytest.param(np.full((2, 2), np.nan), NonFinite, id="nan"),
+    pytest.param(np.array([[np.inf, 0], [0, 1]]), NonFinite, id="inf"),
+    pytest.param(np.full((2, 2), 1.5e308), NonFinite, id="overflow"),
+])
+def test_apply_local_unitary_result_is_checked(exact, u, error):
+    s = make_state([2, 2], [1, 1, 1, 1] if exact else [1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(error):
+        apply_local_unitary(s, 1, u)
+
+
 def test_make_state_rejects_bool_and_str():
     with pytest.raises(MalformedInput, match=r"amps\[0\]"):
         make_state([2], [True, False])
@@ -417,7 +453,7 @@ def test_make_state_rejects_bool_and_str():
 
 def test_local_factors_rejects_bad_tol(bell, bell_exact):
     for s in (bell, bell_exact):
-        for tol in (-1.0, float("nan"), float("inf")):
+        for tol in (-1.0, float("nan"), float("inf"), "x", None, True):
             with pytest.raises(MalformedInput, match="tol"):
                 local_factors(s, tol)
 
