@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from .errors import MalformedInput, NotProduct, QsegreError
+from .errors import MalformedInput, NotProduct, QsegreError, TooLarge
 from .grassmann import DEFAULT_MAX_CHOOSE, pluecker_measure, pluecker_relations
 from .poly import format_poly
 from .segre import (
@@ -79,12 +80,13 @@ def _load_factors(args):
     raw = obj["factors"]
     if not isinstance(raw, list) or len(raw) < 2:
         raise MalformedInput("factors: expected a list of >= 2 local vectors")
-    out = []
     for j, vec in enumerate(raw):
         if not isinstance(vec, list) or len(vec) < 2:
             raise MalformedInput(f"factors[{j}]: expected a list of >= 2 [re, im] pairs")
-        out.append(make_local(parse_amplitudes(vec, f"factors[{j}]", args.exact)))
-    return out
+    total = math.prod(map(len, raw))
+    if total > DEFAULT_MAX_AMPS:
+        raise TooLarge(f"product of factor lengths = {total} exceeds cap {DEFAULT_MAX_AMPS}")
+    return [make_local(parse_amplitudes(vec, f"factors[{j}]", args.exact)) for j, vec in enumerate(raw)]
 
 
 def _cmd_check_separable(args) -> int:

@@ -15,11 +15,14 @@ exact minors are divided by den^k at the end.  Level r holds C(N, r+1)
 minors, so the widest level has C(N, min(k, N // 2)); that count is capped
 like the relation family's C(N, k).
 
-The relation family is generated from all increasing index pairs (I, J) with
-|I| = k-1, |J| = k+1; each term resolves repeated indices to zero and
-out-of-order indices by permutation sign, and the surviving polynomials are
-sign-canonicalized and deduplicated.  It is cached per (k, N) as read-only
-flat integer term arrays: ``check_relations`` evaluates them in one
+The relation family comes from all increasing index pairs (I, J) with
+|I| = k-1, |J| = k+1, all terms at once, with tables from
+``_minor_plan(k + 1, N)``: level k-1 ranks and signs each I + j, level k
+ranks each J - j_t.  Two terms of a pair share a monomial only when I is in J,
+and then they cancel, so those pairs are dropped and every coefficient is +-1.
+The sign-canonical relations are sorted and deduplicated as integer rows by
+``segre.unique_rows``, as the Segre minors are, and cached per (k, N) as
+read-only flat integer term arrays: ``check_relations`` evaluates them in one
 expression for both backends, and ``pluecker_relations`` slices them.
 
 The measure reads "square root of the sum of each coordinate times its
@@ -42,7 +45,7 @@ import numpy as np
 from .errors import IndexOutOfRange, MissingVariable, NonFinite, ShapeError, TooLarge, WrongShape
 from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussRat, Scalar, is_int
 from .poly import MultiPoly, PluVar, pair_monomials
-from .segre import split_terms
+from .segre import split_terms, unique_rows
 from .states import (Bipartition, PureState, _check_finite, _complex_array, amplitude_array,
                      amplitudes_to_json, gauss_ints, scale_parts)
 
@@ -179,40 +182,31 @@ def _relation_terms(k: int, N: int, max_choose: int) -> RelationFamily:
 
 @functools.lru_cache(maxsize=64)
 def _relation_family(k: int, N: int) -> RelationFamily:
-    universe = range(1, N + 1)
-    rank = {subset: r for r, subset in enumerate(itertools.combinations(universe, k))}
-    # for each J, the rank of J without its t-th index and the sign (-1)^t, t from 1
-    js = [(J, [(rank[J[:t] + J[t + 1:]], -1 if t % 2 == 0 else 1) for t in range(k + 1)])
-          for J in itertools.combinations(universe, k + 1)]
-    seen: dict[tuple, tuple[Subset, Subset]] = {}
-    for I in itertools.combinations(universe, k - 1):
-        # P_{I, j} = sign * P_{sorted(I + j)}: the sign is the parity of the
-        # indices of I above j, which moving j into place passes
-        inserted = {j: (rank[tuple(sorted(I + (j,)))], (-1) ** sum(1 for i in I if i > j))
-                    for j in universe if j not in I}
-        for J, drops in js:
-            terms: dict[tuple[int, int], int] = {}
-            for jt, (rest, sign) in zip(J, drops):
-                if jt not in inserted:
-                    continue  # repeated index: coordinate is zero
-                first, coeff = inserted[jt]
-                mono = (first, rest) if first < rest else (rest, first)
-                acc = terms.get(mono, 0) + sign * coeff
-                if acc:
-                    terms[mono] = acc
-                else:
-                    terms.pop(mono, None)
-            if not terms:
-                continue
-            key = tuple(sorted(terms.items()))
-            if key[0][1] < 0:
-                key = tuple((mono, -c) for mono, c in key)
-            seen.setdefault(key, (I, J))
-    family = sorted(seen.items())
-    rows = [(a, b, c, r) for r, (key, _) in enumerate(family) for (a, b), c in key]
-    cols = np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
+    *_, (subsets, drops, signs), (js, rests, _) = _minor_plan(k + 1, N)
+    # I = S - s_t and j = s_t give P_{I, j} = (-1)^(k-1-t) P_S (the cofactor sign), as j
+    # passes the k-1-t indices of I above it; stored as sign * (rank of S + 1), 0 for j in I
+    inserted = np.zeros((comb(N, k - 1), N), np.int64)
+    inserted[drops, subsets] = np.arange(1, len(subsets) + 1)[:, None] * signs
+    # term t of (I, J) is (-1)^(t+1) P_{I, j_t} P_{J - j_t}.  Two live terms share
+    # a monomial only when I is in J, and then they are the only two and cancel
+    signed = inserted[:, js]
+    pair = np.flatnonzero(np.count_nonzero(signed, axis=2) > 2)
+    signed, rest = signed.reshape(-1, k + 1)[pair], rests[pair % len(js)]
+    live, first = signed != 0, abs(signed) - 1
+    a, b = np.minimum(first, rest) * live, np.maximum(first, rest) * live
+    c = np.sign(signed) * (-1) ** (1 + np.arange(k + 1))
+    # each row: its live terms sorted, then (0, 0, 0), which sorts below any live
+    # term as a < b; the first coefficient positive
+    order = np.argsort(np.where(live, a * len(subsets) + b, len(subsets) ** 2), axis=1)
+    a, b, c = (np.take_along_axis(x, order, axis=1) for x in (a, b, c))
+    rows, firsts = unique_rows(np.stack([a, b, c * c[:, :1]], axis=2).reshape(-1, 3 * k + 3))
+    rows = rows.reshape(-1, k + 1, 3)
+    live = rows[..., 2] != 0
+    cols = np.vstack([rows[live].T, np.nonzero(live)[0]])
     cols.flags.writeable = False
-    return (*cols, tuple(pair for _, pair in family))
+    i_sets = list(itertools.combinations(range(1, N + 1), k - 1))
+    j_sets = [tuple(J) for J in (js + 1).tolist()]
+    return (*cols, tuple((i_sets[p // len(js)], j_sets[p % len(js)]) for p in pair[firsts].tolist()))
 
 
 def pluecker_relations(k: int, N: int, max_choose: int = DEFAULT_MAX_CHOOSE) -> list[PlueckerRelation]:
@@ -226,7 +220,7 @@ def pluecker_relations(k: int, N: int, max_choose: int = DEFAULT_MAX_CHOOSE) -> 
     """
     a, b, c, rel, pairs = _relation_terms(k, N, max_choose)
     mono = pair_monomials([PluVar(subset) for subset in itertools.combinations(range(1, N + 1), k)])
-    coeff = {z: GaussRat(z) for z in set(c.tolist())} | {1: GR_ONE, -1: GR_MINUS_ONE}
+    coeff = {1: GR_ONE, -1: GR_MINUS_ONE}
     terms = [(mono(x, y), coeff[z]) for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
     bounds = np.searchsorted(rel, range(len(pairs) + 1)).tolist()
     return [PlueckerRelation(MultiPoly(dict(terms[i:j])), *pair)

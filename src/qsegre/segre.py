@@ -93,11 +93,17 @@ def _minor_keys(dims: tuple[int, ...]) -> np.ndarray:
         # offset and is the leading monomial
         p, q, c, d = np.broadcast_arrays(mat[r1, c1], mat[r2, c2], mat[r1, c2], mat[r2, c1])
         keys.append(np.stack([p, q, np.minimum(c, d), np.maximum(c, d)], axis=-1).reshape(-1, 4))
-    keys = np.concatenate(keys)
-    keys = keys[np.lexsort(keys.T[::-1])]  # np.unique(axis=0) sorts the same, 7x slower
-    keep = np.ones(len(keys), dtype=bool)
-    keep[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    return keys[keep]
+    return unique_rows(np.concatenate(keys))[0]
+
+
+def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array in lexicographic order, and the index
+    of each one's first occurrence (the sort is stable)."""
+    order = np.lexsort(rows.T[::-1])  # np.unique(axis=0) sorts the same, 7x slower
+    rows = rows[order]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep], order[keep]
 
 
 def segre_generators(dims, max_amps: int = DEFAULT_MAX_AMPS) -> SegreIdeal:

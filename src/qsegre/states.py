@@ -58,10 +58,13 @@ def amplitude_array(values, shape: tuple[int, ...], label: str = "amps") -> np.n
     if len(values) != total:
         raise DimensionMismatch(f"{label} has length {len(values)}, expected {total}")
     if isinstance(values, list):
-        for k, a in enumerate(values):
-            if isinstance(a, bool) or not isinstance(a, (numbers.Number, GaussRat)):
-                raise MalformedInput(f"{label}[{k}]: expected a number, got {type(a).__name__}")
-        if all(isinstance(a, (int, Fraction, GaussRat)) for a in values):
+        # one pass collects the entry types; the ABC check runs only if one is unlisted
+        types = set(map(type, values))
+        if not types <= {int, Fraction, GaussRat, float, complex}:
+            for k, a in enumerate(values):
+                if isinstance(a, bool) or not isinstance(a, (numbers.Number, GaussRat)):
+                    raise MalformedInput(f"{label}[{k}]: expected a number, got {type(a).__name__}")
+        if all(issubclass(t, (int, Fraction, GaussRat)) for t in types):
             arr = np.empty(len(values), dtype=object)
             arr[:] = [a if isinstance(a, GaussRat) else GaussRat(a) for a in values]
             return arr.reshape(shape)
@@ -344,7 +347,8 @@ def flat_matrix(arr: np.ndarray, b: Bipartition) -> np.ndarray:
     """
     m = arr.ndim
     left = b.left
-    if not left or list(left) != sorted(set(left)) or left[0] < 1 or left[-1] > m:
+    if (not left or not all(map(is_int, left)) or list(left) != sorted(set(left))
+            or left[0] < 1 or left[-1] > m):
         raise IndexOutOfRange(f"bipartition {left} invalid for {m} modes")
     if len(left) == m:
         raise IndexOutOfRange("bipartition must be a proper subset of the modes")

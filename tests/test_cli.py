@@ -268,6 +268,23 @@ def test_state_commands_accept_amplitudes_at_cap(capsys, tmp_path):
     assert json.loads(out) == {"value": 0.0}
 
 
+def test_segre_map_caps_amplitudes(capsys, tmp_path):
+    fpath = tmp_path / "factors.json"
+    fpath.write_text(json.dumps({"factors": [[[1, 0], [0, 0]]] * 13}))
+    code, out, err = run(capsys, ["segre-map", "--factors", str(fpath)])
+    assert_clean_exit_2(code, out, err)
+    assert "8192 exceeds cap 4096" in err
+    # the cap is checked before any amplitude is parsed
+    fpath.write_text(json.dumps({"factors": [[[1, 0], [0, 0]]] * 2 + [[["x", 0]] * 3000] * 2}))
+    code, out, err = run(capsys, ["segre-map", "--factors", str(fpath)])
+    assert_clean_exit_2(code, out, err)
+    assert "exceeds cap" in err
+    fpath.write_text(json.dumps({"factors": [[[1, 0], [0, 0]]] * 12}))
+    code, out, err = run(capsys, ["segre-map", "--factors", str(fpath)])
+    assert code == 0, err
+    assert json.loads(out)["dims"] == [2] * 12
+
+
 def assert_clean_exit_2(code, out, err):
     assert code == 2
     assert out == ""

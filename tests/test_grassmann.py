@@ -249,7 +249,8 @@ def test_relations_3_5_are_hodge_duals_of_2_5():
     assert duals == {r.poly for r in pluecker_relations(3, 5)}
 
 
-@pytest.mark.parametrize("k, n", [(2, 4), (2, 6), (3, 5), (3, 6), (3, 7), (4, 7), (2, 8), (5, 7)])
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 6), (3, 5), (3, 6), (3, 7), (4, 7), (2, 8), (5, 7),
+                                  (1, 4), (3, 4), (4, 5), (6, 8), (2, 9)])
 def test_relations_match_product_oracle(k, n):
     got = [(r.poly, r.I, r.J) for r in pluecker_relations(k, n)]
     assert got == relation_product_oracle(k, n)

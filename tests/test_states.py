@@ -23,6 +23,7 @@ from qsegre import (
     apply_local_unitary,
     canonical_bipartitions,
     flatten,
+    is_bipartite_separable,
     local_factors,
     make_bipartition,
     make_local,
@@ -263,6 +264,7 @@ def test_flatten_matches_oracle_exact(ghz3_exact):
 
 def test_flatten_rejects_improper():
     s = make_state([2, 2], [1, 0, 0, 1])
+    ghz = make_state([2, 2, 2], [1, 0, 0, 0, 0, 0, 0, 1])
     with pytest.raises(IndexOutOfRange):
         make_bipartition([1, 2], 2)
     with pytest.raises(IndexOutOfRange):
@@ -274,6 +276,10 @@ def test_flatten_rejects_improper():
     for mode in ("a", True, 1.0):
         with pytest.raises(IndexOutOfRange, match="expected an int"):
             make_bipartition([mode], 3)
+        with pytest.raises(IndexOutOfRange):
+            flatten(s, Bipartition((mode,)))
+        with pytest.raises(IndexOutOfRange):
+            is_bipartite_separable(ghz, Bipartition((mode,)))
 
 
 def test_flatten_complement_transpose():
