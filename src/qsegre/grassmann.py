@@ -15,15 +15,13 @@ exact minors are divided by den^k at the end.  Level r holds C(N, r+1)
 minors, so the widest level has C(N, min(k, N // 2)); that count is capped
 like the relation family's C(N, k).
 
-The relation family comes from all increasing index pairs (I, J) with
-|I| = k-1, |J| = k+1, all terms at once, with tables from
-``_minor_plan(k + 1, N)``: level k-1 ranks and signs each I + j, level k
-ranks each J - j_t.  Two terms of a pair share a monomial only when I is in J,
-and then they cancel, so those pairs are dropped and every coefficient is +-1.
-The sign-canonical relations are sorted and deduplicated as integer rows by
-``segre.unique_rows``, as the Segre minors are, and cached per (k, N) as
-read-only flat integer term arrays: ``check_relations`` evaluates them in one
-expression for both backends, and ``pluecker_relations`` slices them.
+The relation family takes every (I, J) with |I| = k-1, |J| = k+1 at once,
+from the minor plan's tables for k- and (k+1)-subsets (``_drop_table``).  Two
+terms share a monomial only when I is in J, and then cancel, so those pairs
+go and every coefficient is +-1.  ``segre.unique_rows`` deduplicates the
+relations as it does the Segre minors; they are cached per (k, N) as read-only
+flat integer term arrays that ``check_relations`` evaluates in one expression
+for both backends and ``pluecker_relations`` slices.
 
 The measure reads "square root of the sum of each coordinate times its
 conjugate" (an l2 norm of the coordinate vector).  A literal product over all
@@ -105,18 +103,19 @@ def _coerce_matrix(mat) -> np.ndarray:
     return amplitude_array([x for r in rows for x in r], (len(rows), width), "matrix")
 
 
+@functools.lru_cache(maxsize=128)
+def _drop_table(r: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The r-subsets S of the columns in lexicographic order, and the rank of
+    each S without its t-th column among the (r-1)-subsets."""
+    rank = {S: i for i, S in enumerate(itertools.combinations(range(N), r - 1))}
+    subsets = list(itertools.combinations(range(N), r))
+    return np.array(subsets), np.array([[rank[S[:t] + S[t + 1:]] for t in range(r)] for S in subsets])
+
+
 @functools.lru_cache(maxsize=64)
 def _minor_plan(k: int, N: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Per row r: the (r+1)-subsets S of the columns, in lexicographic order;
-    the rank of each S without its t-th column among the r-subsets; and the
-    cofactor signs (-1)^(r+t)."""
-    plan, rank = [], {(): 0}
-    for r in range(k):
-        subsets = list(itertools.combinations(range(N), r + 1))
-        drops = [[rank[S[:t] + S[t + 1:]] for t in range(r + 1)] for S in subsets]
-        rank = {S: i for i, S in enumerate(subsets)}
-        plan.append((np.array(subsets), np.array(drops), (-1) ** (r + np.arange(r + 1))))
-    return tuple(plan)
+    """Per row r: ``_drop_table(r + 1, N)`` and the cofactor signs (-1)^(r+t)."""
+    return tuple((*_drop_table(r + 1, N), (-1) ** (r + np.arange(r + 1))) for r in range(k))
 
 
 def _maximal_minors(mat: np.ndarray) -> list[Scalar]:
@@ -182,27 +181,29 @@ def _relation_terms(k: int, N: int, max_choose: int) -> RelationFamily:
 
 @functools.lru_cache(maxsize=64)
 def _relation_family(k: int, N: int) -> RelationFamily:
-    *_, (subsets, drops, signs), (js, rests, _) = _minor_plan(k + 1, N)
+    (subsets, drops), (js, rests) = _drop_table(k, N), _drop_table(k + 1, N)
     # I = S - s_t and j = s_t give P_{I, j} = (-1)^(k-1-t) P_S (the cofactor sign), as j
     # passes the k-1-t indices of I above it; stored as sign * (rank of S + 1), 0 for j in I
     inserted = np.zeros((comb(N, k - 1), N), np.int64)
-    inserted[drops, subsets] = np.arange(1, len(subsets) + 1)[:, None] * signs
+    inserted[drops, subsets] = np.arange(1, len(subsets) + 1)[:, None] * (-1) ** (k - 1 - np.arange(k))
     # term t of (I, J) is (-1)^(t+1) P_{I, j_t} P_{J - j_t}.  Two live terms share
     # a monomial only when I is in J, and then they are the only two and cancel
-    signed = inserted[:, js]
-    pair = np.flatnonzero(np.count_nonzero(signed, axis=2) > 2)
-    signed, rest = signed.reshape(-1, k + 1)[pair], rests[pair % len(js)]
-    live, first = signed != 0, abs(signed) - 1
-    a, b = np.minimum(first, rest) * live, np.maximum(first, rest) * live
-    c = np.sign(signed) * (-1) ** (1 + np.arange(k + 1))
-    # each row: its live terms sorted, then (0, 0, 0), which sorts below any live
-    # term as a < b; the first coefficient positive
-    order = np.argsort(np.where(live, a * len(subsets) + b, len(subsets) ** 2), axis=1)
+    signed = inserted[:, js].reshape(-1, k + 1)
+    pair = np.flatnonzero(np.count_nonzero(signed, axis=1) > 2)
+    row, t = np.nonzero(signed[pair])
+    first, rest = signed[pair[row], t], rests[pair[row] % len(js), t]
+    # each row: its live terms (j_t in J - I, so at most w) sorted, then (0, 0, 0),
+    # which sorts below any live term as a < b; the first coefficient positive
+    w = min(k + 1, N - k + 1)
+    a, b, c = np.zeros((3, len(pair), w), np.int64)
+    slot = np.arange(len(t)) - np.searchsorted(row, row)
+    a[row, slot], b[row, slot] = np.minimum(abs(first) - 1, rest), np.maximum(abs(first) - 1, rest)
+    c[row, slot] = np.sign(first) * (-1) ** (1 + t)
+    order = np.argsort(np.where(c != 0, a * len(subsets) + b, len(subsets) ** 2), axis=1)
     a, b, c = (np.take_along_axis(x, order, axis=1) for x in (a, b, c))
-    rows, firsts = unique_rows(np.stack([a, b, c * c[:, :1]], axis=2).reshape(-1, 3 * k + 3))
-    rows = rows.reshape(-1, k + 1, 3)
-    live = rows[..., 2] != 0
-    cols = np.vstack([rows[live].T, np.nonzero(live)[0]])
+    rows, firsts = unique_rows(np.stack([a, b, c * c[:, :1]], axis=2).reshape(-1, 3 * w))
+    live = rows[:, 2::3] != 0
+    cols = np.vstack([rows.reshape(-1, w, 3)[live].T, np.nonzero(live)[0]])
     cols.flags.writeable = False
     i_sets = list(itertools.combinations(range(1, N + 1), k - 1))
     j_sets = [tuple(J) for J in (js + 1).tolist()]
@@ -274,8 +275,8 @@ def pluecker_measure(s: PureState, pivot: int = 1) -> float:
         raise WrongShape(f"measure is defined for qubit modes only, got dims {s.dims}")
     if s.num_modes < 2:
         raise WrongShape("measure needs >= 2 modes")
-    if not 1 <= pivot <= s.num_modes:
-        raise IndexOutOfRange(f"pivot {pivot} out of range 1..{s.num_modes}")
+    if not is_int(pivot) or not 1 <= pivot <= s.num_modes:
+        raise IndexOutOfRange(f"pivot {pivot!r} is not an int in 1..{s.num_modes}")
     (term,) = split_terms(s, [Bipartition((pivot,))])
     return 2.0 * math.sqrt(float(term))
 

@@ -97,8 +97,7 @@ def _minor_keys(dims: tuple[int, ...]) -> np.ndarray:
 
 
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-d array in lexicographic order, and the index
-    of each one's first occurrence (the sort is stable)."""
+    """A 2-d array's distinct rows, sorted, and each one's first index (stable sort)."""
     order = np.lexsort(rows.T[::-1])  # np.unique(axis=0) sorts the same, 7x slower
     rows = rows[order]
     keep = np.ones(len(rows), dtype=bool)

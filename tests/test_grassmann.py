@@ -256,6 +256,24 @@ def test_relations_match_product_oracle(k, n):
     assert got == relation_product_oracle(k, n)
 
 
+def _supports(a, b, rel):
+    terms = {}
+    for r, x, y in zip(rel.tolist(), a.tolist(), b.tolist()):
+        terms.setdefault(r, []).append((x, y))
+    return sorted(sorted(t) for t in terms.values())
+
+
+@pytest.mark.parametrize("n", [20, 26])
+def test_relations_near_n_are_the_hodge_dual(n):
+    # complementing k-subsets reverses their lexicographic order and maps the
+    # family of G(2, N) onto that of G(N - 2, N) up to signs
+    a, b, _, rel, pairs = _relation_terms(n - 2, n, 10000)
+    da, db, _, drel, dual_pairs = _relation_terms(2, n, 10000)
+    last = math.comb(n, 2) - 1
+    assert len(pairs) == len(dual_pairs)
+    assert _supports(a, b, rel) == _supports(last - db, last - da, drel)
+
+
 def test_relations_cap_and_shape():
     with pytest.raises(TooLarge):
         pluecker_relations(10, 25, max_choose=1000)
@@ -544,8 +562,9 @@ def test_measure_ghz(ghz3, ghz3_exact):
 def test_measure_shape_errors(ghz3):
     with pytest.raises(WrongShape):
         pluecker_measure(make_state([2, 3], [1, 0, 0, 0, 0, 1]), 1)
-    with pytest.raises(IndexOutOfRange):
-        pluecker_measure(ghz3, 4)
+    for pivot in (4, 0, np.int64(2), True, 1.0, "1"):
+        with pytest.raises(IndexOutOfRange, match="pivot"):
+            pluecker_measure(ghz3, pivot)
     with pytest.raises(WrongShape):
         pluecker_measure(make_state([2], [1, 0]), 1)
 
