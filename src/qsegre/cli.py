@@ -24,7 +24,7 @@ import math
 import sys
 
 from .errors import MalformedInput, NotProduct, QsegreError, TooLarge
-from .grassmann import DEFAULT_MAX_CHOOSE, pluecker_measure, pluecker_relations
+from .grassmann import pluecker_measure, pluecker_relations
 from .poly import format_poly
 from .segre import (
     DEFAULT_TOL,
@@ -117,7 +117,7 @@ def _cmd_pluecker_measure(args) -> int:
 
 
 def _cmd_segre_ideal(args) -> int:
-    ideal = segre_generators(_parse_ints(args.dims, "--dims"), max_amps=args.max_amps)
+    ideal = segre_generators(_parse_ints(args.dims, "--dims"))
     sys.stderr.write(f"{len(ideal.gens)} generators\n")
     for gen in ideal.gens:
         sys.stdout.write(format_poly(gen) + "\n")
@@ -125,7 +125,7 @@ def _cmd_segre_ideal(args) -> int:
 
 
 def _cmd_pluecker_relations(args) -> int:
-    for rel in pluecker_relations(args.k, args.n, max_choose=args.max_choose):
+    for rel in pluecker_relations(args.k, args.n):
         sys.stdout.write(format_poly(rel.poly) + "\n")
     return 0
 
@@ -171,13 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("segre-ideal", help="print the 2x2 minor generators for given dims")
     p.add_argument("--dims", required=True, help="comma-separated mode dimensions")
-    p.add_argument("--max-amps", type=int, default=DEFAULT_MAX_AMPS, help="largest prod(dims) accepted")
     p.set_defaults(func=_cmd_segre_ideal)
 
     p = sub.add_parser("pluecker-relations", help="print the quadratic relations of G(k, N)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-choose", type=int, default=DEFAULT_MAX_CHOOSE)
     p.set_defaults(func=_cmd_pluecker_relations)
 
     p = sub.add_parser("segre-map", help="tensor a factors file into a state JSON")

@@ -16,9 +16,11 @@ minors, so the widest level has C(N, min(k, N // 2)); that count is capped
 like the relation family's C(N, k).
 
 The relation family takes every (I, J) with |I| = k-1, |J| = k+1 at once,
-from the minor plan's tables for k- and (k+1)-subsets (``_drop_table``).  Two
+from the expansion's tables for k- and (k+1)-subsets (``_drop_table``).  Two
 terms share a monomial only when I is in J, and then cancel, so those pairs
-go and every coefficient is +-1.  ``segre.unique_rows`` deduplicates the
+go and every coefficient is +-1; for k = 1 and k = N - 1 every pair goes.
+The build holds all C(N, k-1) C(N, k+1) (k+1) terms at once, so that count
+is capped by ``segre.MAX_TERMS`` first.  ``segre.unique_rows`` deduplicates the
 relations as it does the Segre minors; they are cached per (k, N) as read-only
 flat integer term arrays that ``check_relations`` evaluates in one expression
 for both backends and ``pluecker_relations`` slices.
@@ -43,7 +45,7 @@ import numpy as np
 from .errors import IndexOutOfRange, MissingVariable, NonFinite, ShapeError, TooLarge, WrongShape
 from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussRat, Scalar, is_int
 from .poly import MultiPoly, PluVar, pair_monomials
-from .segre import split_terms, unique_rows
+from .segre import check_terms, split_terms, unique_rows
 from .states import (Bipartition, PureState, _check_finite, _complex_array, amplitude_array,
                      amplitudes_to_json, gauss_ints, scale_parts)
 
@@ -112,21 +114,16 @@ def _drop_table(r: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(subsets), np.array([[rank[S[:t] + S[t + 1:]] for t in range(r)] for S in subsets])
 
 
-@functools.lru_cache(maxsize=64)
-def _minor_plan(k: int, N: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Per row r: ``_drop_table(r + 1, N)`` and the cofactor signs (-1)^(r+t)."""
-    return tuple((*_drop_table(r + 1, N), (-1) ** (r + np.arange(r + 1))) for r in range(k))
-
-
 def _maximal_minors(mat: np.ndarray) -> list[Scalar]:
     """Every k x k column minor of the k x N ``mat``, columns in lexicographic order."""
     k, n = mat.shape
     re, im, den = gauss_ints(mat)
     p_re, p_im = np.ones(1, re.dtype), np.zeros(1, re.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        for row_re, row_im, (cols, drops, sign) in zip(re, im, _minor_plan(k, n)):
+        for r, (row_re, row_im) in enumerate(zip(re, im)):
+            cols, drops = _drop_table(r + 1, n)
             a, b, c, d = row_re[cols], row_im[cols], p_re[drops], p_im[drops]
-            sign = sign.astype(re.dtype)
+            sign = ((-1) ** (r + np.arange(r + 1))).astype(re.dtype)
             p_re, p_im = (a * c - b * d) @ sign, (a * d + b * c) @ sign
     if mat.dtype == object:
         scale = den**k
@@ -160,7 +157,13 @@ Subset = tuple[int, ...]
 RelationFamily = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[tuple[Subset, Subset], ...]]
 
 
-def _relation_terms(k: int, N: int, max_choose: int) -> RelationFamily:
+def _relation_term_count(k: int, N: int) -> int:
+    """The (I, J, t) entries ``_relation_family`` builds before it drops any:
+    none for k = 1 and k = N - 1, where every I is in every J."""
+    return 0 if k in (1, N - 1) else comb(N, k - 1) * comb(N, k + 1) * (k + 1)
+
+
+def _relation_terms(k: int, N: int) -> RelationFamily:
     """The relation family as flat integer term arrays ``(a, b, c, rel)`` and
     the tuple of (I, J) pairs, one per relation.
 
@@ -169,18 +172,25 @@ def _relation_terms(k: int, N: int, max_choose: int) -> RelationFamily:
     Each relation's terms are consecutive and sorted, and its first
     coefficient is positive (``sign_canonical``); the relations are sorted
     like the polynomials' sorted terms, and each keeps the first (I, J) that
-    produced it.  The arrays are read-only.  The shape and the cap are checked
-    on every call; the family itself is built once per (k, N).
+    produced it.  The arrays are read-only.  The shape and the caps, C(N, k)
+    at most DEFAULT_MAX_CHOOSE and the (I, J, t) entries at most
+    ``segre.MAX_TERMS``, are checked on every call; the family itself is built
+    once per (k, N).
     """
     if not (is_int(k) and is_int(N)) or k < 1 or k >= N:
         raise ShapeError(f"need 1 <= k < N, got k={k}, N={N}")
-    if comb(N, k) > max_choose:
-        raise TooLarge(f"C({N},{k}) = {comb(N, k)} exceeds cap {max_choose}")
+    if comb(N, k) > DEFAULT_MAX_CHOOSE:
+        raise TooLarge(f"C({N},{k}) = {comb(N, k)} exceeds cap {DEFAULT_MAX_CHOOSE}")
+    check_terms(_relation_term_count(k, N), f"the relation family of G({k},{N})")
     return _relation_family(k, N)
 
 
 @functools.lru_cache(maxsize=64)
 def _relation_family(k: int, N: int) -> RelationFamily:
+    if not _relation_term_count(k, N):
+        empty = np.zeros(0, np.int64)
+        empty.flags.writeable = False
+        return empty, empty, empty, empty, ()
     (subsets, drops), (js, rests) = _drop_table(k, N), _drop_table(k + 1, N)
     # I = S - s_t and j = s_t give P_{I, j} = (-1)^(k-1-t) P_S (the cofactor sign), as j
     # passes the k-1-t indices of I above it; stored as sign * (rank of S + 1), 0 for j in I
@@ -210,16 +220,19 @@ def _relation_family(k: int, N: int) -> RelationFamily:
     return (*cols, tuple((i_sets[p // len(js)], j_sets[p % len(js)]) for p in pair[firsts].tolist()))
 
 
-def pluecker_relations(k: int, N: int, max_choose: int = DEFAULT_MAX_CHOOSE) -> list[PlueckerRelation]:
+def pluecker_relations(k: int, N: int) -> list[PlueckerRelation]:
     """The quadratic relation family for G(k, N).
 
     Each (I, J) with |I| = k-1 and |J| = k+1 contributes
     sum_t (-1)^t P_{I, j_t} P_{J \\ j_t}; zero polynomials are dropped and the
-    rest deduplicated under sign.  For k = 1 the family is empty.  The terms
-    are enumerated as integer keys and only the surviving relations become
-    polynomials, each from its slice of the family's term arrays.
+    rest deduplicated under sign.  For k = 1 and k = N - 1 the family is
+    empty.  The terms are enumerated as integer keys and only the surviving
+    relations become polynomials, each from its slice of the family's term
+    arrays.
     """
-    a, b, c, rel, pairs = _relation_terms(k, N, max_choose)
+    a, b, c, rel, pairs = _relation_terms(k, N)
+    if not pairs:
+        return []
     mono = pair_monomials([PluVar(subset) for subset in itertools.combinations(range(1, N + 1), k)])
     coeff = {1: GR_ONE, -1: GR_MINUS_ONE}
     terms = [(mono(x, y), coeff[z]) for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
@@ -228,7 +241,7 @@ def pluecker_relations(k: int, N: int, max_choose: int = DEFAULT_MAX_CHOOSE) -> 
             for i, j, pair in zip(bounds, bounds[1:], pairs)]
 
 
-def check_relations(ps: PlueckerSet, max_choose: int = DEFAULT_MAX_CHOOSE):
+def check_relations(ps: PlueckerSet):
     """Max |relation(coords)| over the relation family; exact 0 for minors.
 
     A set that mixes exact and float coordinates takes the float backend,
@@ -239,7 +252,7 @@ def check_relations(ps: PlueckerSet, max_choose: int = DEFAULT_MAX_CHOOSE):
     parts are divided by a power of two first (``states.scale_parts``), so no
     product overflows; NonFinite only when the residual is not a finite float.
     """
-    a, b, c, rel, pairs = _relation_terms(ps.k, ps.N, max_choose)
+    a, b, c, rel, pairs = _relation_terms(ps.k, ps.N)
     vals = []
     for subset in itertools.combinations(range(1, ps.N + 1), ps.k):
         if subset not in ps.coords:

@@ -109,10 +109,6 @@ class Monomial(_Atom):
         text = "*".join(v.text if e == 1 else f"{v.text}^{e}" for v, e in pairs)
         self._freeze(pairs, tuple((v._key, e) for v, e in pairs), text or "1")
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[VarId, int]]) -> "Monomial":
-        return cls(pairs)
-
     def degree(self) -> int:
         return sum(e for _, e in self.factors)
 

@@ -50,6 +50,11 @@ from .states import (
 )
 
 DEFAULT_TOL = 1e-10
+# The most raw terms a family build may enumerate before it deduplicates: 2x2
+# minor keys here, (I, J, t) entries in ``grassmann``.  It admits every golden
+# family and benchmark rung, and 2^8 (1.7M) and G(5, 12) (2.7M), which take
+# seconds and hundreds of MB; 2^10 (119M) would take GBs.
+MAX_TERMS = 2**22
 # Float minor sums at or below this fraction of ||M||_F^4 are recomputed from
 # the singular values: the Gram identity's absolute error is ~1e-16 ||M||_F^4.
 GRAM_CUTOFF = 1e-4
@@ -105,21 +110,41 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[keep], order[keep]
 
 
-def segre_generators(dims, max_amps: int = DEFAULT_MAX_AMPS) -> SegreIdeal:
+def check_terms(count: int, family: str) -> None:
+    """Raise TooLarge, naming the count and the cap, when ``count`` exceeds MAX_TERMS."""
+    if count > MAX_TERMS:
+        raise TooLarge(f"{family} has {count} raw terms, exceeds cap {MAX_TERMS}")
+
+
+def _minor_key_count(dims: tuple[int, ...]) -> int:
+    """The rows ``_minor_keys`` builds before it deduplicates, in closed form.
+
+    A split with R rows and C = P / R columns has C(R, 2) C(C, 2) =
+    P (P + 1 - R - C) / 4 minors.  Over the 2^(m-1) - 1 canonical splits the
+    row counts R add up to d1 (A - B) and the column counts C to A - 1, with
+    A = prod_{j>=2} (1 + d_j) and B = prod_{j>=2} d_j.
+    """
+    p, a, b = math.prod(dims), math.prod(d + 1 for d in dims[1:]), math.prod(dims[1:])
+    return p * ((p + 1) * (2 ** (len(dims) - 1) - 1) - dims[0] * (a - b) - (a - 1)) // 4
+
+
+def segre_generators(dims) -> SegreIdeal:
     """All distinct 2x2 minors of all canonical-bipartition flattenings.
 
     Generators are sign-canonical (leading monomial positive), deduplicated,
     and sorted; each is homogeneous of degree 2 and vanishes identically on
     the image of the Segre map.  The minors are enumerated as integer keys
-    and only the surviving ones become polynomials.
+    and only the surviving ones become polynomials.  Raises TooLarge when
+    prod(dims) exceeds DEFAULT_MAX_AMPS or the minor keys MAX_TERMS.
     """
     dims = tuple(dims)
     if len(dims) < 2:
         raise WrongShape(f"need >= 2 modes, got {len(dims)}")
     if any(not isinstance(d, int) or d < 2 for d in dims):
         raise WrongShape(f"mode dimensions must be integers >= 2, got {dims}")
-    if math.prod(dims) > max_amps:
-        raise TooLarge(f"prod(dims) = {math.prod(dims)} exceeds cap {max_amps}")
+    if math.prod(dims) > DEFAULT_MAX_AMPS:
+        raise TooLarge(f"prod(dims) = {math.prod(dims)} exceeds cap {DEFAULT_MAX_AMPS}")
+    check_terms(_minor_key_count(dims), f"the Segre ideal of dims {dims}")
     mono = pair_monomials([StateVar(index) for index in itertools.product(*(range(d) for d in dims))])
     gens = tuple(
         MultiPoly({mono(p, q): GR_ONE, mono(r, s): GR_MINUS_ONE})

@@ -363,9 +363,14 @@ def flatten(s: PureState, b: Bipartition) -> Flattening:
 
 
 def permute_modes(s: PureState, perm: Sequence[int]) -> PureState:
-    """Reorder modes: new mode k carries old mode perm[k-1] (perm is 1-based)."""
+    """Reorder modes: new mode k carries old mode perm[k-1] (perm is 1-based).
+
+    Entries follow the ``is_int`` rule, except that numpy integers, as from
+    ``rng.permutation``, are accepted too.
+    """
     m = s.num_modes
-    if sorted(perm) != list(range(1, m + 1)):
+    ints = all(is_int(p) or isinstance(p, np.integer) for p in perm)
+    if not ints or sorted(perm) != list(range(1, m + 1)):
         raise IndexOutOfRange(f"perm {perm} is not a permutation of 1..{m}")
     return PureState(s.array.transpose([p - 1 for p in perm]))
 
@@ -373,8 +378,8 @@ def permute_modes(s: PureState, perm: Sequence[int]) -> PureState:
 def apply_local_unitary(s: PureState, mode: int, u: np.ndarray) -> PureState:
     """Apply a d x d matrix to one mode (float backend); the PureState
     constructor rejects a zero or non-finite result."""
-    if mode < 1 or mode > s.num_modes:
-        raise IndexOutOfRange(f"mode {mode} out of range 1..{s.num_modes}")
+    if not is_int(mode) or mode < 1 or mode > s.num_modes:
+        raise IndexOutOfRange(f"mode {mode!r} is not an int in 1..{s.num_modes}")
     d = s.dims[mode - 1]
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (d, d):

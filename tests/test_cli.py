@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -161,12 +162,21 @@ def test_exact_flag_rejects_floats(capsys, tmp_path):
 
 
 def test_caps_reported(capsys):
-    code, _, err = run(capsys, ["segre-ideal", "--dims", "2,2,2", "--max-amps", "4"])
-    assert code == 2
-    assert "cap" in err
-    code, _, err = run(capsys, ["pluecker-relations", "--k", "3", "--n", "20", "--max-choose", "100"])
-    assert code == 2
-    assert "cap" in err
+    for command, count in [
+        (["segre-ideal", "--dims", ",".join(["2"] * 10)], 119_232_256),
+        (["segre-ideal", "--dims", ",".join(["4"] * 6)], 118_250_496),
+        (["segre-ideal", "--dims", ",".join(["2"] * 12)], 8_047_836_160),
+        (["segre-ideal", "--dims", ",".join(["2"] * 13)], 8192),
+        (["pluecker-relations", "--k", "4", "--n", "20"], 88_372_800),
+        (["pluecker-relations", "--k", "2", "--n", "100"], 48_510_000),
+        (["pluecker-relations", "--k", "6", "--n", "14"], 48_096_048),
+        (["pluecker-relations", "--k", "3", "--n", "50"], 19600),
+    ]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, command)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert str(count) in err and "cap" in err
 
 
 def test_unknown_flag_exits_2(bell_file):

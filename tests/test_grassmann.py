@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +39,8 @@ from qsegre import (
     pluecker_set_to_json,
     segre_map,
 )
-from qsegre.grassmann import PlueckerSet, _relation_family, _relation_terms
+from qsegre import segre
+from qsegre.grassmann import PlueckerSet, _relation_family, _relation_term_count, _relation_terms
 from qsegre.segre import DEFAULT_TOL
 from qsegre.sampling import (
     default_rng,
@@ -241,7 +243,7 @@ def test_relations_3_5_are_hodge_duals_of_2_5():
                 comp = tuple(i for i in universe if i not in v.subset)
                 sign *= shuffle_sign(v.subset) ** e
                 pairs.append((PluVar(comp), e))
-            m2 = Monomial.from_pairs(pairs)
+            m2 = Monomial(pairs)
             terms[m2] = terms.get(m2, GaussRat(0)) + GaussRat(sign) * c
         return MultiPoly(terms).sign_canonical()
 
@@ -267,16 +269,31 @@ def _supports(a, b, rel):
 def test_relations_near_n_are_the_hodge_dual(n):
     # complementing k-subsets reverses their lexicographic order and maps the
     # family of G(2, N) onto that of G(N - 2, N) up to signs
-    a, b, _, rel, pairs = _relation_terms(n - 2, n, 10000)
-    da, db, _, drel, dual_pairs = _relation_terms(2, n, 10000)
+    a, b, _, rel, pairs = _relation_terms(n - 2, n)
+    da, db, _, drel, dual_pairs = _relation_terms(2, n)
     last = math.comb(n, 2) - 1
     assert len(pairs) == len(dual_pairs)
     assert _supports(a, b, rel) == _supports(last - db, last - da, drel)
 
 
+@pytest.mark.parametrize("k, n", [(2, 6), (3, 8), (4, 8), (6, 8), (1, 5), (4, 5)])
+def test_relation_term_count_is_the_raw_entry_count(k, n):
+    # every (I, J, t) entry the build lays out, or none when every I is in
+    # every J and the build returns the empty family at once
+    pairs = [(I, J) for I in itertools.combinations(range(n), k - 1)
+             for J in itertools.combinations(range(n), k + 1)]
+    live = any(not set(I) <= set(J) for I, J in pairs)
+    assert _relation_term_count(k, n) == (sum(len(J) for _, J in pairs) if live else 0)
+
+
 def test_relations_cap_and_shape():
-    with pytest.raises(TooLarge):
-        pluecker_relations(10, 25, max_choose=1000)
+    for k, n in ((4, 20), (2, 100), (6, 14), (10, 25)):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="cap"):
+            pluecker_relations(k, n)
+        with pytest.raises(TooLarge, match="cap"):
+            check_relations(PlueckerSet(k, n, {}))
+        assert time.perf_counter() - start < 1.0
     with pytest.raises(ShapeError):
         pluecker_relations(4, 4)
     with pytest.raises(ShapeError):
@@ -288,23 +305,33 @@ def test_relations_cap_and_shape():
             check_relations(PlueckerSet(k, n, {}))
 
 
-def test_relation_family_is_built_once_and_immutable():
+def test_relation_family_is_built_once_and_immutable(monkeypatch):
     _relation_family.cache_clear()
-    first = _relation_terms(3, 7, 10000)
+    first = _relation_terms(3, 7)
     rels = pluecker_relations(3, 7)
     rng = default_rng(37)
     check_relations(pluecker_coordinates(random_exact_matrix(rng, 3, 7)))
     assert _relation_family.cache_info().misses == 1
-    assert _relation_terms(3, 7, 10000) is first
+    assert _relation_terms(3, 7) is first
     *arrays, pairs = first
     assert isinstance(pairs, tuple) and not any(arr.flags.writeable for arr in arrays)
     assert [(rel.I, rel.J) for rel in rels] == list(pairs)
     # the cap still applies to a family that is already cached
+    monkeypatch.setattr(segre, "MAX_TERMS", _relation_term_count(3, 7) - 1)
+    with pytest.raises(TooLarge, match="2940 raw terms"):
+        pluecker_relations(3, 7)
     with pytest.raises(TooLarge):
-        pluecker_relations(3, 7, max_choose=34)
-    with pytest.raises(TooLarge):
-        check_relations(pluecker_coordinates(random_exact_matrix(rng, 3, 7)), max_choose=34)
-    assert len(pluecker_relations(3, 7, max_choose=35)) == len(pairs)
+        check_relations(pluecker_coordinates(random_exact_matrix(rng, 3, 7)))
+    monkeypatch.setattr(segre, "MAX_TERMS", _relation_term_count(3, 7))
+    assert len(pluecker_relations(3, 7)) == len(pairs)
+    assert _relation_family.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("k, n", [(1, 2000), (199, 200)])
+def test_relations_empty_without_building(k, n):
+    start = time.perf_counter()
+    assert pluecker_relations(k, n) == []
+    assert time.perf_counter() - start < 1.0
 
 
 # ------------------------------------------------------------ check_relations
@@ -324,6 +351,8 @@ def test_check_relations_all_ones_residual():
 
 def test_check_relations_vacuous_for_k1():
     ps = pluecker_coordinates([[GaussRat(1), GaussRat(2), GaussRat(3)]])
+    assert check_relations(ps) == 0
+    ps = pluecker_coordinates([list(range(1, 2001))])
     assert check_relations(ps) == 0
 
 

@@ -159,7 +159,7 @@ def test_evaluate_mixed_assignment_is_float():
 fracs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 coeffs = st.builds(GaussRat, fracs, fracs)
 variables = st.sampled_from([StateVar((0,)), StateVar((1,)), StateVar((0, 1)), PluVar((1, 2))])
-monomials = st.lists(st.tuples(variables, st.integers(1, 3)), max_size=3).map(Monomial.from_pairs)
+monomials = st.lists(st.tuples(variables, st.integers(1, 3)), max_size=3).map(Monomial)
 polys = st.dictionaries(monomials, coeffs, max_size=4).map(MultiPoly)
 
 
@@ -258,7 +258,7 @@ def test_monomial_constructor_canonicalizes():
     assert Monomial(((x, 1), (y, 0), (x, 2))).factors == ((x, 3),)
     assert Monomial(((x, 0),)) == Monomial(()) and str(Monomial(((x, 0),))) == "1"
     assert str(Monomial(((y, 2), (x, 1), (y, 1)))) == "a[00]*a[11]^3"
-    assert Monomial.from_pairs([(y, 1), (x, 1)]) == m
+    assert Monomial([(y, 1), (x, 1)]) == m
     for bad in (-1, True, 1.0):
         with pytest.raises(ValueError):
             Monomial(((x, bad),))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +37,8 @@ from qsegre import (
     state_assignment,
 )
 from qsegre.errors import MalformedInput, NotProduct
-from qsegre.segre import GRAM_CUTOFF, split_terms
+from qsegre import segre
+from qsegre.segre import GRAM_CUTOFF, split_terms, unique_rows
 from qsegre.sampling import (
     default_rng,
     random_exact_product_state,
@@ -173,13 +175,37 @@ def test_generators_nonzero_on_entangled(bell_exact, ghz3_exact, w3_exact):
         assert any(bool(v) for v in values)
 
 
-def test_generators_reject_single_mode_and_caps():
+def test_generators_reject_single_mode_and_caps(monkeypatch):
     with pytest.raises(WrongShape):
         segre_generators([2])
     with pytest.raises(TooLarge):
         segre_generators([2] * 13)
-    ideal = segre_generators([2] * 3, max_amps=8)
-    assert len(ideal) == 12
+    for dims, count in (((2,) * 10, 119_232_256), ((4,) * 6, 118_250_496), ((2,) * 12, 8_047_836_160)):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=f"{count} raw terms, exceeds cap"):
+            segre_generators(dims)
+        assert time.perf_counter() - start < 1.0
+    # the 2x2x2 ideal has 18 raw minor keys and 12 distinct generators
+    monkeypatch.setattr(segre, "MAX_TERMS", 17)
+    with pytest.raises(TooLarge):
+        segre_generators([2] * 3)
+    monkeypatch.setattr(segre, "MAX_TERMS", 18)
+    assert len(segre_generators([2] * 3)) == 12
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3, 4), (3, 5, 2, 7), (2,) * 6])
+def test_minor_key_count_is_the_raw_key_count(monkeypatch, dims):
+    rows = [math.prod(dims[j - 1] for j in b.left) for b in canonical_bipartitions(len(dims))]
+    by_split = sum(math.comb(r, 2) * math.comb(math.prod(dims) // r, 2) for r in rows)
+    built = []
+
+    def counting_unique_rows(rows):
+        built.append(len(rows))
+        return unique_rows(rows)
+
+    monkeypatch.setattr(segre, "unique_rows", counting_unique_rows)
+    segre._minor_keys(dims)
+    assert segre._minor_key_count(dims) == by_split == built[0]
 
 
 # ------------------------------------------------------------------ minor_sum

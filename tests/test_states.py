@@ -282,6 +282,18 @@ def test_flatten_rejects_improper():
             is_bipartite_separable(ghz, Bipartition((mode,)))
 
 
+def test_mode_and_perm_must_be_ints():
+    s = make_state([2, 2], [1.0, 0.5, 0, 1])
+    for mode in (1.0, True, "1", 0, 3):
+        with pytest.raises(IndexOutOfRange):
+            apply_local_unitary(s, mode, np.eye(2))
+    for perm in ([2.0, 1.0], [True, 2], [2, True], ["1", "2"], [1, 1]):
+        with pytest.raises(IndexOutOfRange):
+            permute_modes(s, perm)
+    for perm in ((2, 1), np.array([2, 1])):
+        assert permute_modes(s, perm).amplitude((0, 1)) == s.amplitude((1, 0))
+
+
 def test_flatten_complement_transpose():
     rng = default_rng(11)
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
