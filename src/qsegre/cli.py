@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
-from .errors import MalformedInput, NotProduct, QsegreError, TooLarge
+from .errors import MAX_AMPS, MalformedInput, NotProduct, QsegreError, check_cap
 from .grassmann import pluecker_measure, pluecker_relations
 from .poly import format_poly
 from .segre import (
@@ -37,7 +36,6 @@ from .segre import (
     segre_generators,
 )
 from .states import (
-    DEFAULT_MAX_AMPS,
     amplitudes_to_json,
     make_bipartition,
     make_local,
@@ -60,10 +58,12 @@ def _load_json(path: str):
         raise MalformedInput(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path}: invalid JSON ({exc.msg} at line {exc.lineno})") from None
+    except ValueError:  # json refuses int literals past the digit limit (4300 by default)
+        raise MalformedInput(f"{path}: invalid JSON (an integer literal past the digit limit)") from None
 
 
 def _load_state(args):
-    return state_from_json(_load_json(args.state), exact=args.exact, max_amps=args.max_amps)
+    return state_from_json(_load_json(args.state), exact=args.exact)
 
 
 def _parse_ints(text: str, flag: str) -> list[int]:
@@ -83,9 +83,7 @@ def _load_factors(args):
     for j, vec in enumerate(raw):
         if not isinstance(vec, list) or len(vec) < 2:
             raise MalformedInput(f"factors[{j}]: expected a list of >= 2 [re, im] pairs")
-    total = math.prod(map(len, raw))
-    if total > DEFAULT_MAX_AMPS:
-        raise TooLarge(f"product of factor lengths = {total} exceeds cap {DEFAULT_MAX_AMPS}")
+    check_cap("product of factor lengths", [len(vec) for vec in raw], MAX_AMPS)
     return [make_local(parse_amplitudes(vec, f"factors[{j}]", args.exact)) for j, vec in enumerate(raw)]
 
 
@@ -148,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_state_flags(p):
         p.add_argument("--state", required=True, help="path to a state JSON file")
         p.add_argument("--exact", action="store_true", help="require the exact rational backend")
-        p.add_argument("--max-amps", type=int, default=DEFAULT_MAX_AMPS, help="largest prod(dims) accepted")
 
     p = sub.add_parser("check-separable", help="rank-1 test across bipartitions")
     add_state_flags(p)

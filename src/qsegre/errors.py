@@ -2,8 +2,12 @@
 
 Every error raised by qsegre derives from :class:`QsegreError` so callers can
 catch the whole family at once.  Construction and input-format problems carry a
-message naming the offending field.
+message naming the offending field.  The size caps and their check live here.
 """
+
+MAX_AMPS = 4096  # prod(dims) of a state, a factors file or a Segre ideal
+MAX_CHOOSE = 10000  # minors in a row of the Plucker expansion: C(N, min(k, N // 2))
+MAX_TERMS = 2**22  # raw terms a family build enumerates before it dedups (README "Work cap")
 
 
 class QsegreError(Exception):
@@ -31,7 +35,7 @@ class NotProduct(QsegreError):
 
 
 class TooLarge(QsegreError):
-    """Requested enumeration exceeds the configured size cap."""
+    """A requested object or enumeration exceeds one of the size caps above."""
 
 
 class WrongShape(QsegreError):
@@ -48,3 +52,20 @@ class MissingVariable(QsegreError):
 
 class MalformedInput(QsegreError):
     """A JSON document or CLI argument failed validation; message names the field."""
+
+
+def count_text(count) -> str:
+    """A count's digits below 2**64, else "over 2**64" (str() refuses ints of over 4300 digits)."""
+    return str(count) if count < 2**64 else "over 2**64"
+
+
+def check_cap(what: str, factors, cap: int) -> None:
+    """Raise TooLarge when ``what``, the product of the ``factors`` (ints, positive
+    but for a lone 0), exceeds ``cap``.  The product stops once past the cap, so no
+    count past it is built; the message gives the count only if it is complete."""
+    total = 1
+    for j, f in enumerate(factors, 1):
+        total *= f
+        if total > cap:
+            count = f" = {count_text(total)}" if j == len(factors) else ""
+            raise TooLarge(f"{what}{count} exceeds cap {cap}")

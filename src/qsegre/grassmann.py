@@ -13,14 +13,14 @@ Each level is one numpy expression over index arrays that depend only on
 division: both backends run it on the parts ``states.gauss_ints`` gives, and
 exact minors are divided by den^k at the end.  Level r holds C(N, r+1)
 minors, so the widest level has C(N, min(k, N // 2)); that count is capped
-like the relation family's C(N, k).
+by ``errors.MAX_CHOOSE``.
 
 The relation family takes every (I, J) with |I| = k-1, |J| = k+1 at once,
 from the expansion's tables for k- and (k+1)-subsets (``_drop_table``).  Two
 terms share a monomial only when I is in J, and then cancel, so those pairs
 go and every coefficient is +-1; for k = 1 and k = N - 1 every pair goes.
 The build holds all C(N, k-1) C(N, k+1) (k+1) terms at once, so that count
-is capped by ``segre.MAX_TERMS`` first.  ``segre.unique_rows`` deduplicates the
+is capped by ``errors.MAX_TERMS`` first.  ``segre.unique_rows`` deduplicates the
 relations as it does the Segre minors; they are cached per (k, N) as read-only
 flat integer term arrays that ``check_relations`` evaluates in one expression
 for both backends and ``pluecker_relations`` slices.
@@ -38,18 +38,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
-from .errors import IndexOutOfRange, MissingVariable, NonFinite, ShapeError, TooLarge, WrongShape
+from .errors import (MAX_CHOOSE, MAX_TERMS, IndexOutOfRange, MissingVariable, NonFinite, ShapeError,
+                     WrongShape, check_cap)
 from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussRat, Scalar, is_int
 from .poly import MultiPoly, PluVar, pair_monomials
-from .segre import check_terms, split_terms, unique_rows
-from .states import (Bipartition, PureState, _check_finite, _complex_array, amplitude_array,
-                     amplitudes_to_json, gauss_ints, scale_parts)
-
-DEFAULT_MAX_CHOOSE = 10000
+from .segre import split_terms, unique_rows
+from .states import (Bipartition, PureState, _check_finite, _complex_array, amplitudes_to_json,
+                     gauss_ints, matrix_array, scale_parts)
 
 
 @dataclass(frozen=True)
@@ -92,19 +91,6 @@ def _parity(indices: tuple[int, ...]) -> int:
     return inv % 2
 
 
-def _coerce_matrix(mat) -> np.ndarray:
-    try:
-        rows = [list(r) for r in mat]
-    except TypeError:
-        raise ShapeError("matrix must be a sequence of rows") from None
-    if not rows or not rows[0]:
-        raise ShapeError("matrix must be nonempty")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ShapeError("ragged matrix")
-    return amplitude_array([x for r in rows for x in r], (len(rows), width), "matrix")
-
-
 @functools.lru_cache(maxsize=128)
 def _drop_table(r: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """The r-subsets S of the columns in lexicographic order, and the rank of
@@ -139,16 +125,15 @@ def pluecker_coordinates(mat) -> PlueckerSet:
     """All k x k column minors of a k x N matrix (k < N); exact for exact input.
 
     Raises TooLarge when the widest level of the expansion, C(N, min(k, N // 2))
-    minors, exceeds DEFAULT_MAX_CHOOSE, and NonFinite when a float minor, or a
+    minors, exceeds MAX_CHOOSE, and NonFinite when a float minor, or a
     product on the way to it, is beyond the float range.
     """
-    mat = _coerce_matrix(mat)
+    mat = matrix_array(mat)
     k, n = mat.shape
     if k >= n:
         raise ShapeError(f"need k < N, got k={k}, N={n}")
     widest = min(k, n // 2)
-    if comb(n, widest) > DEFAULT_MAX_CHOOSE:
-        raise TooLarge(f"C({n},{widest}) = {comb(n, widest)} minors per row exceeds cap {DEFAULT_MAX_CHOOSE}")
+    check_cap(f"minors per row C({n},{widest})", (comb(n, widest),), MAX_CHOOSE)
     subsets = itertools.combinations(range(1, n + 1), k)
     return PlueckerSet(k, n, dict(zip(subsets, _maximal_minors(mat))))
 
@@ -172,16 +157,14 @@ def _relation_terms(k: int, N: int) -> RelationFamily:
     Each relation's terms are consecutive and sorted, and its first
     coefficient is positive (``sign_canonical``); the relations are sorted
     like the polynomials' sorted terms, and each keeps the first (I, J) that
-    produced it.  The arrays are read-only.  The shape and the caps, C(N, k)
-    at most DEFAULT_MAX_CHOOSE and the (I, J, t) entries at most
-    ``segre.MAX_TERMS``, are checked on every call; the family itself is built
-    once per (k, N).
+    produced it.  The arrays are read-only.  The shape and the term cap are
+    checked on every call; the family itself is built once per (k, N).
     """
     if not (is_int(k) and is_int(N)) or k < 1 or k >= N:
         raise ShapeError(f"need 1 <= k < N, got k={k}, N={N}")
-    if comb(N, k) > DEFAULT_MAX_CHOOSE:
-        raise TooLarge(f"C({N},{k}) = {comb(N, k)} exceeds cap {DEFAULT_MAX_CHOOSE}")
-    check_terms(_relation_term_count(k, N), f"the relation family of G({k},{N})")
+    # a nonempty family's binomials are at least N: past N = 2048 the product passes the cap at N * N
+    terms = (N, N, k + 1) if k not in (1, N - 1) and N > isqrt(MAX_TERMS) else (_relation_term_count(k, N),)
+    check_cap(f"raw terms of the relation family of G({k},{N})", terms, MAX_TERMS)
     return _relation_family(k, N)
 
 

@@ -33,11 +33,10 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import NotProduct, TooLarge, WrongShape
+from .errors import MAX_AMPS, MAX_TERMS, NotProduct, WrongShape, check_cap
 from .gaussrat import GR_MINUS_ONE, GR_ONE, Scalar
 from .poly import MultiPoly, StateVar, pair_monomials
 from .states import (
-    DEFAULT_MAX_AMPS,
     Bipartition,
     Flattening,
     LocalState,
@@ -50,11 +49,6 @@ from .states import (
 )
 
 DEFAULT_TOL = 1e-10
-# The most raw terms a family build may enumerate before it deduplicates: 2x2
-# minor keys here, (I, J, t) entries in ``grassmann``.  It admits every golden
-# family and benchmark rung, and 2^8 (1.7M) and G(5, 12) (2.7M), which take
-# seconds and hundreds of MB; 2^10 (119M) would take GBs.
-MAX_TERMS = 2**22
 # Float minor sums at or below this fraction of ||M||_F^4 are recomputed from
 # the singular values: the Gram identity's absolute error is ~1e-16 ||M||_F^4.
 GRAM_CUTOFF = 1e-4
@@ -110,12 +104,6 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[keep], order[keep]
 
 
-def check_terms(count: int, family: str) -> None:
-    """Raise TooLarge, naming the count and the cap, when ``count`` exceeds MAX_TERMS."""
-    if count > MAX_TERMS:
-        raise TooLarge(f"{family} has {count} raw terms, exceeds cap {MAX_TERMS}")
-
-
 def _minor_key_count(dims: tuple[int, ...]) -> int:
     """The rows ``_minor_keys`` builds before it deduplicates, in closed form.
 
@@ -135,16 +123,15 @@ def segre_generators(dims) -> SegreIdeal:
     and sorted; each is homogeneous of degree 2 and vanishes identically on
     the image of the Segre map.  The minors are enumerated as integer keys
     and only the surviving ones become polynomials.  Raises TooLarge when
-    prod(dims) exceeds DEFAULT_MAX_AMPS or the minor keys MAX_TERMS.
+    prod(dims) exceeds MAX_AMPS or the minor keys MAX_TERMS.
     """
     dims = tuple(dims)
     if len(dims) < 2:
         raise WrongShape(f"need >= 2 modes, got {len(dims)}")
     if any(not isinstance(d, int) or d < 2 for d in dims):
         raise WrongShape(f"mode dimensions must be integers >= 2, got {dims}")
-    if math.prod(dims) > DEFAULT_MAX_AMPS:
-        raise TooLarge(f"prod(dims) = {math.prod(dims)} exceeds cap {DEFAULT_MAX_AMPS}")
-    check_terms(_minor_key_count(dims), f"the Segre ideal of dims {dims}")
+    check_cap("prod(dims)", dims, MAX_AMPS)
+    check_cap(f"raw terms of the Segre ideal of dims {dims}", (_minor_key_count(dims),), MAX_TERMS)
     mono = pair_monomials([StateVar(index) for index in itertools.product(*(range(d) for d in dims))])
     gens = tuple(
         MultiPoly({mono(p, q): GR_ONE, mono(r, s): GR_MINUS_ONE})

@@ -28,16 +28,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    MAX_AMPS,
     DimensionMismatch,
     IndexOutOfRange,
     MalformedInput,
     NonFinite,
-    TooLarge,
+    ShapeError,
     ZeroVector,
+    check_cap,
+    count_text,
 )
 from .gaussrat import Frozen, GaussRat, Scalar, is_int, rational_sqrt
-
-DEFAULT_MAX_AMPS = 4096
 
 
 def amplitude_array(values, shape: tuple[int, ...], label: str = "amps") -> np.ndarray:
@@ -56,7 +57,7 @@ def amplitude_array(values, shape: tuple[int, ...], label: str = "amps") -> np.n
         values = list(values.flat if isinstance(values, np.ndarray) else values)
     total = math.prod(shape)
     if len(values) != total:
-        raise DimensionMismatch(f"{label} has length {len(values)}, expected {total}")
+        raise DimensionMismatch(f"{label} has length {len(values)}, expected {count_text(total)}")
     if isinstance(values, list):
         # one pass collects the entry types; the ABC check runs only if one is unlisted
         types = set(map(type, values))
@@ -71,6 +72,25 @@ def amplitude_array(values, shape: tuple[int, ...], label: str = "amps") -> np.n
     arr = _complex_array(values, label)
     _check_finite(arr, label)
     return arr.reshape(shape)
+
+
+def matrix_array(mat, label: str = "matrix") -> np.ndarray:
+    """The one matrix rule: a nonempty 2-d array, or a nonempty sequence of equal-length
+    nonempty rows, as an array in the backend :func:`amplitude_array` picks; else ShapeError."""
+    if isinstance(mat, np.ndarray):
+        if mat.ndim != 2 or not mat.size:
+            raise ShapeError(f"{label} must be a nonempty 2-d array, got shape {mat.shape}")
+        return amplitude_array(mat, mat.shape, label)
+    try:
+        rows = [list(r) for r in mat]
+    except TypeError:
+        raise ShapeError(f"{label} must be a sequence of rows") from None
+    if not rows or not rows[0]:
+        raise ShapeError(f"{label} must be nonempty")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ShapeError(f"{label} has ragged rows")
+    return amplitude_array([x for r in rows for x in r], (len(rows), width), label)
 
 
 def _complex_array(values, label: str) -> np.ndarray:
@@ -186,10 +206,16 @@ class PureState(_Amplitudes):
         return abs_sq_sum(self.array)
 
     def offset(self, index: Sequence[int]) -> int:
-        return int(np.ravel_multi_index(tuple(index), self.dims))
+        """Row-major offset of a multi-index: m ints (``is_int``) with
+        0 <= i_j < d_j, else IndexOutOfRange."""
+        index = tuple(index)
+        if len(index) != self.num_modes or not all(
+                is_int(i) and 0 <= i < d for i, d in zip(index, self.dims)):
+            raise IndexOutOfRange(f"index {index} is not a multi-index of dims {self.dims}")
+        return int(np.ravel_multi_index(index, self.dims))
 
     def amplitude(self, index: Sequence[int]) -> Scalar:
-        return self.array.item(tuple(index))
+        return self.array.item(self.offset(index))
 
 
 class LocalState(_Amplitudes):
@@ -229,14 +255,16 @@ class Flattening(Frozen):
 
     ``entries`` is a read-only rows x cols array in the state's backend.  Any
     matrix given here (an array or rows of scalars) goes through
-    :func:`amplitude_array`, so its dtype alone says which backend it is in.
+    :func:`matrix_array`, so its dtype alone says which backend it is in, and
+    ShapeError unless it is rows x cols with int ``rows`` and ``cols``.
     """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
-        flat = entries if isinstance(entries, np.ndarray) else [x for row in entries for x in row]
-        arr = amplitude_array(flat, (rows, cols), "entries")
+        arr = matrix_array(entries, "entries")
+        if not (is_int(rows) and is_int(cols)) or arr.shape != (rows, cols):
+            raise ShapeError(f"entries have shape {arr.shape}, expected ({rows!r}, {cols!r})")
         arr.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -460,11 +488,11 @@ def amplitudes_to_json(arr: np.ndarray) -> list:
     return [[a.real, a.imag] for a in values]
 
 
-def state_from_json(obj, exact: bool = False, max_amps: int = DEFAULT_MAX_AMPS) -> PureState:
+def state_from_json(obj, exact: bool = False) -> PureState:
     """Parse the state JSON object; messages name the first offending field.
 
-    Raises TooLarge when prod(dims) exceeds ``max_amps``; the amplitude count
-    is checked against dims before any amplitude is parsed.
+    Raises TooLarge when prod(dims) exceeds ``errors.MAX_AMPS``; the amplitude
+    count is checked against dims before any amplitude is parsed.
     """
     if not isinstance(obj, dict):
         raise MalformedInput("top level: expected an object")
@@ -478,9 +506,8 @@ def state_from_json(obj, exact: bool = False, max_amps: int = DEFAULT_MAX_AMPS) 
     for j, d in enumerate(dims):
         if not is_int(d) or d < 2:
             raise MalformedInput(f"dims[{j}]: expected an integer >= 2")
+    check_cap("prod(dims)", dims, MAX_AMPS)
     total = math.prod(dims)
-    if total > max_amps:
-        raise TooLarge(f"prod(dims) = {total} exceeds cap {max_amps}")
     raw = obj["amps"]
     if not isinstance(raw, list):
         raise MalformedInput("amps: expected a list")

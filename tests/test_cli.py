@@ -170,7 +170,7 @@ def test_caps_reported(capsys):
         (["pluecker-relations", "--k", "4", "--n", "20"], 88_372_800),
         (["pluecker-relations", "--k", "2", "--n", "100"], 48_510_000),
         (["pluecker-relations", "--k", "6", "--n", "14"], 48_096_048),
-        (["pluecker-relations", "--k", "3", "--n", "50"], 19600),
+        (["pluecker-relations", "--k", "3", "--n", "50"], 1_128_470_000),
     ]:
         start = time.perf_counter()
         code, out, err = run(capsys, command)
@@ -258,24 +258,64 @@ def test_state_commands_cap_amplitudes(capsys, tmp_path, command):
     code, out, err = run(capsys, [*command, "--state", big])
     assert code == 2
     assert out == ""
-    assert "cap 4096" in err
+    assert "prod(dims) = 8192 exceeds cap 4096" in err
     assert "Traceback" not in err
-    code, _, err = run(capsys, [*command, "--state", big, "--max-amps", "100"])
-    assert code == 2
-    assert "8192 exceeds cap 100" in err
 
 
 def test_state_commands_accept_amplitudes_at_cap(capsys, tmp_path):
-    # a basis state of 12 qubits has 2^12 = DEFAULT_MAX_AMPS amplitudes
+    # a basis state of 12 qubits has 2^12 = MAX_AMPS amplitudes
     s = write_state(tmp_path / "s.json", [2] * 12, [[1, 0]] + [[0, 0]] * (2**12 - 1))
     for command in (["pluecker-measure"], ["factor", "--exact"], ["check-separable", "--partition", "1"]):
         code, out, err = run(capsys, [*command, "--state", s])
         assert code == 0, err
         assert out
-    big = write_state(tmp_path / "big.json", [2] * 13, [[1, 0]] + [[0, 0]] * (2**13 - 1))
-    code, out, _ = run(capsys, ["pluecker-measure", "--state", big, "--max-amps", "8192"])
-    assert code == 0
-    assert json.loads(out) == {"value": 0.0}
+    # the cap is a constant: no flag raises it
+    with pytest.raises(SystemExit) as exc:
+        main(["pluecker-measure", "--state", s, "--max-amps", "8192"])
+    assert exc.value.code == 2
+
+
+def write_factors(path, count):
+    path.write_text(json.dumps({"factors": [[[1, 0], [0, 0]]] * count}))
+    return str(path)
+
+
+N_4001_DIGITS = str(10**4000)
+
+
+# each count is far too large to print (str() refuses ints of over 4300 digits);
+# the running product, or for relations the N > 2048 bound, stops at the cap first
+@pytest.mark.parametrize("command", [
+    lambda tmp: ["concurrence", "--state", write_state(tmp / "s.json", [2] * 15000, [[1, 0]])],
+    lambda tmp: ["concurrence", "--state", write_state(tmp / "s.json", [2] * 300_000, [[1, 0]])],
+    lambda tmp: ["segre-map", "--factors", write_factors(tmp / "f.json", 15000)],
+    lambda tmp: ["segre-ideal", "--dims", ",".join(["2"] * 15000)],
+    lambda tmp: ["segre-ideal", "--dims", f"{N_4001_DIGITS},{N_4001_DIGITS}"],
+    lambda tmp: ["pluecker-relations", "--k", "2", "--n", N_4001_DIGITS],
+    lambda tmp: ["pluecker-relations", "--k", "2000", "--n", N_4001_DIGITS],
+], ids=["state-2^15000", "state-2^300000", "factors-15000", "dims-2^15000", "dims-4001-digits", "G(2,4001-digit N)",
+        "G(2000,4001-digit N)"])
+def test_oversized_counts_exit_2_at_once(capsys, tmp_path, command):
+    argv = command(tmp_path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert_clean_exit_2(code, out, err)
+    assert "cap" in err
+
+
+def test_json_int_too_long_to_parse_exits_2(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text('{"dims": [' + "1" * 5000 + ', 2], "amps": []}')
+    code, out, err = run(capsys, ["concurrence", "--state", str(path)])
+    assert_clean_exit_2(code, out, err)
+    assert "digit limit" in err
+
+
+def test_empty_relation_family_has_no_cap(capsys):
+    for k in ("1", "19999"):
+        code, out, err = run(capsys, ["pluecker-relations", "--k", k, "--n", "20000"])
+        assert (code, out, err) == (0, "", "")
 
 
 def test_segre_map_caps_amplitudes(capsys, tmp_path):

@@ -39,7 +39,7 @@ from qsegre import (
     pluecker_set_to_json,
     segre_map,
 )
-from qsegre import segre
+from qsegre import grassmann
 from qsegre.grassmann import PlueckerSet, _relation_family, _relation_term_count, _relation_terms
 from qsegre.segre import DEFAULT_TOL
 from qsegre.sampling import (
@@ -287,7 +287,8 @@ def test_relation_term_count_is_the_raw_entry_count(k, n):
 
 
 def test_relations_cap_and_shape():
-    for k, n in ((4, 20), (2, 100), (6, 14), (10, 25)):
+    # past N = 2048 the cap fires before any binomial is computed, even for 4001-digit N
+    for k, n in ((4, 20), (2, 100), (6, 14), (10, 25), (2, 2049), (2, 10**4000), (2000, 10**4000)):
         start = time.perf_counter()
         with pytest.raises(TooLarge, match="cap"):
             pluecker_relations(k, n)
@@ -317,17 +318,18 @@ def test_relation_family_is_built_once_and_immutable(monkeypatch):
     assert isinstance(pairs, tuple) and not any(arr.flags.writeable for arr in arrays)
     assert [(rel.I, rel.J) for rel in rels] == list(pairs)
     # the cap still applies to a family that is already cached
-    monkeypatch.setattr(segre, "MAX_TERMS", _relation_term_count(3, 7) - 1)
-    with pytest.raises(TooLarge, match="2940 raw terms"):
+    count = _relation_term_count(3, 7)
+    monkeypatch.setattr(grassmann, "MAX_TERMS", count - 1)
+    with pytest.raises(TooLarge, match="G\\(3,7\\) = 2940 exceeds cap 2939"):
         pluecker_relations(3, 7)
     with pytest.raises(TooLarge):
         check_relations(pluecker_coordinates(random_exact_matrix(rng, 3, 7)))
-    monkeypatch.setattr(segre, "MAX_TERMS", _relation_term_count(3, 7))
+    monkeypatch.setattr(grassmann, "MAX_TERMS", count)
     assert len(pluecker_relations(3, 7)) == len(pairs)
     assert _relation_family.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("k, n", [(1, 2000), (199, 200)])
+@pytest.mark.parametrize("k, n", [(1, 2000), (199, 200), (1, 20000), (19999, 20000)])
 def test_relations_empty_without_building(k, n):
     start = time.perf_counter()
     assert pluecker_relations(k, n) == []

@@ -18,6 +18,7 @@ from qsegre import (
     NonFinite,
     NotProduct,
     PureState,
+    ShapeError,
     TooLarge,
     ZeroVector,
     apply_local_unitary,
@@ -74,11 +75,35 @@ def test_make_state_wrong_length():
         make_state([2, 2], np.ones((2, 3)))
     s = make_state([2, 2], np.array([[1, 0], [0, 1]]))
     assert s.dims == (2, 2) and s.amps == (1, 0, 0, 1) and not s.exact
+    # a count of thousands of digits is not printed
+    with pytest.raises(DimensionMismatch, match="amps has length 2, expected over 2\\*\\*64"):
+        make_state([2] * 15000, [1, 0])
 
 
 def test_flattening_rejects_ragged_rows():
-    with pytest.raises(DimensionMismatch, match="entries has length 3, expected 4"):
+    # one matrix rule, shared with pluecker_coordinates, then the declared shape
+    with pytest.raises(ShapeError, match="entries has ragged rows"):
         Flattening(2, 2, [[1, 2], [3]])
+    with pytest.raises(ShapeError, match="ragged"):
+        Flattening(2, 2, [[1, 2, 3], [4]])
+    with pytest.raises(ShapeError, match="sequence of rows"):
+        Flattening(2, 2, [1, 2, 3, 4])
+    with pytest.raises(ShapeError, match=r"shape \(4,\)"):
+        Flattening(2, 2, np.ones(4))
+    for rows, cols, entries in ((2, 2, np.ones((4, 1))), (2.0, 2, [[1, 2], [3, 4]]), (-2, 2, [[1, 2], [3, 4]])):
+        with pytest.raises(ShapeError, match=r"expected \("):
+            Flattening(rows, cols, entries)
+    assert Flattening(2, 2, np.ones((2, 2))).entries.shape == (2, 2)
+
+
+def test_offset_and_amplitude_check_the_multi_index():
+    s = make_state([2, 3], [1, 2, 3, 4, 5, 6])
+    assert s.offset((1, 2)) == 5 and s.amplitude((1, 2)) == 6
+    for index in ((-1, 0), (1,), (2, 0), (0, 3), (0, 0, 0), (True, 0), (1.0, 0), (0, "1")):
+        with pytest.raises(IndexOutOfRange, match="multi-index"):
+            s.offset(index)
+        with pytest.raises(IndexOutOfRange, match="multi-index"):
+            s.amplitude(index)
 
 
 def test_make_state_row_major_offset():
@@ -496,10 +521,12 @@ def test_norm_sq_beyond_float_range_raises():
 
 def test_state_json_size_cap_precedes_parsing():
     # amps is not even a list: the cap on prod(dims) is checked first
-    with pytest.raises(TooLarge, match="8192 exceeds cap 4096"):
+    with pytest.raises(TooLarge, match="prod\\(dims\\) = 8192 exceeds cap 4096"):
         state_from_json({"dims": [2] * 13, "amps": None})
-    with pytest.raises(TooLarge, match="cap 2"):
-        state_from_json({"dims": [2, 2], "amps": [[1, 0]] * 4}, max_amps=2)
+    # the running product stops at the cap, so it names no count it did not finish
+    for dims in ([2] * 14, [2] * 15000, [10**4000, 2]):
+        with pytest.raises(TooLarge, match="^prod\\(dims\\) exceeds cap 4096$"):
+            state_from_json({"dims": dims, "amps": None})
     s = state_from_json({"dims": [2] * 12, "amps": [[1, 0]] + [[0, 0]] * 4095})
     assert s.dims == (2,) * 12
     # the amplitude count is checked before any amplitude is parsed
