@@ -58,6 +58,10 @@ def _load_json(path: str):
         raise MalformedInput(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path}: invalid JSON ({exc.msg} at line {exc.lineno})") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except RecursionError:
+        raise MalformedInput(f"{path}: invalid JSON (arrays or objects nested too deeply)") from None
     except ValueError:  # json refuses int literals past the digit limit (4300 by default)
         raise MalformedInput(f"{path}: invalid JSON (an integer literal past the digit limit)") from None
 

@@ -7,7 +7,7 @@ message naming the offending field.  The size caps and their check live here.
 
 MAX_AMPS = 4096  # prod(dims) of a state, a factors file or a Segre ideal
 MAX_CHOOSE = 10000  # minors in a row of the Plucker expansion: C(N, min(k, N // 2))
-MAX_TERMS = 2**22  # raw terms a family build enumerates before it dedups (README "Work cap")
+MAX_TERMS = 2**22  # rows a family build lays out (README "Work cap")
 
 
 class QsegreError(Exception):
@@ -54,9 +54,16 @@ class MalformedInput(QsegreError):
     """A JSON document or CLI argument failed validation; message names the field."""
 
 
-def count_text(count) -> str:
-    """A count's digits below 2**64, else "over 2**64" (str() refuses ints of over 4300 digits)."""
-    return str(count) if count < 2**64 else "over 2**64"
+def short_text(value) -> str:
+    """``value`` for a message, short at any size (str() refuses ints of over 4300
+    digits): an int by its digits below 2**64 in magnitude, a tuple by at most
+    its first eight entries and its length."""
+    if isinstance(value, tuple):
+        head = ", ".join(map(short_text, value[:8]))
+        return f"({head})" if len(value) <= 8 else f"({head}, ... {len(value)} entries)"
+    if isinstance(value, int) and abs(value) >= 2**64:
+        return "over 2**64" if value > 0 else "under -2**64"
+    return str(value)
 
 
 def check_cap(what: str, factors, cap: int) -> None:
@@ -67,5 +74,5 @@ def check_cap(what: str, factors, cap: int) -> None:
     for j, f in enumerate(factors, 1):
         total *= f
         if total > cap:
-            count = f" = {count_text(total)}" if j == len(factors) else ""
+            count = f" = {short_text(total)}" if j == len(factors) else ""
             raise TooLarge(f"{what}{count} exceeds cap {cap}")

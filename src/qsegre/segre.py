@@ -33,7 +33,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import MAX_AMPS, MAX_TERMS, NotProduct, WrongShape, check_cap
+from .errors import MAX_AMPS, MAX_TERMS, NotProduct, WrongShape, check_cap, short_text
 from .gaussrat import GR_MINUS_ONE, GR_ONE, Scalar
 from .poly import MultiPoly, StateVar, pair_monomials
 from .states import (
@@ -74,64 +74,70 @@ class MeasureReport:
 
 
 def _minor_keys(dims: tuple[int, ...]) -> np.ndarray:
-    """Distinct 2x2 flattening minors as sorted rows (p, q, r, s).
+    """The Segre ideal's generators as sorted rows (p, q, r, s), each built once.
 
     Entries are row-major amplitude offsets; a row stands for the binomial
     a_p a_q - a_r a_s with p < q, r < s and p < r.  Offsets order like the
     multi-indices they encode, so the rows sort like the generators' sorted
     terms, and the leading monomial a_p a_q takes +1 as in ``sign_canonical``.
+
+    A generator is fixed by the modes D where its diagonal x, y differs and
+    the part S of D, holding min D, where x' of the antidiagonal x', y'
+    agrees with x.  A split's minor is kept only when its columns differ in
+    every column mode (B is in D) and its rows first differ in a mode below
+    min B (min D is in A), which holds on the one split A = S + (modes
+    outside D), B = D - S; so no generator is built twice.
     """
     offsets = np.arange(math.prod(dims), dtype=np.int64).reshape(dims)
     keys = []
     for b in canonical_bipartitions(len(dims)):
         mat = flat_matrix(offsets, b)
-        r1, r2 = (r[:, None] for r in np.triu_indices(mat.shape[0], 1))
-        c1, c2 = np.triu_indices(mat.shape[1], 1)
+        right = b.complement(len(dims))
+        # rows r1 < r2 whose prefixes over the modes below min B differ
+        prefix = np.arange(mat.shape[0]) // math.prod(dims[j - 1] for j in b.left if j > right[0])
+        r1, r2 = (r[:, None] for r in np.nonzero(np.less.outer(prefix, prefix)))
+        # columns c1 < c2 that differ in every mode of B (the first one orders them)
+        digits = np.indices([dims[j - 1] for j in right]).reshape(len(right), -1)
+        differ = (digits[1:, :, None] != digits[1:, None, :]).all(axis=0)
+        c1, c2 = np.nonzero(np.less.outer(digits[0], digits[0]) & differ)
         # offsets grow along every row and column, so the diagonal a_p a_q of
         # the minor on rows r1 < r2 and columns c1 < c2 holds the smallest
         # offset and is the leading monomial
         p, q, c, d = np.broadcast_arrays(mat[r1, c1], mat[r2, c2], mat[r1, c2], mat[r2, c1])
         keys.append(np.stack([p, q, np.minimum(c, d), np.maximum(c, d)], axis=-1).reshape(-1, 4))
-    return unique_rows(np.concatenate(keys))[0]
-
-
-def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A 2-d array's distinct rows, sorted, and each one's first index (stable sort)."""
-    order = np.lexsort(rows.T[::-1])  # np.unique(axis=0) sorts the same, 7x slower
-    rows = rows[order]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[keep], order[keep]
+    keys = np.concatenate(keys)
+    return keys[np.lexsort(keys.T[::-1])]
 
 
 def _minor_key_count(dims: tuple[int, ...]) -> int:
-    """The rows ``_minor_keys`` builds before it deduplicates, in closed form.
+    """The rows ``_minor_keys`` builds, one per generator, in closed form.
 
-    A split with R rows and C = P / R columns has C(R, 2) C(C, 2) =
-    P (P + 1 - R - C) / 4 minors.  Over the 2^(m-1) - 1 canonical splits the
-    row counts R add up to d1 (A - B) and the column counts C to A - 1, with
-    A = prod_{j>=2} (1 + d_j) and B = prod_{j>=2} d_j.
+    The X_D = P prod_{j in D} (d_j - 1) ordered pairs x, y that differ on
+    the modes D have 2^(|D|-1) - 1 partners each, and a generator comes from
+    four such pairs, so the count is sum_{D nonempty} (2^(|D|-1) - 1) X_D / 4.
+    Over all D, 2^|D| X_D sums to P prod (2 d_j - 1) and X_D to P^2, with
+    P = prod(dims).
     """
-    p, a, b = math.prod(dims), math.prod(d + 1 for d in dims[1:]), math.prod(dims[1:])
-    return p * ((p + 1) * (2 ** (len(dims) - 1) - 1) - dims[0] * (a - b) - (a - 1)) // 4
+    p = math.prod(dims)
+    return p * (math.prod(2 * d - 1 for d in dims) - 2 * p + 1) // 8
 
 
 def segre_generators(dims) -> SegreIdeal:
     """All distinct 2x2 minors of all canonical-bipartition flattenings.
 
-    Generators are sign-canonical (leading monomial positive), deduplicated,
-    and sorted; each is homogeneous of degree 2 and vanishes identically on
-    the image of the Segre map.  The minors are enumerated as integer keys
-    and only the surviving ones become polynomials.  Raises TooLarge when
-    prod(dims) exceeds MAX_AMPS or the minor keys MAX_TERMS.
+    Generators are sign-canonical (leading monomial positive), distinct and
+    sorted; each is homogeneous of degree 2 and vanishes identically on the
+    image of the Segre map.  They are enumerated once each as integer keys,
+    and then become polynomials.  Raises TooLarge when prod(dims) exceeds
+    MAX_AMPS or the generator count MAX_TERMS.
     """
     dims = tuple(dims)
     if len(dims) < 2:
         raise WrongShape(f"need >= 2 modes, got {len(dims)}")
     if any(not isinstance(d, int) or d < 2 for d in dims):
-        raise WrongShape(f"mode dimensions must be integers >= 2, got {dims}")
+        raise WrongShape(f"mode dimensions must be integers >= 2, got {short_text(dims)}")
     check_cap("prod(dims)", dims, MAX_AMPS)
-    check_cap(f"raw terms of the Segre ideal of dims {dims}", (_minor_key_count(dims),), MAX_TERMS)
+    check_cap(f"generators of the Segre ideal of dims {dims}", (_minor_key_count(dims),), MAX_TERMS)
     mono = pair_monomials([StateVar(index) for index in itertools.product(*(range(d) for d in dims))])
     gens = tuple(
         MultiPoly({mono(p, q): GR_ONE, mono(r, s): GR_MINUS_ONE})

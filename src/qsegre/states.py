@@ -36,7 +36,7 @@ from .errors import (
     ShapeError,
     ZeroVector,
     check_cap,
-    count_text,
+    short_text,
 )
 from .gaussrat import Frozen, GaussRat, Scalar, is_int, rational_sqrt
 
@@ -57,7 +57,7 @@ def amplitude_array(values, shape: tuple[int, ...], label: str = "amps") -> np.n
         values = list(values.flat if isinstance(values, np.ndarray) else values)
     total = math.prod(shape)
     if len(values) != total:
-        raise DimensionMismatch(f"{label} has length {len(values)}, expected {count_text(total)}")
+        raise DimensionMismatch(f"{label} has length {len(values)}, expected {short_text(total)}")
     if isinstance(values, list):
         # one pass collects the entry types; the ABC check runs only if one is unlisted
         types = set(map(type, values))

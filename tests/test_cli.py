@@ -163,9 +163,9 @@ def test_exact_flag_rejects_floats(capsys, tmp_path):
 
 def test_caps_reported(capsys):
     for command, count in [
-        (["segre-ideal", "--dims", ",".join(["2"] * 10)], 119_232_256),
-        (["segre-ideal", "--dims", ",".join(["4"] * 6)], 118_250_496),
-        (["segre-ideal", "--dims", ",".join(["2"] * 12)], 8_047_836_160),
+        (["segre-ideal", "--dims", ",".join(["2"] * 10)], 7_296_256),
+        (["segre-ideal", "--dims", ",".join(["4"] * 6)], 56_042_496),
+        (["segre-ideal", "--dims", ",".join(["2"] * 12)], 267_904_000),
         (["segre-ideal", "--dims", ",".join(["2"] * 13)], 8192),
         (["pluecker-relations", "--k", "4", "--n", "20"], 88_372_800),
         (["pluecker-relations", "--k", "2", "--n", "100"], 48_510_000),
@@ -310,6 +310,17 @@ def test_json_int_too_long_to_parse_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, ["concurrence", "--state", str(path)])
     assert_clean_exit_2(code, out, err)
     assert "digit limit" in err
+
+
+def test_undecodable_or_deeply_nested_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    for data, message in ((b"\xff\xfe", "not UTF-8 text"), (b"[" * 100_000, "nested too deeply"),
+                          (b'{"a":' * 100_000, "nested too deeply")):
+        path.write_bytes(data)
+        for command in (["concurrence", "--state"], ["segre-map", "--factors"]):
+            code, out, err = run(capsys, [*command, str(path)])
+            assert_clean_exit_2(code, out, err)
+            assert message in err and len(err) < 200
 
 
 def test_empty_relation_family_has_no_cap(capsys):

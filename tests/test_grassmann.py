@@ -306,6 +306,18 @@ def test_relations_cap_and_shape():
             check_relations(PlueckerSet(k, n, {}))
 
 
+def test_relations_shape_and_cap_messages_are_short():
+    # str() refuses ints of over 4300 digits
+    huge = 10**5000
+    for k, n, error in ((2, huge, TooLarge), (huge, huge, ShapeError), (huge // 10, huge, TooLarge),
+                        (-huge, 4, ShapeError)):
+        for call in (lambda: pluecker_relations(k, n), lambda: check_relations(PlueckerSet(k, n, {}))):
+            with pytest.raises(error) as exc:
+                call()
+            assert len(str(exc.value)) < 200
+    assert pluecker_relations(huge - 1, huge) == []
+
+
 def test_relation_family_is_built_once_and_immutable(monkeypatch):
     _relation_family.cache_clear()
     first = _relation_terms(3, 7)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import time
@@ -38,7 +39,8 @@ from qsegre import (
 )
 from qsegre.errors import MalformedInput, NotProduct
 from qsegre import segre
-from qsegre.segre import GRAM_CUTOFF, split_terms, unique_rows
+from qsegre.grassmann import unique_rows
+from qsegre.segre import GRAM_CUTOFF, split_terms
 from qsegre.sampling import (
     default_rng,
     random_exact_product_state,
@@ -46,7 +48,7 @@ from qsegre.sampling import (
     random_product_state,
     random_unitary,
 )
-from qsegre.states import abs_sq_sum, apply_local_unitaries, gauss_ints, permute_modes
+from qsegre.states import abs_sq_sum, apply_local_unitaries, flat_matrix, gauss_ints, permute_modes
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -180,32 +182,68 @@ def test_generators_reject_single_mode_and_caps(monkeypatch):
         segre_generators([2])
     with pytest.raises(TooLarge):
         segre_generators([2] * 13)
-    for dims, count in (((2,) * 10, 119_232_256), ((4,) * 6, 118_250_496), ((2,) * 12, 8_047_836_160)):
+    for dims, count in (((2,) * 10, 7_296_256), ((4,) * 6, 56_042_496), ((2,) * 12, 267_904_000)):
         start = time.perf_counter()
-        with pytest.raises(TooLarge, match=f"raw terms .* = {count} exceeds cap 4194304"):
+        with pytest.raises(TooLarge, match=f"generators .* = {count} exceeds cap 4194304"):
             segre_generators(dims)
         assert time.perf_counter() - start < 1.0
-    # the 2x2x2 ideal has 18 raw minor keys and 12 distinct generators
-    monkeypatch.setattr(segre, "MAX_TERMS", 17)
+    # the 2x2x2 ideal has 12 generators, and its build lays out 12 rows
+    monkeypatch.setattr(segre, "MAX_TERMS", 11)
     with pytest.raises(TooLarge):
         segre_generators([2] * 3)
-    monkeypatch.setattr(segre, "MAX_TERMS", 18)
+    monkeypatch.setattr(segre, "MAX_TERMS", 12)
     assert len(segre_generators([2] * 3)) == 12
 
 
+@pytest.mark.parametrize("huge", [
+    lambda: segre_generators([10**5000, 1]),
+    lambda: segre_generators([2] * 15000 + [1]),
+    lambda: segre_generators([-10**5000, 2]),
+], ids=["5001-digit dim", "15001 dims", "negative 5001-digit dim"])
+def test_generators_shape_message_is_short(huge):
+    # str() refuses ints of over 4300 digits, and a dims list may be any length
+    with pytest.raises(WrongShape) as exc:
+        huge()
+    assert len(str(exc.value)) < 200
+
+
+def minor_keys_oracle(dims):
+    """Every 2x2 minor of every canonical flattening as a row (p, q, r, s),
+    then the distinct rows, sorted: the build that ``_minor_keys`` replaces."""
+    offsets = np.arange(math.prod(dims), dtype=np.int64).reshape(dims)
+    keys = []
+    for b in canonical_bipartitions(len(dims)):
+        mat = flat_matrix(offsets, b)
+        r1, r2 = (r[:, None] for r in np.triu_indices(mat.shape[0], 1))
+        c1, c2 = np.triu_indices(mat.shape[1], 1)
+        p, q, c, d = np.broadcast_arrays(mat[r1, c1], mat[r2, c2], mat[r1, c2], mat[r2, c1])
+        keys.append(np.stack([p, q, np.minimum(c, d), np.maximum(c, d)], axis=-1).reshape(-1, 4))
+    return unique_rows(np.concatenate(keys))[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(2, 5), min_size=2, max_size=6).filter(lambda d: math.prod(d) <= 700))
+def test_minor_keys_match_the_dedup_oracle(dims):
+    keys = segre._minor_keys(tuple(dims))
+    assert np.array_equal(keys, minor_keys_oracle(dims))
+    assert segre._minor_key_count(tuple(dims)) == len(keys)
+
+
+def test_minor_keys_pinned_at_eight_qubits():
+    keys = segre._minor_keys((2,) * 8)
+    assert len(keys) == segre._minor_key_count((2,) * 8) == 193_600
+    assert hashlib.sha256(keys.tobytes()).hexdigest() == (
+        "c7cd549c930258bf0ff745add5dbe4feaec5b3bdce6ef66652e46503303a5e71")
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 4), (3, 5, 2, 7), (2,) * 6])
-def test_minor_key_count_is_the_raw_key_count(monkeypatch, dims):
-    rows = [math.prod(dims[j - 1] for j in b.left) for b in canonical_bipartitions(len(dims))]
-    by_split = sum(math.comb(r, 2) * math.comb(math.prod(dims) // r, 2) for r in rows)
-    built = []
-
-    def counting_unique_rows(rows):
-        built.append(len(rows))
-        return unique_rows(rows)
-
-    monkeypatch.setattr(segre, "unique_rows", counting_unique_rows)
-    segre._minor_keys(dims)
-    assert segre._minor_key_count(dims) == by_split == built[0]
+def test_minor_key_count_is_the_raw_key_count(dims):
+    # the closed form against the sum over the sets D of differing modes, and
+    # against the rows the build lays out: it drops none after building them
+    p = math.prod(dims)
+    by_modes = sum((2 ** (len(D) - 1) - 1) * p * math.prod(dims[j] - 1 for j in D)
+                   for r in range(2, len(dims) + 1) for D in itertools.combinations(range(len(dims)), r))
+    assert segre._minor_key_count(dims) == by_modes // 4 == len(segre._minor_keys(dims))
 
 
 # ------------------------------------------------------------------ minor_sum
