@@ -51,8 +51,9 @@ class GaussRat(Frozen):
     __slots__ = ("re", "im")
 
     def __init__(self, re: RatLike = 0, im: RatLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # a Fraction is immutable, so it is kept as given, not rebuilt
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     @classmethod
     def _coerce(cls, x) -> "GaussRat":

@@ -22,7 +22,7 @@ import functools
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
-from .errors import MissingVariable
+from .errors import IndexOutOfRange, MalformedInput, MissingVariable, short_text
 from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, Frozen, GaussRat, is_int
 
 
@@ -54,12 +54,15 @@ class _Atom(Frozen):
 
 
 def _check_indices(indices, low: int, what: str) -> None:
-    """A nonempty tuple of ints >= low; bools are rejected (``gaussrat.is_int``)."""
+    """A nonempty tuple of ints >= low, else IndexOutOfRange; bools are rejected
+    (``gaussrat.is_int``)."""
     if not isinstance(indices, tuple) or not indices:
-        raise ValueError(f"bad {what} {indices!r}: expected a nonempty tuple")
+        got = "()" if indices == () else type(indices).__name__
+        raise IndexOutOfRange(f"bad {what}: expected a nonempty tuple, got {got}")
     for i in indices:
         if not is_int(i) or i < low:
-            raise ValueError(f"bad {what} {indices!r}: expected ints >= {low}, got {type(i).__name__} {i!r}")
+            raise IndexOutOfRange(f"bad {what} {short_text(indices)}: expected ints >= {low}, "
+                                  f"got {type(i).__name__} {short_text(i)}")
 
 
 class StateVar(_Atom):
@@ -81,7 +84,7 @@ class PluVar(_Atom):
     def __init__(self, subset: tuple[int, ...]):
         _check_indices(subset, 1, "Plucker subset")
         if any(a >= b for a, b in zip(subset, subset[1:])):
-            raise ValueError(f"Plucker subset {subset!r} not strictly increasing")
+            raise IndexOutOfRange(f"Plucker subset {short_text(subset)} not strictly increasing")
         self._freeze(subset, ("P", subset), "P[" + ",".join(map(str, subset)) + "]")
 
 
@@ -93,7 +96,7 @@ class Monomial(_Atom):
 
     The constructor is the one canonicalizing path: it merges repeated
     variables, drops zero exponents, sorts by variable key, and raises
-    ValueError on a negative exponent.
+    IndexOutOfRange on an exponent that is not an int >= 0.
     """
 
     __slots__ = ("factors",)
@@ -102,7 +105,7 @@ class Monomial(_Atom):
         merged: dict[VarId, int] = {}
         for var, exp in factors:
             if isinstance(exp, bool) or not isinstance(exp, int) or exp < 0:
-                raise ValueError(f"bad exponent {exp!r} on {var}: expected an int >= 0")
+                raise IndexOutOfRange(f"bad exponent {short_text(exp)} on {var}: expected an int >= 0")
             if exp:
                 merged[var] = merged.get(var, 0) + exp
         pairs = tuple(sorted(merged.items(), key=lambda ve: ve[0]._key))
@@ -153,7 +156,7 @@ def _coerce_coeff(c) -> GaussRat:
         return c
     if isinstance(c, (int, Fraction)):
         return GaussRat(c)
-    raise TypeError(f"polynomial coefficients must be exact, got {type(c).__name__}")
+    raise MalformedInput(f"polynomial coefficients must be exact, got {type(c).__name__}")
 
 
 def _is_negative(c: GaussRat) -> bool:

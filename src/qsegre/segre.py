@@ -10,7 +10,12 @@ equals the pair-product sum of squared singular values of the flattening:
 
 ``minor_sum`` is the one definition of that quantity, and it runs one private
 kernel per backend.  The exact kernel clears denominators once and evaluates
-the right-hand Gram identity over Gaussian integers, giving one Fraction.  The
+the right-hand Gram identity over Gaussian integers A + iC, giving one
+Fraction.  With n = ||A + iC||_F^2, Cauchy-Schwarz bounds every Gram entry and
+every partial sum of one by n, and the imaginary part C A^T - A C^T by 2n, so
+the parts run on int64 when 2n < 2**63 (``states.narrow_ints``, the one dtype
+rule) and stay ``object`` arrays of Python ints otherwise; the squares of the
+entries reach n^2 and always take Python ints.  The
 float kernel evaluates the same Gram identity, with the Gram matrix taken on
 the smaller side of the matrix, and keeps it when the result exceeds
 ``GRAM_CUTOFF * ||M||_F^4``.  Its absolute error is a few units of rounding
@@ -21,6 +26,12 @@ same kernels on the flat matrices of an array it has already validated,
 clearing an exact state's denominators once for every split, and every
 measure and separability predicate reduces over it.  ``minor_sum_direct``
 enumerates the minors and is the oracle for both kernels.
+
+An exact ``generalized_concurrence`` takes the m one-mode splits first: when
+their terms are all exactly 0, every one-mode flattening has rank 1, the
+state is a product, and the other terms are 0 without being computed.  Float
+terms of a product state are rounding-level, not 0, so the float path
+reports every split from one pass.
 """
 
 from __future__ import annotations
@@ -45,6 +56,8 @@ from .states import (
     check_tol,
     flat_matrix,
     gauss_ints,
+    gauss_rats,
+    narrow_ints,
     normalize,
 )
 
@@ -168,7 +181,11 @@ def _twice_int_minor_sum(a: np.ndarray, c: np.ndarray) -> int:
     """Twice the minor sum of the Gaussian-integer matrix A + iC, an int.
 
     The Gram matrix is taken on the smaller side:
-    A A^T + C C^T + i (C A^T - A C^T), whose trace is ||A + iC||_F^2.
+    A A^T + C C^T + i (C A^T - A C^T), whose trace is n = ||A + iC||_F^2.
+    By Cauchy-Schwarz every Gram entry and every partial sum of one is at
+    most n in modulus, and an entry of the imaginary part at most 2n, so the
+    parts may be int64 when n < 2**62 (``_gram_parts``); the squares reach
+    n^2 and take Python ints.
     """
     if a.shape[0] > a.shape[1]:
         a, c = a.T, c.T
@@ -176,7 +193,17 @@ def _twice_int_minor_sum(a: np.ndarray, c: np.ndarray) -> int:
     x = c @ a.T
     g_im = x - x.T
     n = int(g_re.trace())
-    return n * n - int((g_re * g_re + g_im * g_im).sum())
+    g = np.concatenate((g_re, g_im), axis=None).astype(object)
+    return n * n - int(g.dot(g))
+
+
+def _gram_parts(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """An exact array's ``gauss_ints`` parts A, C in the Gram kernel's dtype,
+    n = ||A + iC||_F^2 and the denominator.  The kernel forms values up to 2n
+    before it squares them, so the parts are int64 when n < 2**62."""
+    a, c, den = gauss_ints(arr)
+    n = int((a * a + c * c).sum())
+    return *narrow_ints(2 * n, a, c), n, den
 
 
 def minor_sum(f: Flattening):
@@ -188,7 +215,7 @@ def minor_sum(f: Flattening):
     singular values, which does not cancel near rank-1 matrices.
     """
     if f.exact:
-        a, c, den = gauss_ints(f.entries)
+        a, c, _, den = _gram_parts(f.entries)
         return Fraction(_twice_int_minor_sum(a, c), 2 * den ** 4)
     return _float_minor_sum(f.entries)
 
@@ -218,24 +245,39 @@ def split_terms(s: PureState, splits: Iterable[Bipartition]) -> Iterator:
     denominators are cleared once, to A + iC with n = ||A + iC||_F^2, and
     each term is (n^2 - ||G||_F^2) / (2 n^2): the denominators cancel.
     """
-    if s.exact:
-        a, c, _ = gauss_ints(s.array)
-        n2 = 2 * int((a * a + c * c).sum()) ** 2
-        return (Fraction(_twice_int_minor_sum(flat_matrix(a, b), flat_matrix(c, b)), n2) for b in splits)
-    hat = normalize(s).array
-    return (_float_minor_sum(flat_matrix(hat, b)) for b in splits)
+    return _unit_terms(s if s.exact else normalize(s), splits)
+
+
+def _unit_terms(hat: PureState, splits: Iterable[Bipartition]) -> Iterator:
+    """``split_terms`` of a state that is exact or already normalized."""
+    if hat.exact:
+        a, c, n, _ = _gram_parts(hat.array)
+        return (Fraction(_twice_int_minor_sum(flat_matrix(a, b), flat_matrix(c, b)), 2 * n * n)
+                for b in splits)
+    return (_float_minor_sum(flat_matrix(hat.array, b)) for b in splits)
 
 
 def generalized_concurrence(s: PureState) -> MeasureReport:
     """2 * sqrt(mean over canonical bipartitions of the flattening minor sum).
 
     Normalizes internally; scale- and LU-invariant; zero exactly on the
-    product states.  Reduces to the two-qubit concurrence at m = 2.
+    product states.  Reduces to the two-qubit concurrence at m = 2.  An exact
+    state's one-mode splits are reduced first: when all of them are exactly 0,
+    the state is a product and every other term is 0 without being computed.
     """
-    if s.num_modes < 2:
+    m = s.num_modes
+    if m < 2:
         raise WrongShape("measure needs >= 2 modes")
-    parts = canonical_bipartitions(s.num_modes)
-    terms = dict(zip(parts, split_terms(s, parts)))
+    parts = canonical_bipartitions(m)
+    if s.exact:
+        singles = [b for b in parts if len(b.left) in (1, m - 1)]
+        rest = [b for b in parts if len(b.left) not in (1, m - 1)]
+        lazy = split_terms(s, singles + rest)
+        terms = dict(zip(singles, itertools.islice(lazy, len(singles))))
+        terms.update(zip(rest, lazy if any(terms.values()) else itertools.repeat(Fraction(0))))
+        terms = {b: terms[b] for b in parts}
+    else:
+        terms = dict(zip(parts, split_terms(s, parts)))
     mean = sum(terms.values()) / len(parts)
     value = 2.0 * math.sqrt(float(mean))
     return MeasureReport(value, {b: float(t) for b, t in terms.items()})
@@ -265,16 +307,21 @@ def is_fully_separable(s: PureState, tol: float = DEFAULT_TOL) -> bool:
     canonical splits reduced one by one.
     """
     check_tol(tol)
-    m = s.num_modes
+    return _unit_separable(s if s.exact else normalize(s), tol)
+
+
+def _unit_separable(hat: PureState, tol: float) -> bool:
+    """``is_fully_separable`` of a state that is exact or already normalized."""
+    m = hat.num_modes
     bound = tol * tol
     singles = []
-    for t in split_terms(s, [Bipartition((k,)) for k in range(1, m + 1)] if m > 1 else []):
+    for t in _unit_terms(hat, [Bipartition((k,)) for k in range(1, m + 1)] if m > 1 else []):
         if t > bound:
             return False
         singles.append(t)
     if sum(sorted(singles)[m - m // 2:]) <= bound:
         return True
-    return all(t <= bound for t in split_terms(s, canonical_bipartitions(m)))
+    return all(t <= bound for t in _unit_terms(hat, canonical_bipartitions(m)))
 
 
 def local_factors(s: PureState, tol: float) -> list[LocalState]:
@@ -282,18 +329,24 @@ def local_factors(s: PureState, tol: float) -> list[LocalState]:
 
     Raises NotProduct exactly when ``is_fully_separable(s, tol)`` is False.
     Factor j is the amplitude fiber through the pivot with the j-th index
-    varying, scaled to 1 at the pivot if exact and to unit norm if float.
+    varying, scaled to 1 at the pivot if exact and to unit norm if float.  An
+    exact fiber a + ib is divided by the pivot p + iq in Gaussian integers,
+    ((ap + bq) + i(bp - aq)) / (p^2 + q^2), as the denominators cancel.
     """
-    if not is_fully_separable(s, tol):
+    check_tol(tol)
+    hat = s if s.exact else normalize(s)
+    if not _unit_separable(hat, tol):
         raise NotProduct(f"state is not fully separable at tol {tol!r}")
     if s.num_modes == 1:
-        return [LocalState(normalize(s).array)]
-    hat = s if s.exact else normalize(s)
+        return [LocalState(normalize(hat).array if s.exact else hat.array)]
     re, im, _ = gauss_ints(hat.array)
     pivot = np.unravel_index(int(np.argmax(re * re + im * im)), s.dims)  # first on ties
-    pv = hat.array[pivot]
-    fibers = [hat.array[pivot[:j] + (slice(None),) + pivot[j + 1:]] for j in range(s.num_modes)]
-    return [LocalState(v / (pv if s.exact else np.linalg.norm(v))) for v in fibers]
+    fibers = [pivot[:j] + (slice(None),) + pivot[j + 1:] for j in range(s.num_modes)]
+    if s.exact:
+        p, q = re[pivot], im[pivot]
+        return [LocalState(gauss_rats(re[f] * p + im[f] * q, im[f] * p - re[f] * q, p * p + q * q))
+                for f in fibers]
+    return [LocalState(v / np.linalg.norm(v)) for v in (hat.array[f] for f in fibers)]
 
 
 def measure_report_to_json(r: MeasureReport) -> dict:

@@ -123,15 +123,39 @@ def gauss_ints(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     The one rule that turns either backend into parts, so an expression on
     ``re`` and ``im`` serves both.  A float array gives its own ``real`` and
     ``imag`` and den 1; an exact array gives ``object`` arrays of Python ints
-    (cleared values outgrow int64) over the lcm of every denominator.
+    (cleared values outgrow int64) over the lcm of every denominator, which
+    :func:`narrow_ints` may turn into int64 and :func:`gauss_rats` turns back.
     """
     if arr.dtype != object:
         return arr.real, arr.imag, 1
     flat = arr.reshape(-1).tolist()
-    den = math.lcm(*(x.re.denominator for x in flat), *(x.im.denominator for x in flat))
-    re = np.array([x.re.numerator * (den // x.re.denominator) for x in flat], dtype=object)
-    im = np.array([x.im.numerator * (den // x.im.denominator) for x in flat], dtype=object)
-    return re.reshape(arr.shape), im.reshape(arr.shape), den
+    fracs = [x.re for x in flat] + [x.im for x in flat]
+    dens = [f.denominator for f in fracs]
+    den = math.lcm(*dens)
+    parts = np.array([f.numerator * (den // d) for f, d in zip(fracs, dens)], dtype=object)
+    return parts[:len(flat)].reshape(arr.shape), parts[len(flat):].reshape(arr.shape), den
+
+
+def narrow_ints(bound: int, *parts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The one dtype rule for exact integer parts: int64 copies of ``parts`` when
+    ``bound`` is below 2**63, else the ``object`` arrays of Python ints as they are.
+
+    ``bound`` is the caller's proven bound on the modulus of every value, partial
+    sums included, that its one expression forms from the parts, so the same
+    expression runs on either dtype: int64 arithmetic wraps silently.
+    """
+    if bound < 2**63:
+        return tuple(p.astype(np.int64) for p in parts)
+    return parts
+
+
+def gauss_rats(re: np.ndarray, im: np.ndarray, den: int) -> np.ndarray:
+    """The exact array ``(re + i*im) / den`` of integer parts: the inverse of
+    :func:`gauss_ints`, building one GaussRat per entry."""
+    out = np.empty(re.size, dtype=object)
+    out[:] = [GaussRat(Fraction(a, den), Fraction(b, den))
+              for a, b in zip(re.reshape(-1).tolist(), im.reshape(-1).tolist())]
+    return out.reshape(re.shape)
 
 
 def scale_parts(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -358,7 +382,14 @@ def segre_map(factors: Sequence[LocalState]) -> PureState:
         raise DimensionMismatch(f"segre_map needs >= 2 factors, got {len(factors)}")
     arrays = [f.array for f in factors]
     if all(f.exact for f in factors):
-        return PureState(functools.reduce(np.multiply.outer, arrays))
+        # the complex outer product in Gaussian integers over the product of the
+        # denominators; each amplitude becomes a GaussRat once, at the end
+        outer = np.multiply.outer
+        re, im, den = gauss_ints(arrays[0])
+        for a in arrays[1:]:
+            x, y, d = gauss_ints(a)
+            re, im, den = outer(re, x) - outer(im, y), outer(re, y) + outer(im, x), den * d
+        return PureState(gauss_rats(re, im, den))
     arrays = [
         _complex_array(a.tolist(), f"factors[{j}]") if a.dtype == object else a
         for j, a in enumerate(arrays)

@@ -10,6 +10,8 @@ from qsegre import (
     ANY_DEGREE,
     Bipartition,
     GaussRat,
+    IndexOutOfRange,
+    MalformedInput,
     MissingVariable,
     Monomial,
     MultiPoly,
@@ -228,12 +230,12 @@ def test_variable_rendering_and_validation():
     assert str(StateVar((0, 1, 1))) == "a[011]"
     assert str(StateVar((0, 12))) == "a[0,12]"  # commas once indices pass 9
     assert str(PluVar((2, 11))) == "P[2,11]"
-    with pytest.raises(ValueError):
-        StateVar(())
-    with pytest.raises(ValueError):
-        PluVar((2, 2))
-    with pytest.raises(ValueError):
-        PluVar((3, 1))
+    for bad in ((), [0], (-1,), (0, 1.0), (-10**5000,)):
+        with pytest.raises(IndexOutOfRange):
+            StateVar(bad)
+    for bad in ((2, 2), (3, 1), (0, 1), (10**5000, 1)):
+        with pytest.raises(IndexOutOfRange):
+            PluVar(bad)
 
 
 def test_format_parenthesizes_complex_coefficients():
@@ -259,8 +261,8 @@ def test_monomial_constructor_canonicalizes():
     assert Monomial(((x, 0),)) == Monomial(()) and str(Monomial(((x, 0),))) == "1"
     assert str(Monomial(((y, 2), (x, 1), (y, 1)))) == "a[00]*a[11]^3"
     assert Monomial([(y, 1), (x, 1)]) == m
-    for bad in (-1, True, 1.0):
-        with pytest.raises(ValueError):
+    for bad in (-1, True, 1.0, -10**5000):
+        with pytest.raises(IndexOutOfRange):
             Monomial(((x, bad),))
 
 
@@ -311,10 +313,19 @@ def test_exact_values_survive_pickle_and_copy():
         assert hasattr(value, slot)
 
 
+def test_float_coefficient_is_malformed():
+    x = Monomial(((StateVar((0,)), 1),))
+    for bad in (1.0, 1j):
+        with pytest.raises(MalformedInput, match="exact"):
+            MultiPoly({x: bad})
+        with pytest.raises(MalformedInput, match="exact"):
+            MultiPoly.const(bad)
+
+
 def test_variables_reject_bool_indices():
     for index in ((True,), (0, False)):
-        with pytest.raises(ValueError, match="bool"):
+        with pytest.raises(IndexOutOfRange, match="bool"):
             StateVar(index)
     for subset in ((1, True), (True, 2)):
-        with pytest.raises(ValueError, match="bool"):
+        with pytest.raises(IndexOutOfRange, match="bool"):
             PluVar(subset)
