@@ -54,15 +54,15 @@ class _Atom(Frozen):
 
 
 def _check_indices(indices, low: int, what: str) -> None:
-    """A nonempty tuple of ints >= low, else IndexOutOfRange; bools are rejected
-    (``gaussrat.is_int``)."""
+    """A nonempty tuple of ints in [low, 2**64), else IndexOutOfRange; bools are
+    rejected (``gaussrat.is_int``).  The bound keeps every index printable."""
     if not isinstance(indices, tuple) or not indices:
-        got = "()" if indices == () else type(indices).__name__
+        got = "()" if isinstance(indices, tuple) else type(indices).__name__
         raise IndexOutOfRange(f"bad {what}: expected a nonempty tuple, got {got}")
     for i in indices:
-        if not is_int(i) or i < low:
-            raise IndexOutOfRange(f"bad {what} {short_text(indices)}: expected ints >= {low}, "
-                                  f"got {type(i).__name__} {short_text(i)}")
+        if not is_int(i) or not low <= i < 2**64:
+            raise IndexOutOfRange(f"bad {what} {short_text(indices)}: expected ints in "
+                                  f"[{low}, 2**64), got {type(i).__name__} {short_text(i)}")
 
 
 class StateVar(_Atom):
@@ -96,7 +96,8 @@ class Monomial(_Atom):
 
     The constructor is the one canonicalizing path: it merges repeated
     variables, drops zero exponents, sorts by variable key, and raises
-    IndexOutOfRange on an exponent that is not an int >= 0.
+    IndexOutOfRange on an exponent that is not an int >= 0 or that reaches
+    2**64 once merged, so every exponent stays printable.
     """
 
     __slots__ = ("factors",)
@@ -104,10 +105,12 @@ class Monomial(_Atom):
     def __init__(self, factors: Iterable[tuple[VarId, int]] = ()):
         merged: dict[VarId, int] = {}
         for var, exp in factors:
-            if isinstance(exp, bool) or not isinstance(exp, int) or exp < 0:
+            if not is_int(exp) or exp < 0:
                 raise IndexOutOfRange(f"bad exponent {short_text(exp)} on {var}: expected an int >= 0")
             if exp:
                 merged[var] = merged.get(var, 0) + exp
+                if merged[var] >= 2**64:
+                    raise IndexOutOfRange(f"exponent on {var} reaches 2**64")
         pairs = tuple(sorted(merged.items(), key=lambda ve: ve[0]._key))
         text = "*".join(v.text if e == 1 else f"{v.text}^{e}" for v, e in pairs)
         self._freeze(pairs, tuple((v._key, e) for v, e in pairs), text or "1")

@@ -27,11 +27,11 @@ clearing an exact state's denominators once for every split, and every
 measure and separability predicate reduces over it.  ``minor_sum_direct``
 enumerates the minors and is the oracle for both kernels.
 
-An exact ``generalized_concurrence`` takes the m one-mode splits first: when
-their terms are all exactly 0, every one-mode flattening has rank 1, the
-state is a product, and the other terms are 0 without being computed.  Float
-terms of a product state are rounding-level, not 0, so the float path
-reports every split from one pass.
+``generalized_concurrence`` takes the m one-mode splits first.  When an
+exact state's terms there are all exactly 0, every one-mode flattening has
+rank 1, the state is a product, and the other terms are 0 without being
+computed.  Float terms of a product state are rounding-level, not 0, so a
+float state has every split computed and reported.
 """
 
 from __future__ import annotations
@@ -261,23 +261,21 @@ def generalized_concurrence(s: PureState) -> MeasureReport:
     """2 * sqrt(mean over canonical bipartitions of the flattening minor sum).
 
     Normalizes internally; scale- and LU-invariant; zero exactly on the
-    product states.  Reduces to the two-qubit concurrence at m = 2.  An exact
-    state's one-mode splits are reduced first: when all of them are exactly 0,
-    the state is a product and every other term is 0 without being computed.
+    product states.  Reduces to the two-qubit concurrence at m = 2.  The
+    one-mode splits are reduced first; when an exact state's are all exactly
+    0, the state is a product and every other term is 0 without being computed.
     """
     m = s.num_modes
     if m < 2:
         raise WrongShape("measure needs >= 2 modes")
     parts = canonical_bipartitions(m)
-    if s.exact:
-        singles = [b for b in parts if len(b.left) in (1, m - 1)]
-        rest = [b for b in parts if len(b.left) not in (1, m - 1)]
-        lazy = split_terms(s, singles + rest)
-        terms = dict(zip(singles, itertools.islice(lazy, len(singles))))
-        terms.update(zip(rest, lazy if any(terms.values()) else itertools.repeat(Fraction(0))))
-        terms = {b: terms[b] for b in parts}
-    else:
-        terms = dict(zip(parts, split_terms(s, parts)))
+    singles = [b for b in parts if len(b.left) in (1, m - 1)]
+    rest = [b for b in parts if len(b.left) not in (1, m - 1)]
+    lazy = split_terms(s, singles + rest)
+    terms = dict(zip(singles, itertools.islice(lazy, len(singles))))
+    product = s.exact and not any(terms.values())
+    terms.update(zip(rest, itertools.repeat(Fraction(0)) if product else lazy))
+    terms = {b: terms[b] for b in parts}
     mean = sum(terms.values()) / len(parts)
     value = 2.0 * math.sqrt(float(mean))
     return MeasureReport(value, {b: float(t) for b, t in terms.items()})

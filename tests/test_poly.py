@@ -2,6 +2,7 @@ import copy
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,10 +231,12 @@ def test_variable_rendering_and_validation():
     assert str(StateVar((0, 1, 1))) == "a[011]"
     assert str(StateVar((0, 12))) == "a[0,12]"  # commas once indices pass 9
     assert str(PluVar((2, 11))) == "P[2,11]"
-    for bad in ((), [0], (-1,), (0, 1.0), (-10**5000,)):
+    assert str(StateVar((2**64 - 1,))) == f"a[{2**64 - 1}]"
+    for bad in ((), [0], np.array([0, 1]), np.array([]), (-1,), (0, 1.0),
+                (-10**5000,), (10**5000,), (2**64,)):
         with pytest.raises(IndexOutOfRange):
             StateVar(bad)
-    for bad in ((2, 2), (3, 1), (0, 1), (10**5000, 1)):
+    for bad in ((2, 2), (3, 1), (0, 1), (10**5000, 1), (1, 10**5000)):
         with pytest.raises(IndexOutOfRange):
             PluVar(bad)
 
@@ -261,9 +264,12 @@ def test_monomial_constructor_canonicalizes():
     assert Monomial(((x, 0),)) == Monomial(()) and str(Monomial(((x, 0),))) == "1"
     assert str(Monomial(((y, 2), (x, 1), (y, 1)))) == "a[00]*a[11]^3"
     assert Monomial([(y, 1), (x, 1)]) == m
-    for bad in (-1, True, 1.0, -10**5000):
+    for bad in (-1, True, 1.0, -10**5000, 10**5000, 2**64):
         with pytest.raises(IndexOutOfRange):
             Monomial(((x, bad),))
+    assert str(Monomial(((x, 2**64 - 1),))) == f"a[00]^{2**64 - 1}"
+    with pytest.raises(IndexOutOfRange):
+        Monomial(((x, 2**63), (x, 2**63)))  # merged past the bound
 
 
 def clones(value):
