@@ -21,26 +21,36 @@ the smaller side of the matrix, and keeps it when the result exceeds
 ``GRAM_CUTOFF * ||M||_F^4``.  Its absolute error is a few units of rounding
 times ``||M||_F^4``, so above the cutoff the relative error stays within
 about 1e-12.  Below it, near rank-1 matrices where the identity cancels, the
-kernel returns the singular-value form instead.  ``split_terms`` runs the
-same kernels on the flat matrices of an array it has already validated,
-clearing an exact state's denominators once for every split, and every
-measure and separability predicate reduces over it.  ``minor_sum_direct``
-enumerates the minors and is the oracle for both kernels.
+kernel returns the singular-value form instead.  It runs on stacks: the
+splits of one shape are copied into chunks of at most ``CHUNK_AMPS``
+amplitudes, and each chunk takes one batched Gram product and one batched
+SVD for the members at or below the cutoff.  A matrix's term does not depend
+on its stack, so ``minor_sum`` of one flattening, a stack of one, is
+bitwise equal to that split's term in any chunk.  ``split_terms`` runs the
+kernels on an array it has already validated, laid out per split by
+``states.flat_layout``, clearing an exact state's denominators once for
+every split, and every measure and separability predicate reduces over it.
+The canonical splits of each ``dims`` and their layouts are built once
+(``_split_plan``).  ``minor_sum_direct`` enumerates the minors and is the
+oracle for both kernels.
 
 ``generalized_concurrence`` takes the m one-mode splits first.  When an
 exact state's terms there are all exactly 0, every one-mode flattening has
 rank 1, the state is a product, and the other terms are 0 without being
 computed.  Float terms of a product state are rounding-level, not 0, so a
-float state has every split computed and reported.
+float state has every split computed and reported.  ``is_fully_separable``
+takes split (1,) alone before the other one-mode splits, so an entangled
+state that fails there costs one split.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -54,6 +64,7 @@ from .states import (
     PureState,
     canonical_bipartitions,
     check_tol,
+    flat_layout,
     flat_matrix,
     gauss_ints,
     gauss_rats,
@@ -65,6 +76,11 @@ DEFAULT_TOL = 1e-10
 # Float minor sums at or below this fraction of ||M||_F^4 are recomputed from
 # the singular values: the Gram identity's absolute error is ~1e-16 ||M||_F^4.
 GRAM_CUTOFF = 1e-4
+# The float kernel stacks the splits of one shape in chunks of at most this
+# many amplitudes, so a chunk's stack and Gram matrices stay in cache.  Of
+# 2^12..2^16, 2^13 was fastest for float generalized_concurrence at m = 8-12,
+# and unchunked shape groups were slower than one split at a time from m = 10.
+CHUNK_AMPS = 2**13
 
 
 @dataclass(frozen=True)
@@ -165,16 +181,59 @@ def state_assignment(s: PureState) -> dict[StateVar, Scalar]:
     return {StateVar(index): a for index, a in zip(indices, s.amps)}
 
 
-def _float_minor_sum(mat: np.ndarray) -> float:
-    """Minor sum of a complex128 matrix: Gram identity, singular values where it cancels."""
-    h = mat.conj().T
-    g = mat @ h if mat.shape[0] <= mat.shape[1] else h @ mat
-    fro4 = g.trace().real ** 2
-    val = (fro4 - np.vdot(g, g).real) / 2
-    if val > GRAM_CUTOFF * fro4:
-        return float(val)
-    s2 = np.linalg.svd(mat, compute_uv=False) ** 2
-    return float(np.sum(s2[1:] * np.cumsum(s2)[:-1]))
+def _stacked_minor_sums(mats: np.ndarray) -> list[float]:
+    """Minor sums of a k x rows x cols complex128 stack, as floats.
+
+    Each matrix takes the Gram identity on its smaller side, and the ones
+    where it cancels (not above ``GRAM_CUTOFF * ||M||_F^4``) take
+    sum_{i<j} sigma_i^2 sigma_j^2 from one stacked SVD.  A matrix's term does
+    not depend on the others in its stack.  Chunks are short, so the
+    per-matrix scalars are finished in Python floats, which round as numpy's do.
+    """
+    h = mats.conj().transpose(0, 2, 1)
+    g = mats @ h if mats.shape[1] <= mats.shape[2] else h @ mats
+    norms = _squared_norms(mats)
+    terms = [(n * n - q) / 2 for n, q in zip(norms, _squared_norms(g))]
+    low = [i for i, (t, n) in enumerate(zip(terms, norms)) if not t > GRAM_CUTOFF * (n * n)]
+    if low:
+        s2 = np.linalg.svd(mats if len(low) == len(mats) else mats[low], compute_uv=False) ** 2
+        pairs = s2[:, 1:] * np.add.accumulate(s2, axis=1)[:, :-1]
+        for i, t in zip(low, np.add.reduce(pairs, axis=1).tolist()):
+            terms[i] = t
+    return terms
+
+
+def _squared_norms(mats: np.ndarray) -> list[float]:
+    """||X||_F^2 of each matrix of a complex stack: one real dot product per matrix."""
+    v = mats.reshape(len(mats), 1, -1).view(np.float64)
+    return (v @ v.transpose(0, 2, 1)).reshape(-1).tolist()
+
+
+def _float_terms(arr: np.ndarray, layouts) -> list[float]:
+    """The minor sum of the float array laid out by each ``(perm, rows)``.
+
+    The layouts of one row count are stacked in chunks of at most
+    ``CHUNK_AMPS`` amplitudes, and each chunk is one ``_stacked_minor_sums``.
+    """
+    per = max(1, CHUNK_AMPS // arr.size)
+    groups = {}
+    for i, (_, rows) in enumerate(layouts):
+        groups.setdefault(rows, []).append(i)
+    terms = [0.0] * len(layouts)
+    for rows, group in groups.items():
+        for k in range(0, len(group), per):
+            chunk = group[k:k + per]
+            if len(chunk) == 1:  # a view where the layout allows one
+                mats = arr.transpose(layouts[chunk[0]][0]).reshape(1, rows, -1)
+            else:
+                # each transpose is copied once, into its slot of the stack
+                mats = np.empty((len(chunk), rows, arr.size // rows), dtype=arr.dtype)
+                for mat, i in zip(mats, chunk):
+                    src = arr.transpose(layouts[i][0])
+                    mat.reshape(src.shape)[...] = src
+            for i, t in zip(chunk, _stacked_minor_sums(mats)):
+                terms[i] = t
+    return terms
 
 
 def _twice_int_minor_sum(a: np.ndarray, c: np.ndarray) -> int:
@@ -217,7 +276,7 @@ def minor_sum(f: Flattening):
     if f.exact:
         a, c, _, den = _gram_parts(f.entries)
         return Fraction(_twice_int_minor_sum(a, c), 2 * den ** 4)
-    return _float_minor_sum(f.entries)
+    return _stacked_minor_sums(f.entries[None])[0]
 
 
 def minor_sum_direct(f: Flattening):
@@ -236,25 +295,74 @@ def minor_sum_direct(f: Flattening):
     return total
 
 
-def split_terms(s: PureState, splits: Iterable[Bipartition]) -> Iterator:
-    """Lazily yield the normalized state's ``minor_sum`` at each split, in order.
+class _SplitPlan(NamedTuple):
+    """The canonical splits of one ``dims``, each laid out once.
 
-    The kernels run on :func:`~qsegre.states.flat_matrix` views of the
-    already validated state, not on new Flattenings.  Float states are
-    normalized once.  An exact state's norm may be irrational, so its
-    denominators are cleared once, to A + iC with n = ||A + iC||_F^2, and
-    each term is (n^2 - ||G||_F^2) / (2 n^2): the denominators cancel.
+    ``layouts[i]`` is the ``flat_layout`` of ``parts[order[i]]``; the first
+    ``singles`` of ``order`` are the one-mode splits, in canonical order.
     """
-    return _unit_terms(s if s.exact else normalize(s), splits)
+
+    parts: tuple[Bipartition, ...]
+    order: tuple[int, ...]
+    layouts: tuple[tuple[tuple[int, ...], int], ...]
+    singles: int
 
 
-def _unit_terms(hat: PureState, splits: Iterable[Bipartition]) -> Iterator:
-    """``split_terms`` of a state that is exact or already normalized."""
-    if hat.exact:
-        a, c, n, _ = _gram_parts(hat.array)
-        return (Fraction(_twice_int_minor_sum(flat_matrix(a, b), flat_matrix(c, b)), 2 * n * n)
-                for b in splits)
-    return (_float_minor_sum(flat_matrix(hat.array, b)) for b in splits)
+@functools.lru_cache(maxsize=32)
+def _split_plan(dims: tuple[int, ...]) -> _SplitPlan:
+    """The canonical splits of ``dims``, validated and laid out once per dims."""
+    m = len(dims)
+    parts = tuple(canonical_bipartitions(m))
+    order = sorted(range(len(parts)), key=lambda i: len(parts[i].left) not in (1, m - 1))
+    layouts = tuple(flat_layout(dims, parts[i]) for i in order)
+    return _SplitPlan(parts, tuple(order), layouts, min(m, len(parts)))
+
+
+@functools.lru_cache(maxsize=32)
+def _one_mode_layouts(dims: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The layouts of the canonical one-mode splits of m >= 2 modes, split (1,)
+    first, without laying out the other 2^(m-1) - 1 - m."""
+    m = len(dims)
+    lefts = dict.fromkeys([(1,), *(tuple(j for j in range(1, m + 1) if j != k) for k in range(2, m + 1))])
+    return tuple(flat_layout(dims, Bipartition(left)) for left in lefts)
+
+
+def split_terms(s: PureState, splits: Iterable[Bipartition]) -> Iterator:
+    """Iterate over the normalized state's ``minor_sum`` at each split, in order.
+
+    The kernels run on the already validated state's array laid out by each
+    split (:func:`~qsegre.states.flat_layout`), not on new Flattenings.
+    Float states are normalized once, and their terms are computed together
+    when this is called, the splits of one shape stacked (``CHUNK_AMPS``).
+    Exact terms are computed lazily, one split at a time.  An exact state's
+    norm may be irrational, so its denominators are cleared once, to A + iC
+    with n = ||A + iC||_F^2, and each term is (n^2 - ||G||_F^2) / (2 n^2):
+    the denominators cancel.
+    """
+    return _unit_terms(s if s.exact else normalize(s), [_layout(s.dims, b) for b in splits])
+
+
+def _layout(dims: tuple[int, ...], b: Bipartition) -> tuple[tuple[int, ...], int]:
+    """``flat_layout(dims, b)``, validated once per dims when b's row group is a tuple of ints."""
+    if type(b.left) is tuple and all(type(j) is int for j in b.left):
+        return _int_layout(dims, b.left)
+    return flat_layout(dims, b)
+
+
+@functools.lru_cache(maxsize=256)
+def _int_layout(dims: tuple[int, ...], left: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    return flat_layout(dims, Bipartition(left))
+
+
+def _unit_terms(hat: PureState, layouts, parts=None) -> Iterator:
+    """``split_terms`` of a state that is exact or already normalized, at split
+    layouts; an exact state may pass its ``_gram_parts`` as ``parts``."""
+    if not hat.exact:
+        return iter(_float_terms(hat.array, layouts))
+    a, c, n, _ = _gram_parts(hat.array) if parts is None else parts
+    return (Fraction(_twice_int_minor_sum(a.transpose(perm).reshape(rows, -1),
+                                          c.transpose(perm).reshape(rows, -1)), 2 * n * n)
+            for perm, rows in layouts)
 
 
 def generalized_concurrence(s: PureState) -> MeasureReport:
@@ -265,20 +373,20 @@ def generalized_concurrence(s: PureState) -> MeasureReport:
     one-mode splits are reduced first; when an exact state's are all exactly
     0, the state is a product and every other term is 0 without being computed.
     """
-    m = s.num_modes
-    if m < 2:
+    if s.num_modes < 2:
         raise WrongShape("measure needs >= 2 modes")
-    parts = canonical_bipartitions(m)
-    singles = [b for b in parts if len(b.left) in (1, m - 1)]
-    rest = [b for b in parts if len(b.left) not in (1, m - 1)]
-    lazy = split_terms(s, singles + rest)
-    terms = dict(zip(singles, itertools.islice(lazy, len(singles))))
-    product = s.exact and not any(terms.values())
-    terms.update(zip(rest, itertools.repeat(Fraction(0)) if product else lazy))
-    terms = {b: terms[b] for b in parts}
-    mean = sum(terms.values()) / len(parts)
-    value = 2.0 * math.sqrt(float(mean))
-    return MeasureReport(value, {b: float(t) for b, t in terms.items()})
+    plan = _split_plan(s.dims)
+    lazy = _unit_terms(s if s.exact else normalize(s), plan.layouts)
+    terms = [None] * len(plan.parts)
+    singles = plan.order[:plan.singles]
+    for i, t in zip(singles, lazy):
+        terms[i] = t
+    if s.exact and not any(terms[i] for i in singles):
+        lazy = itertools.repeat(Fraction(0))
+    for i, t in zip(plan.order[plan.singles:], lazy):
+        terms[i] = t
+    value = 2.0 * math.sqrt(float(sum(terms) / len(terms)))
+    return MeasureReport(value, dict(zip(plan.parts, map(float, terms))))
 
 
 def concurrence2(s: PureState) -> float:
@@ -308,18 +416,27 @@ def is_fully_separable(s: PureState, tol: float = DEFAULT_TOL) -> bool:
     return _unit_separable(s if s.exact else normalize(s), tol)
 
 
-def _unit_separable(hat: PureState, tol: float) -> bool:
-    """``is_fully_separable`` of a state that is exact or already normalized."""
+def _unit_separable(hat: PureState, tol: float, parts=None) -> bool:
+    """``is_fully_separable`` of a state that is exact or already normalized;
+    an exact state may pass its ``_gram_parts`` as ``parts``."""
     m = hat.num_modes
-    bound = tol * tol
-    singles = []
-    for t in _unit_terms(hat, [Bipartition((k,)) for k in range(1, m + 1)] if m > 1 else []):
-        if t > bound:
-            return False
-        singles.append(t)
-    if sum(sorted(singles)[m - m // 2:]) <= bound:
+    if m == 1:
         return True
-    return all(t <= bound for t in _unit_terms(hat, canonical_bipartitions(m)))
+    if hat.exact and parts is None:
+        parts = _gram_parts(hat.array)
+    bound = tol * tol
+    first, *others = _one_mode_layouts(hat.dims)
+    singles = []
+    # split (1,) alone first: most entangled states fail there
+    for layouts in ([first], others):
+        for t in _unit_terms(hat, layouts, parts):
+            if t > bound:
+                return False
+            singles.append(t)
+    if sum(sorted(singles)[-(m // 2):]) <= bound:
+        return True
+    plan = _split_plan(hat.dims)
+    return all(t <= bound for t in _unit_terms(hat, plan.layouts[plan.singles:], parts))
 
 
 def local_factors(s: PureState, tol: float) -> list[LocalState]:
@@ -329,19 +446,22 @@ def local_factors(s: PureState, tol: float) -> list[LocalState]:
     Factor j is the amplitude fiber through the pivot with the j-th index
     varying, scaled to 1 at the pivot if exact and to unit norm if float.  An
     exact fiber a + ib is divided by the pivot p + iq in Gaussian integers,
-    ((ap + bq) + i(bp - aq)) / (p^2 + q^2), as the denominators cancel.
+    ((ap + bq) + i(bp - aq)) / (p^2 + q^2), as the denominators cancel; the
+    parts are those of the separability check, and every value formed is at
+    most n = ||a + ib||^2 in modulus, within their dtype.
     """
     check_tol(tol)
     hat = s if s.exact else normalize(s)
-    if not _unit_separable(hat, tol):
+    parts = _gram_parts(hat.array) if s.exact else None
+    if not _unit_separable(hat, tol, parts):
         raise NotProduct(f"state is not fully separable at tol {tol!r}")
     if s.num_modes == 1:
         return [LocalState(normalize(hat).array if s.exact else hat.array)]
-    re, im, _ = gauss_ints(hat.array)
+    re, im = parts[:2] if s.exact else gauss_ints(hat.array)[:2]
     pivot = np.unravel_index(int(np.argmax(re * re + im * im)), s.dims)  # first on ties
     fibers = [pivot[:j] + (slice(None),) + pivot[j + 1:] for j in range(s.num_modes)]
     if s.exact:
-        p, q = re[pivot], im[pivot]
+        p, q = int(re[pivot]), int(im[pivot])
         return [LocalState(gauss_rats(re[f] * p + im[f] * q, im[f] * p - re[f] * q, p * p + q * q))
                 for f in fibers]
     return [LocalState(v / np.linalg.norm(v)) for v in (hat.array[f] for f in fibers)]

@@ -339,13 +339,19 @@ def make_bipartition(left: Iterable[int], num_modes: int) -> Bipartition:
 
 
 def canonical_bipartitions(num_modes: int) -> list[Bipartition]:
-    """All 2^(m-1) - 1 unordered splits, each by its 1-containing representative."""
+    """All 2^(m-1) - 1 unordered splits, each by its 1-containing representative,
+    sorted by row group.  Built once per m; each call returns a fresh list."""
+    return list(_canonical_bipartitions(num_modes))
+
+
+@functools.lru_cache(maxsize=16)
+def _canonical_bipartitions(num_modes: int) -> tuple[Bipartition, ...]:
     rest = range(2, num_modes + 1)
     out = []
     for r in range(0, num_modes - 1):
         for extra in itertools.combinations(rest, r):
             out.append(Bipartition((1,) + extra))
-    return sorted(out, key=lambda b: b.left)
+    return tuple(sorted(out, key=lambda b: b.left))
 
 
 def normalize(s: PureState) -> PureState:
@@ -398,21 +404,31 @@ def segre_map(factors: Sequence[LocalState]) -> PureState:
         return PureState(functools.reduce(np.multiply.outer, arrays))
 
 
-def flat_matrix(arr: np.ndarray, b: Bipartition) -> np.ndarray:
-    """The array's modes b.left as rows and the rest as columns.
+def flat_layout(shape: tuple[int, ...], b: Bipartition) -> tuple[tuple[int, ...], int]:
+    """``(perm, rows)`` with ``arr.transpose(perm).reshape(rows, -1)`` the
+    flattening of an array of ``shape`` at b (see :func:`flat_matrix`).
 
-    Row and column indices are row-major in the sorted order of their mode
-    groups, consistent with the global amplitude order.
+    b.left must be a nonempty, strictly increasing proper subset of the
+    modes 1..m, else IndexOutOfRange.
     """
-    m = arr.ndim
+    m = len(shape)
     left = b.left
     if (not left or not all(map(is_int, left)) or list(left) != sorted(set(left))
             or left[0] < 1 or left[-1] > m):
         raise IndexOutOfRange(f"bipartition {left} invalid for {m} modes")
     if len(left) == m:
         raise IndexOutOfRange("bipartition must be a proper subset of the modes")
-    rows = math.prod(arr.shape[j - 1] for j in left)
-    return arr.transpose([j - 1 for j in (*left, *b.complement(m))]).reshape(rows, -1)
+    return tuple(j - 1 for j in (*left, *b.complement(m))), math.prod(shape[j - 1] for j in left)
+
+
+def flat_matrix(arr: np.ndarray, b: Bipartition) -> np.ndarray:
+    """The array's modes b.left as rows and the rest as columns.
+
+    Row and column indices are row-major in the sorted order of their mode
+    groups, consistent with the global amplitude order.
+    """
+    perm, rows = flat_layout(arr.shape, b)
+    return arr.transpose(perm).reshape(rows, -1)
 
 
 def flatten(s: PureState, b: Bipartition) -> Flattening:

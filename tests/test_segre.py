@@ -408,6 +408,75 @@ def test_float_split_terms_match_singular_values_across_cutoff(m):
     assert above == {True, False}
 
 
+@pytest.mark.parametrize("dims", [(2, 3, 4), (3, 3, 2), (2, 2, 5), (2,) * 11, (2,) * 12])
+def test_stacked_float_terms_equal_one_matrix_kernel(dims):
+    # the stacked kernel gives each split the term minor_sum gives its
+    # flattening alone, bit for bit; at 11 and 12 qubits a shape group spans
+    # several chunks, and the perturbed product puts terms on both sides of
+    # GRAM_CUTOFF
+    rng = default_rng(sum(dims))
+    prod = random_product_state(rng, dims).to_numpy()
+    noise = rng.normal(size=prod.size) + 1j * rng.normal(size=prod.size)
+    states = [random_haar_state(rng, dims), make_state(dims, prod),
+              make_state(dims, prod + 1e-3 * noise / np.linalg.norm(noise))]
+    parts = canonical_bipartitions(len(dims))
+    if len(dims) >= 11:
+        rows = [math.prod(dims[j - 1] for j in b.left) for b in parts]
+        assert max(map(rows.count, rows)) > segre.CHUNK_AMPS // math.prod(dims)
+    above = set()
+    for s in states:
+        hat = normalize(s)
+        terms = list(split_terms(s, parts))
+        report = generalized_concurrence(s).per_bipartition
+        assert list(report) == parts
+        for b, term in zip(parts, terms):
+            assert minor_sum(flatten(hat, b)) == term == report[b]
+            above.add(term > GRAM_CUTOFF)
+    assert above == {True, False}
+
+
+def test_float_product_takes_one_svd_per_chunk(monkeypatch):
+    # every split of a float product state falls back to the SVD, once per
+    # chunk of equal-shape splits rather than once per split
+    m = 10
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(len(a)) or svd(a, **kw))
+    s = random_product_state(default_rng(12), [2] * m)
+    report = generalized_concurrence(s)
+    per = segre.CHUNK_AMPS // 2 ** m
+    shapes = [2 ** len(b.left) for b in canonical_bipartitions(m)]
+    chunks = sum(-(-shapes.count(r) // per) for r in set(shapes))
+    assert len(report.per_bipartition) == sum(calls) == 2 ** (m - 1) - 1
+    assert len(calls) == chunks < 2 ** (m - 1) - 1
+
+
+def test_fully_separable_haar_stops_after_first_split(monkeypatch):
+    stacks = []
+    kernel = segre._stacked_minor_sums
+    monkeypatch.setattr(segre, "_stacked_minor_sums", lambda mats: stacks.append(len(mats)) or kernel(mats))
+    rng = default_rng(13)
+    for m in range(2, 11):
+        stacks.clear()
+        assert not is_fully_separable(random_haar_state(rng, [2] * m))
+        assert stacks == [1]
+        stacks.clear()
+        # a product state takes every one-mode split and no other
+        assert is_fully_separable(random_product_state(rng, [2] * m))
+        assert stacks[0] == 1 and sum(stacks) == (1 if m == 2 else m)
+
+
+def test_exact_local_factors_clears_denominators_once(monkeypatch):
+    calls = []
+    parts = segre.gauss_ints
+    monkeypatch.setattr(segre, "gauss_ints", lambda arr: calls.append(1) or parts(arr))
+    s = random_exact_product_state(default_rng(14), [2, 3, 2])
+    rebuilt = segre_map(local_factors(s, 0)).array
+    assert len(calls) == 1
+    # the factors rebuild the state up to a scalar
+    assert all(x * rebuilt.flat[0] == y * s.array.flat[0] for x, y in zip(s.array.flat, rebuilt.flat))
+
+
 def test_state_assignment_follows_row_major_order():
     rng = default_rng(75)
     for s in (random_haar_state(rng, [2, 3, 2]), random_exact_product_state(rng, [3, 2])):

@@ -349,6 +349,15 @@ def test_canonical_bipartitions_count():
         assert len(set(parts)) == len(parts)
 
 
+def test_canonical_bipartitions_are_a_fresh_list():
+    # the splits are built once per m; a caller's list cannot change them
+    parts = canonical_bipartitions(4)
+    parts.reverse()
+    parts.pop()
+    assert canonical_bipartitions(4) == sorted(parts + [Bipartition((1,))], key=lambda b: b.left)
+    assert canonical_bipartitions(4) is not canonical_bipartitions(4)
+
+
 def test_bipartition_canonicalize():
     b = Bipartition((2,)).canonicalize(3)
     assert b.left == (1, 3)
