@@ -252,7 +252,7 @@ def check_relations(ps: PlueckerSet):
         vals.append(ps.coords[subset])
     exact = ps.exact
     re, im, den = gauss_ints(np.array(vals, dtype=object) if exact else _complex_array(vals, "coords"))
-    re, im, e = (re, im, 0) if exact else scale_parts(re, im)
+    re, im, e = (re, im, 0) if exact else scale_parts(re, im)[:3]
     x, y = np.zeros((2, len(pairs)), re.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         np.add.at(x, rel, c * (re[a] * re[b] - im[a] * im[b]))

@@ -192,9 +192,12 @@ def _stacked_minor_sums(mats: np.ndarray) -> list[float]:
     """
     h = mats.conj().transpose(0, 2, 1)
     g = mats @ h if mats.shape[1] <= mats.shape[2] else h @ mats
-    norms = _squared_norms(mats)
-    terms = [(n * n - q) / 2 for n, q in zip(norms, _squared_norms(g))]
-    low = [i for i, (t, n) in enumerate(zip(terms, norms)) if not t > GRAM_CUTOFF * (n * n)]
+    terms, low = [], []
+    for i, (n, q) in enumerate(zip(_squared_norms(mats), _squared_norms(g))):
+        fro4 = n * n
+        terms.append((fro4 - q) / 2)
+        if not terms[i] > GRAM_CUTOFF * fro4:
+            low.append(i)
     if low:
         s2 = np.linalg.svd(mats if len(low) == len(mats) else mats[low], compute_uv=False) ** 2
         pairs = s2[:, 1:] * np.add.accumulate(s2, axis=1)[:, :-1]
@@ -215,6 +218,9 @@ def _float_terms(arr: np.ndarray, layouts) -> list[float]:
     The layouts of one row count are stacked in chunks of at most
     ``CHUNK_AMPS`` amplitudes, and each chunk is one ``_stacked_minor_sums``.
     """
+    if len(layouts) == 1:  # one split, a stack of one view: nothing to group
+        (perm, rows), = layouts
+        return _stacked_minor_sums(arr.transpose(perm).reshape(1, rows, -1))
     per = max(1, CHUNK_AMPS // arr.size)
     groups = {}
     for i, (_, rows) in enumerate(layouts):
@@ -318,15 +324,6 @@ def _split_plan(dims: tuple[int, ...]) -> _SplitPlan:
     return _SplitPlan(parts, tuple(order), layouts, min(m, len(parts)))
 
 
-@functools.lru_cache(maxsize=32)
-def _one_mode_layouts(dims: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The layouts of the canonical one-mode splits of m >= 2 modes, split (1,)
-    first, without laying out the other 2^(m-1) - 1 - m."""
-    m = len(dims)
-    lefts = dict.fromkeys([(1,), *(tuple(j for j in range(1, m + 1) if j != k) for k in range(2, m + 1))])
-    return tuple(flat_layout(dims, Bipartition(left)) for left in lefts)
-
-
 def split_terms(s: PureState, splits: Iterable[Bipartition]) -> Iterator:
     """Iterate over the normalized state's ``minor_sum`` at each split, in order.
 
@@ -339,19 +336,7 @@ def split_terms(s: PureState, splits: Iterable[Bipartition]) -> Iterator:
     with n = ||A + iC||_F^2, and each term is (n^2 - ||G||_F^2) / (2 n^2):
     the denominators cancel.
     """
-    return _unit_terms(s if s.exact else normalize(s), [_layout(s.dims, b) for b in splits])
-
-
-def _layout(dims: tuple[int, ...], b: Bipartition) -> tuple[tuple[int, ...], int]:
-    """``flat_layout(dims, b)``, validated once per dims when b's row group is a tuple of ints."""
-    if type(b.left) is tuple and all(type(j) is int for j in b.left):
-        return _int_layout(dims, b.left)
-    return flat_layout(dims, b)
-
-
-@functools.lru_cache(maxsize=256)
-def _int_layout(dims: tuple[int, ...], left: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    return flat_layout(dims, Bipartition(left))
+    return _unit_terms(s if s.exact else normalize(s), [flat_layout(s.dims, b) for b in splits])
 
 
 def _unit_terms(hat: PureState, layouts, parts=None) -> Iterator:
@@ -425,7 +410,8 @@ def _unit_separable(hat: PureState, tol: float, parts=None) -> bool:
     if hat.exact and parts is None:
         parts = _gram_parts(hat.array)
     bound = tol * tol
-    first, *others = _one_mode_layouts(hat.dims)
+    plan = _split_plan(hat.dims)
+    first, *others = plan.layouts[:plan.singles]
     singles = []
     # split (1,) alone first: most entangled states fail there
     for layouts in ([first], others):
@@ -435,7 +421,6 @@ def _unit_separable(hat: PureState, tol: float, parts=None) -> bool:
             singles.append(t)
     if sum(sorted(singles)[-(m // 2):]) <= bound:
         return True
-    plan = _split_plan(hat.dims)
     return all(t <= bound for t in _unit_terms(hat, plan.layouts[plan.singles:], parts))
 
 

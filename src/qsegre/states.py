@@ -158,11 +158,12 @@ def gauss_rats(re: np.ndarray, im: np.ndarray, den: int) -> np.ndarray:
     return out.reshape(re.shape)
 
 
-def scale_parts(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(re / 2**e, im / 2**e, e)`` with the largest float part scaled into
-    [0.5, 1), so products of parts do not overflow; exact but for subnormals."""
-    e = int(np.frexp(max(np.abs(re).max(), np.abs(im).max()))[1])
-    return np.ldexp(re, -e), np.ldexp(im, -e), e
+def scale_parts(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """``(re / 2**e, im / 2**e, e, top)`` with the largest float part scaled to
+    ``top`` in [0.5, 1), so products of parts do not overflow.  Exact but for
+    subnormals, which only round down, so no scaled part exceeds ``top``."""
+    top, e = np.frexp(max(np.abs(re).max(), np.abs(im).max()))
+    return np.ldexp(re, -e), np.ldexp(im, -e), int(e), float(top)
 
 
 def abs_sq_sum(arr: np.ndarray):
@@ -371,8 +372,8 @@ def normalize(s: PureState) -> PureState:
             return PureState(arr * GaussRat(1 / r))
         arr = arr / max(max(abs(x.re), abs(x.im)) for x in arr.flat)
     arr = arr.astype(np.complex128)
-    arr.real, arr.imag, _ = scale_parts(arr.real, arr.imag)
-    arr = arr / max(np.abs(arr.real).max(), np.abs(arr.imag).max())
+    arr.real, arr.imag, _, top = scale_parts(arr.real, arr.imag)
+    arr = arr / top
     return PureState(arr / np.linalg.norm(arr))
 
 
@@ -418,7 +419,10 @@ def flat_layout(shape: tuple[int, ...], b: Bipartition) -> tuple[tuple[int, ...]
         raise IndexOutOfRange(f"bipartition {left} invalid for {m} modes")
     if len(left) == m:
         raise IndexOutOfRange("bipartition must be a proper subset of the modes")
-    return tuple(j - 1 for j in (*left, *b.complement(m))), math.prod(shape[j - 1] for j in left)
+    perm = [j - 1 for j in left]
+    rows = math.prod([shape[j] for j in perm])
+    perm += (j for j in range(m) if j + 1 not in left)
+    return tuple(perm), rows
 
 
 def flat_matrix(arr: np.ndarray, b: Bipartition) -> np.ndarray:

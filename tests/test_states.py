@@ -517,6 +517,29 @@ def test_normalize_extreme_scales(scale):
     assert s.amps[3] == pytest.approx(SQ2)
 
 
+def test_normalize_matches_rescanning_the_largest_part():
+    # normalize divides by the largest part as scale_parts reports it; a
+    # second scan after the power-of-two scaling finds exactly that value, so
+    # the bits are those of the two-scan reference, subnormals and signed
+    # zeros included
+    from qsegre.states import scale_parts
+
+    rng = np.random.default_rng(5)
+    cases = [[5e-324, -0.0, 0.0, -5e-324j], [1.7e308, -1.7e308j, 1e-320, 3.0], [-0.0, 1.0, -0.0j, -1e-310]]
+    for scale in (1.0, 1e-310, 1e300):
+        x = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) * scale
+        x[1::2] *= 1e-300
+        cases.append(x)
+    for amps in cases:
+        arr = np.array(amps, dtype=np.complex128)
+        ref = arr.copy()
+        ref.real, ref.imag, _, _ = scale_parts(ref.real, ref.imag)
+        ref = ref / max(np.abs(ref.real).max(), np.abs(ref.imag).max())
+        ref = ref / np.linalg.norm(ref)
+        out = normalize(make_state([len(arr)], arr)).array
+        assert out.tobytes() == ref.tobytes()
+
+
 def test_norm_sq_beyond_float_range_raises():
     # every term is at most the sum, so only a squared norm that is itself
     # beyond the float range overflows; it raises instead of returning inf
