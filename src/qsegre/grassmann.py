@@ -47,8 +47,8 @@ from .errors import (MAX_CHOOSE, MAX_TERMS, IndexOutOfRange, MissingVariable, No
 from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussRat, Scalar, is_int
 from .poly import MultiPoly, PluVar, pair_monomials
 from .segre import split_terms
-from .states import (Bipartition, PureState, _check_finite, _complex_array, amplitudes_to_json,
-                     gauss_ints, matrix_array, scale_parts)
+from .states import (Bipartition, PureState, _check_finite, amplitude_array, amplitudes_to_json,
+                     exact_backend, gauss_ints, matrix_array, scale_parts)
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,20 @@ class PlueckerSet:
 
     @property
     def exact(self) -> bool:
-        """True iff every coordinate is exact, the rule of ``states.amplitude_array``."""
-        return all(isinstance(v, GaussRat) for v in self.coords.values())
+        """True iff every coordinate is exact: ``states.exact_backend``, the rule of ``amplitude_array``."""
+        return exact_backend(list(self.coords.values()), "coords")
 
     def get(self, indices) -> Scalar:
-        """Coordinate for an arbitrary index list: 0 on repeats, signed on
-        out-of-order indices (parity of the sorting permutation)."""
+        """Coordinate for a tuple or list of ints (``is_int``), else IndexOutOfRange:
+        0 on repeats, signed on out-of-order indices (parity of the sorting permutation)."""
+        if not isinstance(indices, (tuple, list)) or not all(map(is_int, indices)):
+            raise IndexOutOfRange(f"indices must be a tuple or list of ints, got {type(indices).__name__}")
         indices = tuple(indices)
         if len(set(indices)) != len(indices):
             return GR_ZERO if self.exact else 0j
         key = tuple(sorted(indices))
         if key not in self.coords:
-            raise IndexOutOfRange(f"no coordinate {indices} in G({self.k},{self.N})")
+            raise IndexOutOfRange(f"no coordinate {short_text(indices)} in G({self.k},{self.N})")
         value = self.coords[key]
         return value if _parity(indices) == 0 else -value
 
@@ -236,9 +238,9 @@ def pluecker_relations(k: int, N: int) -> list[PlueckerRelation]:
 def check_relations(ps: PlueckerSet):
     """Max |relation(coords)| over the relation family; exact 0 for minors.
 
-    A set that mixes exact and float coordinates takes the float backend,
-    as in ``states.amplitude_array``.  One expression for both backends on
-    the parts from ``states.gauss_ints``:
+    The coordinates go through ``states.amplitude_array``, so a set mixing exact
+    and float ones is float, and it raises what that raises.  One expression
+    for both backends on the parts from ``states.gauss_ints``:
     every term c * P_A * P_B at once, each relation's terms added in order
     (``np.add.at``), and the worst |value|^2 divided by den^4 once.  Float
     parts are divided by a power of two first (``states.scale_parts``), so no
@@ -250,8 +252,8 @@ def check_relations(ps: PlueckerSet):
         if subset not in ps.coords:
             raise MissingVariable(f"no value for {PluVar(subset)}")
         vals.append(ps.coords[subset])
-    exact = ps.exact
-    re, im, den = gauss_ints(np.array(vals, dtype=object) if exact else _complex_array(vals, "coords"))
+    re, im, den = gauss_ints(amplitude_array(vals, (len(vals),), "coords"))
+    exact = re.dtype == object
     re, im, e = (re, im, 0) if exact else scale_parts(re, im)[:3]
     x, y = np.zeros((2, len(pairs)), re.dtype)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Mapping, Union
 
 from .errors import IndexOutOfRange, MalformedInput, MissingVariable, short_text
 from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, Frozen, GaussRat, is_int
+from .states import amplitude_array, exact_backend
 
 
 class _Atom(Frozen):
@@ -162,6 +163,13 @@ def _coerce_coeff(c) -> GaussRat:
     raise MalformedInput(f"polynomial coefficients must be exact, got {type(c).__name__}")
 
 
+def _as_poly(x):
+    """An operand as a MultiPoly: an exact scalar as a constant, else NotImplemented."""
+    if isinstance(x, (int, Fraction, GaussRat)):
+        return MultiPoly.const(x)
+    return x if isinstance(x, MultiPoly) else NotImplemented
+
+
 def _is_negative(c: GaussRat) -> bool:
     """Canonical sign used for rendering and sign normalization."""
     return c.re < 0 or (c.re == 0 and c.im < 0)
@@ -204,17 +212,12 @@ class MultiPoly(Frozen):
         return bool(self._terms)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
         out = dict(self._terms)
         for mono, c in other._terms.items():
-            s = out.get(mono, GR_ZERO) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+            out[mono] = out.get(mono, GR_ZERO) + c
         return MultiPoly(out)
 
     __radd__ = __add__
@@ -223,9 +226,8 @@ class MultiPoly(Frozen):
         return MultiPoly({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
@@ -233,28 +235,21 @@ class MultiPoly(Frozen):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            c = _coerce_coeff(other)
-            return MultiPoly({m: v * c for m, v in self._terms.items()})
-        if not isinstance(other, MultiPoly):
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
         out: dict[Monomial, GaussRat] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = m1.mul(m2)
-                s = out.get(m, GR_ZERO) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                out[m] = out.get(m, GR_ZERO) + c1 * c2
         return MultiPoly(out)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
         return self._terms == other._terms
 
@@ -320,14 +315,14 @@ def is_homogeneous(p: MultiPoly):
 def evaluate(p: MultiPoly, assignment: Mapping[VarId, object]):
     """Evaluate at a point; exact GaussRat result iff every used value is exact.
 
-    Raises MissingVariable when the assignment does not cover a variable of p.
-    """
+    The used values take the backend ``states.amplitude_array`` gives them and raise
+    what it raises; MissingVariable when the assignment does not cover p."""
     used = p.variables()
     for v in used:
         if v not in assignment:
             raise MissingVariable(f"no value for {v}")
-    exact = all(isinstance(assignment[v], (GaussRat, int, Fraction)) for v in used)
-    if exact:
+    values = [assignment[v] for v in used]
+    if exact_backend(values, "assignment values"):
         total = GR_ZERO
         for mono, coeff in p._terms.items():
             term = coeff
@@ -338,11 +333,12 @@ def evaluate(p: MultiPoly, assignment: Mapping[VarId, object]):
                 term = term * (val if e == 1 else val ** e)
             total = total + term
         return total
+    floats = dict(zip(used, amplitude_array(values, (len(values),), "assignment values").tolist()))
     total = 0j
     for mono, coeff in p._terms.items():
         term = complex(coeff)
         for v, e in mono.factors:
-            term *= complex(assignment[v]) ** e
+            term *= floats[v] ** e
         total += term
     return total
 

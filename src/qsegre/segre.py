@@ -26,13 +26,14 @@ splits of one shape are copied into chunks of at most ``CHUNK_AMPS``
 amplitudes, and each chunk takes one batched Gram product and one batched
 SVD for the members at or below the cutoff.  A matrix's term does not depend
 on its stack, so ``minor_sum`` of one flattening, a stack of one, is
-bitwise equal to that split's term in any chunk.  ``split_terms`` runs the
-kernels on an array it has already validated, laid out per split by
-``states.flat_layout``, clearing an exact state's denominators once for
-every split, and every measure and separability predicate reduces over it.
-The canonical splits of each ``dims`` and their layouts are built once
-(``_split_plan``).  ``minor_sum_direct`` enumerates the minors and is the
-oracle for both kernels.
+bitwise equal to that split's term in any chunk.  ``minor_sum_direct``
+enumerates the minors and is the oracle for both kernels.
+
+``_split_plan`` is the one source of the canonical splits of a ``dims`` and
+their layouts, read by the ideal's generators, the concurrence, the
+separability test and factor recovery.  A measure takes the state's kernel
+input once per call (``_kernel_input``) and hands it to the kernels with the
+layouts it needs, with no ``Flattening`` built per split.
 
 ``generalized_concurrence`` takes the m one-mode splits first.  When an
 exact state's terms there are all exactly 0, every one-mode flattening has
@@ -62,10 +63,10 @@ from .states import (
     Flattening,
     LocalState,
     PureState,
+    _flat_layout,
     canonical_bipartitions,
     check_tol,
     flat_layout,
-    flat_matrix,
     gauss_ints,
     gauss_rats,
     narrow_ints,
@@ -118,15 +119,17 @@ def _minor_keys(dims: tuple[int, ...]) -> np.ndarray:
     outside D), B = D - S; so no generator is built twice.
     """
     offsets = np.arange(math.prod(dims), dtype=np.int64).reshape(dims)
+    plan = _split_plan(dims)
     keys = []
-    for b in canonical_bipartitions(len(dims)):
-        mat = flat_matrix(offsets, b)
-        right = b.complement(len(dims))
+    for i, (perm, rows) in zip(plan.order, plan.layouts):
+        k = len(plan.parts[i].left)
+        left, right = perm[:k], perm[k:]  # the modes of A and of B, numbered from 0
+        mat = offsets.transpose(perm).reshape(rows, -1)
         # rows r1 < r2 whose prefixes over the modes below min B differ
-        prefix = np.arange(mat.shape[0]) // math.prod(dims[j - 1] for j in b.left if j > right[0])
+        prefix = np.arange(rows) // math.prod(dims[j] for j in left if j > right[0])
         r1, r2 = (r[:, None] for r in np.nonzero(np.less.outer(prefix, prefix)))
         # columns c1 < c2 that differ in every mode of B (the first one orders them)
-        digits = np.indices([dims[j - 1] for j in right]).reshape(len(right), -1)
+        digits = np.indices([dims[j] for j in right]).reshape(len(right), -1)
         differ = (digits[1:, :, None] != digits[1:, None, :]).all(axis=0)
         c1, c2 = np.nonzero(np.less.outer(digits[0], digits[0]) & differ)
         # offsets grow along every row and column, so the diagonal a_p a_q of
@@ -229,14 +232,11 @@ def _float_terms(arr: np.ndarray, layouts) -> list[float]:
     for rows, group in groups.items():
         for k in range(0, len(group), per):
             chunk = group[k:k + per]
-            if len(chunk) == 1:  # a view where the layout allows one
-                mats = arr.transpose(layouts[chunk[0]][0]).reshape(1, rows, -1)
-            else:
-                # each transpose is copied once, into its slot of the stack
-                mats = np.empty((len(chunk), rows, arr.size // rows), dtype=arr.dtype)
-                for mat, i in zip(mats, chunk):
-                    src = arr.transpose(layouts[i][0])
-                    mat.reshape(src.shape)[...] = src
+            # each transpose is copied once, into its slot of the stack
+            mats = np.empty((len(chunk), rows, arr.size // rows), dtype=arr.dtype)
+            for mat, i in zip(mats, chunk):
+                src = arr.transpose(layouts[i][0])
+                mat.reshape(src.shape)[...] = src
             for i, t in zip(chunk, _stacked_minor_sums(mats)):
                 terms[i] = t
     return terms
@@ -302,11 +302,8 @@ def minor_sum_direct(f: Flattening):
 
 
 class _SplitPlan(NamedTuple):
-    """The canonical splits of one ``dims``, each laid out once.
-
-    ``layouts[i]`` is the ``flat_layout`` of ``parts[order[i]]``; the first
-    ``singles`` of ``order`` are the one-mode splits, in canonical order.
-    """
+    """The canonical splits of one ``dims``: ``layouts[i]`` lays out ``parts[order[i]]``,
+    and the first ``singles`` of ``order`` are the one-mode splits, in canonical order."""
 
     parts: tuple[Bipartition, ...]
     order: tuple[int, ...]
@@ -316,35 +313,39 @@ class _SplitPlan(NamedTuple):
 
 @functools.lru_cache(maxsize=32)
 def _split_plan(dims: tuple[int, ...]) -> _SplitPlan:
-    """The canonical splits of ``dims``, validated and laid out once per dims."""
+    """The canonical splits of ``dims``, laid out once per dims: the one cache of split
+    data.  They are valid by construction, so they skip ``flat_layout``'s checks."""
     m = len(dims)
     parts = tuple(canonical_bipartitions(m))
     order = sorted(range(len(parts)), key=lambda i: len(parts[i].left) not in (1, m - 1))
-    layouts = tuple(flat_layout(dims, parts[i]) for i in order)
+    layouts = tuple(_flat_layout(dims, parts[i].left) for i in order)
     return _SplitPlan(parts, tuple(order), layouts, min(m, len(parts)))
 
 
 def split_terms(s: PureState, splits: Iterable[Bipartition]) -> Iterator:
     """Iterate over the normalized state's ``minor_sum`` at each split, in order.
 
-    The kernels run on the already validated state's array laid out by each
-    split (:func:`~qsegre.states.flat_layout`), not on new Flattenings.
-    Float states are normalized once, and their terms are computed together
-    when this is called, the splits of one shape stacked (``CHUNK_AMPS``).
-    Exact terms are computed lazily, one split at a time.  An exact state's
-    norm may be irrational, so its denominators are cleared once, to A + iC
-    with n = ||A + iC||_F^2, and each term is (n^2 - ||G||_F^2) / (2 n^2):
-    the denominators cancel.
+    Each split is checked and laid out by :func:`~qsegre.states.flat_layout`.
+    Float terms are computed together when this is called, the splits of one
+    shape stacked (``CHUNK_AMPS``); exact terms lazily, one split at a time.
+    An exact state's norm may be irrational, so its denominators are cleared
+    once, to A + iC with n = ||A + iC||_F^2, and each term is
+    (n^2 - ||G||_F^2) / (2 n^2): the denominators cancel.
     """
-    return _unit_terms(s if s.exact else normalize(s), [flat_layout(s.dims, b) for b in splits])
+    return _unit_terms(_kernel_input(s), [flat_layout(s.dims, b) for b in splits])
 
 
-def _unit_terms(hat: PureState, layouts, parts=None) -> Iterator:
-    """``split_terms`` of a state that is exact or already normalized, at split
-    layouts; an exact state may pass its ``_gram_parts`` as ``parts``."""
-    if not hat.exact:
-        return iter(_float_terms(hat.array, layouts))
-    a, c, n, _ = _gram_parts(hat.array) if parts is None else parts
+def _kernel_input(s: PureState):
+    """What the split kernels read of a state, taken once per call: a float
+    state's normalized array, or an exact state's ``_gram_parts``."""
+    return _gram_parts(s.array) if s.exact else normalize(s).array
+
+
+def _unit_terms(unit, layouts) -> Iterator:
+    """``split_terms`` at split layouts, from the state's ``_kernel_input``."""
+    if isinstance(unit, np.ndarray):
+        return iter(_float_terms(unit, layouts))
+    a, c, n, _ = unit
     return (Fraction(_twice_int_minor_sum(a.transpose(perm).reshape(rows, -1),
                                           c.transpose(perm).reshape(rows, -1)), 2 * n * n)
             for perm, rows in layouts)
@@ -361,7 +362,7 @@ def generalized_concurrence(s: PureState) -> MeasureReport:
     if s.num_modes < 2:
         raise WrongShape("measure needs >= 2 modes")
     plan = _split_plan(s.dims)
-    lazy = _unit_terms(s if s.exact else normalize(s), plan.layouts)
+    lazy = _unit_terms(_kernel_input(s), plan.layouts)
     terms = [None] * len(plan.parts)
     singles = plan.order[:plan.singles]
     for i, t in zip(singles, lazy):
@@ -398,30 +399,24 @@ def is_fully_separable(s: PureState, tol: float = DEFAULT_TOL) -> bool:
     canonical splits reduced one by one.
     """
     check_tol(tol)
-    return _unit_separable(s if s.exact else normalize(s), tol)
+    return _unit_separable(_kernel_input(s), s.dims, tol)
 
 
-def _unit_separable(hat: PureState, tol: float, parts=None) -> bool:
-    """``is_fully_separable`` of a state that is exact or already normalized;
-    an exact state may pass its ``_gram_parts`` as ``parts``."""
-    m = hat.num_modes
-    if m == 1:
-        return True
-    if hat.exact and parts is None:
-        parts = _gram_parts(hat.array)
+def _unit_separable(unit, dims: tuple[int, ...], tol: float) -> bool:
+    """``is_fully_separable`` from the state's ``_kernel_input``."""
+    m = len(dims)
     bound = tol * tol
-    plan = _split_plan(hat.dims)
-    first, *others = plan.layouts[:plan.singles]
+    plan = _split_plan(dims)
     singles = []
-    # split (1,) alone first: most entangled states fail there
-    for layouts in ([first], others):
-        for t in _unit_terms(hat, layouts, parts):
+    # split (1,) alone first: most entangled states fail there; one mode has no split
+    for layouts in (plan.layouts[:1], plan.layouts[1:plan.singles]):
+        for t in _unit_terms(unit, layouts):
             if t > bound:
                 return False
             singles.append(t)
     if sum(sorted(singles)[-(m // 2):]) <= bound:
         return True
-    return all(t <= bound for t in _unit_terms(hat, plan.layouts[plan.singles:], parts))
+    return all(t <= bound for t in _unit_terms(unit, plan.layouts[plan.singles:]))
 
 
 def local_factors(s: PureState, tol: float) -> list[LocalState]:
@@ -436,20 +431,19 @@ def local_factors(s: PureState, tol: float) -> list[LocalState]:
     most n = ||a + ib||^2 in modulus, within their dtype.
     """
     check_tol(tol)
-    hat = s if s.exact else normalize(s)
-    parts = _gram_parts(hat.array) if s.exact else None
-    if not _unit_separable(hat, tol, parts):
+    unit = _kernel_input(s)
+    if not _unit_separable(unit, s.dims, tol):
         raise NotProduct(f"state is not fully separable at tol {tol!r}")
     if s.num_modes == 1:
-        return [LocalState(normalize(hat).array if s.exact else hat.array)]
-    re, im = parts[:2] if s.exact else gauss_ints(hat.array)[:2]
+        return [LocalState(normalize(s).array)]
+    re, im = unit[:2] if s.exact else (unit.real, unit.imag)
     pivot = np.unravel_index(int(np.argmax(re * re + im * im)), s.dims)  # first on ties
     fibers = [pivot[:j] + (slice(None),) + pivot[j + 1:] for j in range(s.num_modes)]
     if s.exact:
         p, q = int(re[pivot]), int(im[pivot])
         return [LocalState(gauss_rats(re[f] * p + im[f] * q, im[f] * p - re[f] * q, p * p + q * q))
                 for f in fibers]
-    return [LocalState(v / np.linalg.norm(v)) for v in (hat.array[f] for f in fibers)]
+    return [LocalState(v / np.linalg.norm(v)) for v in (unit[f] for f in fibers)]
 
 
 def measure_report_to_json(r: MeasureReport) -> dict:

@@ -45,11 +45,11 @@ def amplitude_array(values, shape: tuple[int, ...], label: str = "amps") -> np.n
     """Array of ``shape`` from the ``values``, in the backend they select.
 
     Exact (an ``object`` array of GaussRat) iff every entry is an int,
-    Fraction or GaussRat; otherwise a finite ``complex128`` array.  Raises
-    DimensionMismatch unless there are prod(shape) values (an array counts all
-    its entries), MalformedInput for entries that are not numbers (bool and
-    str included) and NonFinite for NaN/Inf and for exact entries beyond the
-    float range in a float array.
+    Fraction or GaussRat (:func:`exact_backend`); otherwise a finite
+    ``complex128`` array.  Raises DimensionMismatch unless there are
+    prod(shape) values (an array counts all its entries), MalformedInput for
+    entries that are not numbers (bool and str included) and NonFinite for
+    NaN/Inf and for exact entries beyond the float range in a float array.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "iufc":
         values = values.reshape(-1)
@@ -58,20 +58,30 @@ def amplitude_array(values, shape: tuple[int, ...], label: str = "amps") -> np.n
     total = math.prod(shape)
     if len(values) != total:
         raise DimensionMismatch(f"{label} has length {len(values)}, expected {short_text(total)}")
-    if isinstance(values, list):
-        # one pass collects the entry types; the ABC check runs only if one is unlisted
-        types = set(map(type, values))
-        if not types <= {int, Fraction, GaussRat, float, complex}:
-            for k, a in enumerate(values):
-                if isinstance(a, bool) or not isinstance(a, (numbers.Number, GaussRat)):
-                    raise MalformedInput(f"{label}[{k}]: expected a number, got {type(a).__name__}")
-        if all(issubclass(t, (int, Fraction, GaussRat)) for t in types):
-            arr = np.empty(len(values), dtype=object)
-            arr[:] = [a if isinstance(a, GaussRat) else GaussRat(a) for a in values]
-            return arr.reshape(shape)
+    if isinstance(values, list) and exact_backend(values, label):
+        arr = np.empty(len(values), dtype=object)
+        arr[:] = [a if isinstance(a, GaussRat) else GaussRat(a) for a in values]
+        return arr.reshape(shape)
     arr = _complex_array(values, label)
     _check_finite(arr, label)
     return arr.reshape(shape)
+
+
+_EXACT_TYPES = (int, Fraction, GaussRat)
+_PLAIN_TYPES = frozenset(_EXACT_TYPES + (float, complex))
+
+
+def exact_backend(values: list, label: str = "values") -> bool:
+    """The one backend rule: True iff every value is an int, Fraction or GaussRat.
+    MalformedInput, naming the entry, for a value that is not a number (bool and str included)."""
+    # one pass collects the value types; the ABC checks run only if one is unlisted
+    types = set(map(type, values))
+    if types <= _PLAIN_TYPES:
+        return float not in types and complex not in types
+    for k, a in enumerate(values):
+        if isinstance(a, bool) or not isinstance(a, (numbers.Number, GaussRat)):
+            raise MalformedInput(f"{label}[{k}]: expected a number, got {type(a).__name__}")
+    return all(issubclass(t, _EXACT_TYPES) for t in types)
 
 
 def matrix_array(mat, label: str = "matrix") -> np.ndarray:
@@ -333,7 +343,7 @@ def make_bipartition(left: Iterable[int], num_modes: int) -> Bipartition:
     if not modes:
         raise IndexOutOfRange("bipartition is empty")
     if modes[0] < 1 or modes[-1] > num_modes:
-        raise IndexOutOfRange(f"bipartition {modes} out of range 1..{num_modes}")
+        raise IndexOutOfRange(f"bipartition {short_text(modes)} out of range 1..{num_modes}")
     if len(modes) == num_modes:
         raise IndexOutOfRange("bipartition must be a proper subset of the modes")
     return Bipartition(modes)
@@ -341,18 +351,16 @@ def make_bipartition(left: Iterable[int], num_modes: int) -> Bipartition:
 
 def canonical_bipartitions(num_modes: int) -> list[Bipartition]:
     """All 2^(m-1) - 1 unordered splits, each by its 1-containing representative,
-    sorted by row group.  Built once per m; each call returns a fresh list."""
-    return list(_canonical_bipartitions(num_modes))
-
-
-@functools.lru_cache(maxsize=16)
-def _canonical_bipartitions(num_modes: int) -> tuple[Bipartition, ...]:
+    sorted by row group, in a fresh list.  DimensionMismatch unless m is an int,
+    TooLarge past 12 modes: no state of more (2 levels each) is within MAX_AMPS."""
+    if not is_int(num_modes):
+        raise DimensionMismatch(f"mode count must be an int, got {type(num_modes).__name__}")
+    # 2**13 passes the cap, so 14 factors show the count is past it without building it
+    check_cap(f"2**m amplitudes of a state of m = {short_text(num_modes)} modes",
+              (2,) * min(num_modes, 14), MAX_AMPS)
     rest = range(2, num_modes + 1)
-    out = []
-    for r in range(0, num_modes - 1):
-        for extra in itertools.combinations(rest, r):
-            out.append(Bipartition((1,) + extra))
-    return tuple(sorted(out, key=lambda b: b.left))
+    lefts = sorted((1,) + extra for r in range(num_modes - 1) for extra in itertools.combinations(rest, r))
+    return [Bipartition(left) for left in lefts]
 
 
 def normalize(s: PureState) -> PureState:
@@ -408,20 +416,18 @@ def segre_map(factors: Sequence[LocalState]) -> PureState:
 def flat_layout(shape: tuple[int, ...], b: Bipartition) -> tuple[tuple[int, ...], int]:
     """``(perm, rows)`` with ``arr.transpose(perm).reshape(rows, -1)`` the
     flattening of an array of ``shape`` at b (see :func:`flat_matrix`).
+    IndexOutOfRange unless :func:`make_bipartition` accepts b.left as it is."""
+    left = tuple(b.left)
+    if make_bipartition(left, len(shape)).left != left:
+        raise IndexOutOfRange(f"bipartition {short_text(left)} is not strictly increasing")
+    return _flat_layout(shape, left)
 
-    b.left must be a nonempty, strictly increasing proper subset of the
-    modes 1..m, else IndexOutOfRange.
-    """
-    m = len(shape)
-    left = b.left
-    if (not left or not all(map(is_int, left)) or list(left) != sorted(set(left))
-            or left[0] < 1 or left[-1] > m):
-        raise IndexOutOfRange(f"bipartition {left} invalid for {m} modes")
-    if len(left) == m:
-        raise IndexOutOfRange("bipartition must be a proper subset of the modes")
+
+def _flat_layout(shape: tuple[int, ...], left: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """:func:`flat_layout` of a row group that is known to be valid, unchecked."""
     perm = [j - 1 for j in left]
     rows = math.prod([shape[j] for j in perm])
-    perm += (j for j in range(m) if j + 1 not in left)
+    perm += (j for j in range(len(shape)) if j + 1 not in left)
     return tuple(perm), rows
 
 
@@ -455,14 +461,15 @@ def permute_modes(s: PureState, perm: Sequence[int]) -> PureState:
 
 
 def apply_local_unitary(s: PureState, mode: int, u: np.ndarray) -> PureState:
-    """Apply a d x d matrix to one mode (float backend); the PureState
-    constructor rejects a zero or non-finite result."""
+    """Apply a d x d matrix (:func:`matrix_array`) to one mode (float backend);
+    the PureState constructor rejects a zero or non-finite result."""
     if not is_int(mode) or mode < 1 or mode > s.num_modes:
         raise IndexOutOfRange(f"mode {mode!r} is not an int in 1..{s.num_modes}")
     d = s.dims[mode - 1]
-    u = np.asarray(u, dtype=np.complex128)
+    u = matrix_array(u, "u")
     if u.shape != (d, d):
         raise DimensionMismatch(f"matrix shape {u.shape} does not match dim {d}")
+    u = _complex_array(u.reshape(-1), "u").reshape(d, d)
     with np.errstate(over="ignore", invalid="ignore"):
         arr = np.tensordot(u, s.to_numpy().reshape(s.dims), axes=([1], [mode - 1]))
     return PureState(np.moveaxis(arr, 0, mode - 1))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qsegre import (
     GaussRat,
     IndexOutOfRange,
+    MalformedInput,
     MissingVariable,
     Monomial,
     MultiPoly,
@@ -186,8 +187,9 @@ def test_signed_lookup():
     ps3 = pluecker_coordinates(random_exact_matrix(rng, 3, 5))
     assert ps3.get((2, 1, 3)) == -ps3.coords[(1, 2, 3)]
     assert ps3.get((3, 1, 2)) == ps3.coords[(1, 2, 3)]
-    with pytest.raises(IndexOutOfRange):
-        ps.get((1, 9))
+    for bad in ((1, 9), (1, "a"), 5, (1.0, 2), (1, 10**5000)):
+        with pytest.raises(IndexOutOfRange):
+            ps.get(bad)
     assert PlueckerSet(2, 4, {}).get((1, 1)) == 0
 
 
@@ -533,6 +535,21 @@ def test_float_check_relations_finite_near_float_range():
     # a residual that is itself beyond the float range raises
     with pytest.raises(NonFinite, match="residual"):
         check_relations(PlueckerSet(2, 4, {i: 1e160 + 0j for i in ps.coords}))
+
+
+def test_check_relations_takes_coordinates_by_the_one_backend_rule():
+    # the coordinates go through states.amplitude_array: a value that is not a
+    # number or not finite is named, and int coordinates are exact
+    ps = pluecker_coordinates(default_rng(5).normal(size=(2, 4)))
+    for bad, error in (("a", MalformedInput), (True, MalformedInput), (None, MalformedInput),
+                       (math.nan, NonFinite), (complex(0, math.inf), NonFinite)):
+        with pytest.raises(error, match=r"coords\[0\]"):
+            check_relations(PlueckerSet(2, 4, {**ps.coords, (1, 2): bad}))
+    minors = pluecker_coordinates([[1, 2, 3, 4], [0, 1, 5, 2]]).coords
+    ints = PlueckerSet(2, 4, {i: int(v.re) for i, v in minors.items()})
+    assert ints.exact
+    residual = check_relations(ints)
+    assert isinstance(residual, Fraction) and residual == 0
 
 
 def test_check_relations_missing_coordinate():

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from qsegre import (
     MissingVariable,
     Monomial,
     MultiPoly,
+    NonFinite,
     PluVar,
     StateVar,
     evaluate,
@@ -155,6 +157,18 @@ def test_evaluate_mixed_assignment_is_float():
     out = evaluate(p, {StateVar((0,)): GaussRat(2), StateVar((1,)): 0.5 + 0j})
     assert isinstance(out, complex)
     assert out == pytest.approx(1.0)
+
+
+def test_evaluate_takes_values_by_the_one_backend_rule():
+    # bools and str are not numbers, and float values must be finite, as in states.amplitude_array
+    p = sv(0,) * sv(1,)
+    x, y = StateVar((0,)), StateVar((1,))
+    for bad, other, error in (("a", 0.5, MalformedInput), (None, 0.5, MalformedInput),
+                              (True, GaussRat(2), MalformedInput), (True, 0.5, MalformedInput),
+                              (math.nan, 0.5, NonFinite), (10**400, 0.5, NonFinite)):
+        with pytest.raises(error, match="assignment"):
+            evaluate(p, {x: bad, y: other})
+    assert evaluate(p, {x: 10**400, y: GaussRat(2)}) == GaussRat(2 * 10**400)
 
 
 # ------------------------------------------------------------ hypothesis lane

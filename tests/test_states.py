@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -305,6 +306,12 @@ def test_flatten_rejects_improper():
             flatten(s, Bipartition((mode,)))
         with pytest.raises(IndexOutOfRange):
             is_bipartite_separable(ghz, Bipartition((mode,)))
+    # a mode too large for str() is still named in the message
+    with pytest.raises(IndexOutOfRange, match="2\\*\\*64"):
+        make_bipartition([1, 10**5000], 3)
+    for left in ((10**5000,), (2, 1), (1, 1)):
+        with pytest.raises(IndexOutOfRange):
+            flatten(ghz, Bipartition(left))
 
 
 def test_mode_and_perm_must_be_ints():
@@ -350,12 +357,26 @@ def test_canonical_bipartitions_count():
 
 
 def test_canonical_bipartitions_are_a_fresh_list():
-    # the splits are built once per m; a caller's list cannot change them
+    # each call builds its own list, so a caller's list cannot change the next one
     parts = canonical_bipartitions(4)
     parts.reverse()
     parts.pop()
     assert canonical_bipartitions(4) == sorted(parts + [Bipartition((1,))], key=lambda b: b.left)
     assert canonical_bipartitions(4) is not canonical_bipartitions(4)
+
+
+def test_canonical_bipartitions_refuse_bad_mode_counts_at_once():
+    # no state within MAX_AMPS has over 12 modes; 40 modes would be 2^39 splits
+    start = time.perf_counter()
+    for m in ("3", 3.0, True, None):
+        with pytest.raises(DimensionMismatch, match="int"):
+            canonical_bipartitions(m)
+    for m in (13, 40, 10**5000):
+        with pytest.raises(TooLarge, match="cap"):
+            canonical_bipartitions(m)
+    assert time.perf_counter() - start < 1.0
+    assert len(canonical_bipartitions(12)) == 2047
+    assert canonical_bipartitions(1) == []
 
 
 def test_bipartition_canonicalize():
@@ -490,6 +511,18 @@ def test_apply_local_unitary_result_is_checked(exact, u, error):
     s = make_state([2, 2], [1, 1, 1, 1] if exact else [1.0, 1.0, 1.0, 1.0])
     with pytest.raises(error):
         apply_local_unitary(s, 1, u)
+
+
+def test_apply_local_unitary_takes_the_matrix_by_the_one_rule():
+    s = make_state([2, 2], [1.0, 0.5, 0, 1])
+    for u in ([["a", 0], [0, 1]], [[True, False], [False, True]], np.eye(2, dtype=bool)):
+        with pytest.raises(MalformedInput, match=r"u\[0\]"):
+            apply_local_unitary(s, 1, u)
+    with pytest.raises(NonFinite, match=r"u\[0\]"):
+        apply_local_unitary(s, 1, [[10**400, 0], [0, 1]])
+    # exact entries act as their float values
+    swapped = apply_local_unitary(s, 1, [[0, 1], [GaussRat(1), 0]])
+    assert swapped.amplitude((0, 1)) == s.amplitude((1, 1))
 
 
 def test_make_state_rejects_bool_and_str():
