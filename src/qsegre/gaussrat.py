@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from typing import Union
 
+from .errors import MalformedInput
+
 RatLike = Union[int, Fraction, str]
 
 
@@ -40,6 +42,17 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def as_fraction(x: RatLike, field: str) -> Fraction:
+    """The one fraction-literal rule: ``Fraction(x)``, but MalformedInput naming ``field`` for a
+    bad literal or a str with an exponent, which Fraction expands ("1e-1000000": 3.3M bits)."""
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        raise MalformedInput(f"{field}: exponent not allowed in fraction literal {x!r}")
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        raise MalformedInput(f"{field}: bad fraction literal {x!r}") from None
+
+
 class GaussRat(Frozen):
     """A Gaussian rational a + b*i with exact rational a, b.
 
@@ -52,8 +65,8 @@ class GaussRat(Frozen):
 
     def __init__(self, re: RatLike = 0, im: RatLike = 0):
         # a Fraction is immutable, so it is kept as given, not rebuilt
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else as_fraction(re, "re"))
+        object.__setattr__(self, "im", im if type(im) is Fraction else as_fraction(im, "im"))
 
     @classmethod
     def _coerce(cls, x) -> "GaussRat":

@@ -55,7 +55,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import MAX_AMPS, MAX_TERMS, NotProduct, WrongShape, check_cap, short_text
+from .errors import MAX_AMPS, MAX_TERMS, NotProduct, WrongShape, check_cap
 from .gaussrat import GR_MINUS_ONE, GR_ONE, Scalar
 from .poly import MultiPoly, StateVar, pair_monomials
 from .states import (
@@ -65,6 +65,7 @@ from .states import (
     PureState,
     _flat_layout,
     canonical_bipartitions,
+    check_dims,
     check_tol,
     flat_layout,
     gauss_ints,
@@ -159,15 +160,13 @@ def segre_generators(dims) -> SegreIdeal:
 
     Generators are sign-canonical (leading monomial positive), distinct and
     sorted; each is homogeneous of degree 2 and vanishes identically on the
-    image of the Segre map.  They are enumerated once each as integer keys,
-    and then become polynomials.  Raises TooLarge when prod(dims) exceeds
-    MAX_AMPS or the generator count MAX_TERMS.
+    image of the Segre map, enumerated once each as integer keys.  Raises
+    DimensionMismatch for dims ``check_dims`` refuses, WrongShape for one mode,
+    and TooLarge when prod(dims) exceeds MAX_AMPS or the generators MAX_TERMS.
     """
-    dims = tuple(dims)
+    dims = check_dims(dims)
     if len(dims) < 2:
         raise WrongShape(f"need >= 2 modes, got {len(dims)}")
-    if any(not isinstance(d, int) or d < 2 for d in dims):
-        raise WrongShape(f"mode dimensions must be integers >= 2, got {short_text(dims)}")
     check_cap("prod(dims)", dims, MAX_AMPS)
     check_cap(f"generators of the Segre ideal of dims {dims}", (_minor_key_count(dims),), MAX_TERMS)
     mono = pair_monomials([StateVar(index) for index in itertools.product(*(range(d) for d in dims))])

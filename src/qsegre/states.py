@@ -21,9 +21,9 @@ import functools
 import itertools
 import math
 import numbers
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .errors import (
     check_cap,
     short_text,
 )
-from .gaussrat import Frozen, GaussRat, Scalar, is_int, rational_sqrt
+from .gaussrat import Frozen, GaussRat, Scalar, as_fraction, is_int, rational_sqrt
 
 
 def amplitude_array(values, shape: tuple[int, ...], label: str = "amps") -> np.ndarray:
@@ -195,13 +195,26 @@ def check_tol(tol) -> None:
         raise MalformedInput(f"tol must be finite and nonnegative, got {tol!r}")
 
 
+def check_dims(dims) -> tuple[int, ...]:
+    """The one dims rule: a nonempty sequence of ints >= 2 (``is_int``), returned as a tuple."""
+    dims = tuple(dims) if isinstance(dims, Iterable) else ()
+    if not dims:
+        raise DimensionMismatch("dims must be a nonempty sequence")
+    for j, d in enumerate(dims):
+        if not is_int(d) or d < 2:
+            got = short_text(d) if is_int(d) else type(d).__name__
+            raise DimensionMismatch(f"dims[{j}] must be an int >= 2, got {got}")
+    return dims
+
+
 class _Amplitudes(Frozen):
-    """The states' one constructor: NonFinite for NaN/Inf in a float array,
-    ZeroVector for an all-zero one, and the array is made read-only."""
+    """The states' one constructor: :func:`check_dims` on the shape, NonFinite for NaN/Inf
+    in a float array, ZeroVector for an all-zero one, and the array is made read-only."""
 
     __slots__ = ()
 
     def __init__(self, array: np.ndarray):
+        check_dims(array.shape)
         if array.dtype != object:
             _check_finite(array, "amps")
         if not np.count_nonzero(array):
@@ -254,9 +267,14 @@ class PureState(_Amplitudes):
 
 
 class LocalState(_Amplitudes):
-    """One mode's amplitude vector; the projective factor of a product state."""
+    """One mode's amplitude vector, of one axis; the projective factor of a product state."""
 
     __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        if array.ndim != 1:
+            raise DimensionMismatch(f"a local vector has one axis, got shape {short_text(array.shape)}")
+        super().__init__(array)
 
     @property
     def dim(self) -> int:
@@ -314,22 +332,14 @@ def make_state(dims: Sequence[int], amps) -> PureState:
     """Validate and build a PureState.  Does not normalize.
 
     ``amps`` holds prod(dims) amplitudes in row-major order, flat or as an
-    array.  Raises DimensionMismatch for bad dims; :func:`amplitude_array`
-    and the PureState constructor check the amplitudes.
+    array.  Raises DimensionMismatch for dims that :func:`check_dims` refuses;
+    :func:`amplitude_array` and the PureState constructor check the amplitudes.
     """
-    dims = tuple(dims)
-    if not dims:
-        raise DimensionMismatch("dims must be nonempty")
-    for j, d in enumerate(dims):
-        if not isinstance(d, int) or d < 2:
-            raise DimensionMismatch(f"dims[{j}] must be an integer >= 2, got {d!r}")
-    return PureState(amplitude_array(amps, dims))
+    return PureState(amplitude_array(amps, check_dims(dims)))
 
 
 def make_local(vec: Sequence) -> LocalState:
-    """Validate and build a LocalState from its amplitude vector."""
-    if len(vec) < 2:
-        raise DimensionMismatch(f"local vector needs >= 2 entries, got {len(vec)}")
+    """Validate and build a LocalState; its constructor refuses fewer than 2 entries."""
     return LocalState(amplitude_array(vec, (len(vec),), "vec"))
 
 
@@ -351,10 +361,11 @@ def make_bipartition(left: Iterable[int], num_modes: int) -> Bipartition:
 
 def canonical_bipartitions(num_modes: int) -> list[Bipartition]:
     """All 2^(m-1) - 1 unordered splits, each by its 1-containing representative,
-    sorted by row group, in a fresh list.  DimensionMismatch unless m is an int,
+    sorted by row group, in a fresh list.  DimensionMismatch unless m is an int >= 1,
     TooLarge past 12 modes: no state of more (2 levels each) is within MAX_AMPS."""
-    if not is_int(num_modes):
-        raise DimensionMismatch(f"mode count must be an int, got {type(num_modes).__name__}")
+    if not is_int(num_modes) or num_modes < 1:
+        got = short_text(num_modes) if is_int(num_modes) else type(num_modes).__name__
+        raise DimensionMismatch(f"mode count must be an int >= 1, got {got}")
     # 2**13 passes the cap, so 14 factors show the count is past it without building it
     check_cap(f"2**m amplitudes of a state of m = {short_text(num_modes)} modes",
               (2,) * min(num_modes, 14), MAX_AMPS)
@@ -391,10 +402,12 @@ def segre_map(factors: Sequence[LocalState]) -> PureState:
     Mixed exact and float factors give a float state.  Raises NonFinite when
     an exact entry or a product amplitude is beyond the float range, and
     ZeroVector ("all amplitudes are zero") when every float product amplitude
-    underflows to zero; the PureState constructor makes both checks.
+    underflows to zero; the PureState constructor makes both checks.  Raises
+    TooLarge when the product of the factor lengths exceeds MAX_AMPS.
     """
     if len(factors) < 2:
         raise DimensionMismatch(f"segre_map needs >= 2 factors, got {len(factors)}")
+    check_cap("prod(dims)", [f.dim for f in factors], MAX_AMPS)
     arrays = [f.array for f in factors]
     if all(f.exact for f in factors):
         # the complex outer product in Gaussian integers over the product of the
@@ -492,18 +505,8 @@ def apply_local_unitaries(s: PureState, mats: Sequence[np.ndarray]) -> PureState
 
 
 def _parse_component(value, field: str, exact_only: bool):
-    if isinstance(value, bool):
-        raise MalformedInput(f"{field}: expected number or 'p/q' string")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        # Fraction expands exponents: a 10-byte "1e-1000000" is a 3.3M-bit denominator
-        if "e" in value or "E" in value:
-            raise MalformedInput(f"{field}: exponent not allowed in fraction literal {value!r}")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise MalformedInput(f"{field}: bad fraction literal {value!r}") from None
+    if is_int(value) or isinstance(value, str):
+        return as_fraction(value, field)
     if isinstance(value, float):
         if exact_only:
             raise MalformedInput(f"{field}: float not allowed in exact mode")
@@ -558,22 +561,16 @@ def state_from_json(obj, exact: bool = False) -> PureState:
         raise MalformedInput("dims: missing")
     if "amps" not in obj:
         raise MalformedInput("amps: missing")
-    dims = obj["dims"]
-    if not isinstance(dims, list) or not dims:
-        raise MalformedInput("dims: expected a nonempty list")
-    for j, d in enumerate(dims):
-        if not is_int(d) or d < 2:
-            raise MalformedInput(f"dims[{j}]: expected an integer >= 2")
-    check_cap("prod(dims)", dims, MAX_AMPS)
-    total = math.prod(dims)
-    raw = obj["amps"]
-    if not isinstance(raw, list):
-        raise MalformedInput("amps: expected a list")
-    if len(raw) != total:
-        raise MalformedInput(f"amps has length {len(raw)}, expected {total}")
-    amps = parse_amplitudes(raw, "amps", exact)
     try:
-        return make_state(dims, amps)
+        dims = check_dims(obj["dims"])
+        check_cap("prod(dims)", dims, MAX_AMPS)
+        total = math.prod(dims)
+        raw = obj["amps"]
+        if not isinstance(raw, list):
+            raise MalformedInput("amps: expected a list")
+        if len(raw) != total:
+            raise MalformedInput(f"amps has length {len(raw)}, expected {total}")
+        return make_state(dims, parse_amplitudes(raw, "amps", exact))
     except (DimensionMismatch, ZeroVector, NonFinite) as exc:
         raise MalformedInput(str(exc)) from None
 

@@ -1,10 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qsegre import GaussRat
+from qsegre import GaussRat, MalformedInput
 from qsegre.gaussrat import rational_sqrt
 
 small_fracs = st.builds(
@@ -21,6 +22,19 @@ def test_basic_arithmetic():
     assert (a / b) * b == a
     assert -a + a == GaussRat(0)
     assert a.conjugate().conjugate() == a
+
+
+def test_string_parts_follow_the_fraction_literal_rule():
+    assert GaussRat("1/2", "-3") == GaussRat(Fraction(1, 2), -3)
+    # an exponent is refused before Fraction expands it into a 3.3M-bit denominator
+    start = time.perf_counter()
+    for text, match in (("x", "re: bad fraction literal"), ("1/0", "re: bad fraction literal"),
+                        ("1e-1000000", "re: exponent not allowed")):
+        with pytest.raises(MalformedInput, match=match):
+            GaussRat(text)
+    with pytest.raises(MalformedInput, match="im: exponent"):
+        GaussRat(0, "1E5")
+    assert time.perf_counter() - start < 0.1
 
 
 def test_division_by_zero():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qsegre import (
     Bipartition,
+    DimensionMismatch,
     Flattening,
     GaussRat,
     MultiPoly,
@@ -202,7 +203,7 @@ def test_generators_reject_single_mode_and_caps(monkeypatch):
 ], ids=["5001-digit dim", "15001 dims", "negative 5001-digit dim"])
 def test_generators_shape_message_is_short(huge):
     # str() refuses ints of over 4300 digits, and a dims list may be any length
-    with pytest.raises(WrongShape) as exc:
+    with pytest.raises(DimensionMismatch) as exc:
         huge()
     assert len(str(exc.value)) < 200
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
 from qsegre import (
     Bipartition,
@@ -19,6 +20,7 @@ from qsegre import (
     NonFinite,
     NotProduct,
     PureState,
+    QsegreError,
     ShapeError,
     TooLarge,
     ZeroVector,
@@ -26,16 +28,19 @@ from qsegre import (
     canonical_bipartitions,
     flatten,
     is_bipartite_separable,
+    is_fully_separable,
     local_factors,
     make_bipartition,
     make_local,
     make_state,
     normalize,
     permute_modes,
+    segre_generators,
     segre_map,
     state_from_json,
     state_to_json,
 )
+from qsegre import segre
 from qsegre.sampling import default_rng, random_exact_local, random_local_state
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -250,6 +255,17 @@ def test_segre_map_needs_two_factors():
         segre_map([make_local([1, 0])])
 
 
+def test_segre_map_caps_the_product_of_factor_lengths():
+    # 64 qubit factors would be 2^64 amplitudes; the cap refuses them before the outer product
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="^prod\\(dims\\) exceeds cap 4096$"):
+        segre_map([make_local([1.0, 1.0])] * 64)
+    with pytest.raises(TooLarge, match="prod\\(dims\\) = 8192 exceeds cap 4096"):
+        segre_map([make_local([1, 1])] * 13)
+    assert time.perf_counter() - start < 0.1
+    assert segre_map([make_local([1.0, 1.0])] * 12).dims == (2,) * 12
+
+
 def test_make_local_validation():
     with pytest.raises(ZeroVector):
         make_local([0, 0])
@@ -368,7 +384,7 @@ def test_canonical_bipartitions_are_a_fresh_list():
 def test_canonical_bipartitions_refuse_bad_mode_counts_at_once():
     # no state within MAX_AMPS has over 12 modes; 40 modes would be 2^39 splits
     start = time.perf_counter()
-    for m in ("3", 3.0, True, None):
+    for m in ("3", 3.0, True, None, 0, -3):
         with pytest.raises(DimensionMismatch, match="int"):
             canonical_bipartitions(m)
     for m in (13, 40, 10**5000):
@@ -597,3 +613,91 @@ def test_state_json_size_cap_precedes_parsing():
     # the amplitude count is checked before any amplitude is parsed
     with pytest.raises(MalformedInput, match="length 3, expected 4"):
         state_from_json({"dims": [2, 2], "amps": [[1, 0], ["x", 0], [0, 0]]})
+
+
+# ------------------------------------------------------------- the dims rule
+
+def test_constructors_refuse_shapes_outside_the_dims_rule():
+    # a 0-mode state, a 1-level mode, a local vector of two axes or one entry,
+    # and dims that are not a sequence
+    for build in (
+        lambda: PureState(np.array(1 + 0j)),
+        lambda: PureState(np.ones((2, 1))),
+        lambda: LocalState(np.ones((2, 2))),
+        lambda: make_local([1]),
+        lambda: make_state(5, [1]),
+        lambda: segre_generators(5),
+        lambda: segre_generators((2, np.int64(2))),
+    ):
+        with pytest.raises(DimensionMismatch, match="dims|axis"):
+            build()
+    with pytest.raises(DimensionMismatch, match=r"dims\[1\] must be an int >= 2, got int64"):
+        make_state([2, np.int64(2)], [1, 0, 0, 0])
+    with pytest.raises(MalformedInput, match="dims must be a nonempty sequence"):
+        state_from_json({"dims": 5, "amps": [[1, 0]]})
+
+
+dims_entries = st.one_of(
+    st.integers(-3, 6),
+    st.integers(-10**5000, 10**5000),
+    st.booleans(),
+    st.floats(),
+    st.integers(0, 6).map(np.int64),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+any_dims = st.one_of(
+    st.lists(dims_entries, max_size=5),
+    st.lists(dims_entries, max_size=3).map(tuple),
+    st.lists(st.integers(1, 4), max_size=14),  # mostly valid, some past the cap
+    st.just([2] * 15000 + [1]),
+    st.none(), st.integers(), st.floats(), st.text(max_size=3),
+)
+
+
+def result_or_short_error(call):
+    """The call's result, or None when it raises a QsegreError of a short message."""
+    try:
+        return call()
+    except QsegreError as exc:
+        assert len(str(exc)) < 200
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_dims, dims_entries)
+def test_any_dims_give_a_result_or_a_short_error(dims, m):
+    # prod(dims) amplitudes when dims are a short list of small ints, else two
+    small = (isinstance(dims, (list, tuple)) and len(dims) <= 14
+             and all(type(d) is int and 0 <= d <= 6 for d in dims))
+    n = math.prod(dims) if small and math.prod(dims) <= 4096 else 2
+    amps = [1] + [0] * (n - 1)
+    s = result_or_short_error(lambda: make_state(dims, amps))
+    t = result_or_short_error(lambda: state_from_json({"dims": dims, "amps": [[a, 0] for a in amps]}))
+    if s is not None:
+        assert s.dims == tuple(dims) and t.dims == s.dims
+        assert is_fully_separable(normalize(s))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segre, "MAX_TERMS", 2000)  # any shape within it is built in milliseconds
+        ideal = result_or_short_error(lambda: segre_generators(dims))
+    if ideal is not None:
+        assert ideal.dims == tuple(dims) and len(dims) >= 2
+    parts = result_or_short_error(lambda: canonical_bipartitions(m))
+    if parts is not None:
+        assert len(parts) == 2 ** (m - 1) - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3), st.lists(st.integers(2, 3), max_size=13))
+def test_states_of_any_shape_follow_the_dims_rule(shape, lengths):
+    s = result_or_short_error(lambda: PureState(np.ones(shape, dtype=np.complex128)))
+    if s is not None:
+        assert s.num_modes >= 1 and min(s.dims) >= 2
+        assert is_fully_separable(normalize(s))
+        assert [f.dim for f in local_factors(s, 1e-10)] == list(s.dims)
+    f = result_or_short_error(lambda: LocalState(np.ones(shape, dtype=np.complex128)))
+    if f is not None:
+        assert segre_map([f, f]).dims == (f.dim, f.dim)
+    product = result_or_short_error(lambda: segre_map([make_local([1.0] * d) for d in lengths]))
+    if product is not None:
+        assert product.dims == tuple(lengths)
