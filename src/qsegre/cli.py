@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 
-from .errors import MAX_AMPS, MalformedInput, NotProduct, QsegreError, check_cap
+from .errors import MAX_AMPS, MalformedInput, NotProduct, QsegreError, check_cap, short_text
 from .grassmann import pluecker_measure, pluecker_relations
 from .poly import format_poly
 from .segre import (
@@ -74,7 +74,7 @@ def _parse_ints(text: str, flag: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise MalformedInput(f"{flag}: expected comma-separated integers, got {text!r}") from None
+        raise MalformedInput(f"{flag}: expected comma-separated integers, got {short_text(text)}") from None
 
 
 def _load_factors(args):

@@ -56,8 +56,12 @@ class MalformedInput(QsegreError):
 
 def short_text(value) -> str:
     """``value`` for a message, short at any size (str() refuses ints of over 4300
-    digits): an int by its digits below 2**64 in magnitude, a tuple by at most
-    its first eight entries and its length."""
+    digits): an int by its digits below 2**64 in magnitude, a str by its repr,
+    cut to 32 characters and its length past 40, and a tuple by at most its
+    first eight entries and its length."""
+    if isinstance(value, str):
+        text = repr(value)
+        return text if len(text) <= 40 else f"{text[:32]}... ({len(value)} characters)"
     if isinstance(value, tuple):
         head = ", ".join(map(short_text, value[:8]))
         return f"({head})" if len(value) <= 8 else f"({head}, ... {len(value)} entries)"

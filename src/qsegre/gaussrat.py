@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .errors import MalformedInput
+from .errors import MalformedInput, short_text
 
 RatLike = Union[int, Fraction, str]
 
@@ -44,13 +44,14 @@ def is_int(x) -> bool:
 
 def as_fraction(x: RatLike, field: str) -> Fraction:
     """The one fraction-literal rule: ``Fraction(x)``, but MalformedInput naming ``field`` for a
-    bad literal or a str with an exponent, which Fraction expands ("1e-1000000": 3.3M bits)."""
+    bad literal or a str with an exponent, which Fraction expands ("1e-1000000": 3.3M bits).
+    The message shows the literal through ``short_text``, so it stays short."""
     if isinstance(x, str) and ("e" in x or "E" in x):
-        raise MalformedInput(f"{field}: exponent not allowed in fraction literal {x!r}")
+        raise MalformedInput(f"{field}: exponent not allowed in fraction literal {short_text(x)}")
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError):
-        raise MalformedInput(f"{field}: bad fraction literal {x!r}") from None
+        raise MalformedInput(f"{field}: bad fraction literal {short_text(x)}") from None
 
 
 class GaussRat(Frozen):

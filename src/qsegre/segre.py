@@ -16,18 +16,24 @@ every partial sum of one by n, and the imaginary part C A^T - A C^T by 2n, so
 the parts run on int64 when 2n < 2**63 (``states.narrow_ints``, the one dtype
 rule) and stay ``object`` arrays of Python ints otherwise; the squares of the
 entries reach n^2 and always take Python ints.  The
-float kernel evaluates the same Gram identity, with the Gram matrix taken on
-the smaller side of the matrix, and keeps it when the result exceeds
+float kernel reads each matrix in one orientation, its small side as rows
+(the minor sums of M and its transpose agree), evaluates the same Gram
+identity on it and keeps the result when it exceeds
 ``GRAM_CUTOFF * ||M||_F^4``.  Its absolute error is a few units of rounding
 times ``||M||_F^4``, so above the cutoff the relative error stays within
 about 1e-12.  Below it, near rank-1 matrices where the identity cancels, the
-kernel returns the singular-value form instead.  It runs on stacks: the
-splits of one shape are copied into chunks of at most ``CHUNK_AMPS``
-amplitudes, and each chunk takes one batched Gram product and one batched
-SVD for the members at or below the cutoff.  A matrix's term does not depend
-on its stack, so ``minor_sum`` of one flattening, a stack of one, is
-bitwise equal to that split's term in any chunk.  ``minor_sum_direct``
-enumerates the minors and is the oracle for both kernels.
+kernel takes a rank-1 deflation instead: with x a column of M and
+R = M - x (x* M) / |x|^2, the minor sum is Lagrange's identity for the
+rank-1 part plus R's own minor sum, each free of cancellation, and R is
+formed from M with sums over its small side only.  Product states land here
+on every split, with terms a few units of rounding squared.  The kernel runs
+on stacks: the splits of one small side are copied into chunks of at most
+``CHUNK_AMPS`` amplitudes, and each chunk takes one batched Gram product and
+one batched deflation of its members at or below the cutoff, with no
+factorization.  A matrix's term does not depend on its stack, so
+``minor_sum`` of one flattening, a stack of one, is bitwise equal to that
+split's term in any chunk.  ``minor_sum_direct`` enumerates the minors and
+is the oracle for both kernels.
 
 ``_split_plan`` is the one source of the canonical splits of a ``dims`` and
 their layouts, read by the ideal's generators, the concurrence, the
@@ -55,7 +61,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import MAX_AMPS, MAX_TERMS, NotProduct, WrongShape, check_cap
+from .errors import MAX_AMPS, MAX_TERMS, NonFinite, NotProduct, WrongShape, check_cap
 from .gaussrat import GR_MINUS_ONE, GR_ONE, Scalar
 from .poly import MultiPoly, StateVar, pair_monomials
 from .states import (
@@ -64,6 +70,7 @@ from .states import (
     LocalState,
     PureState,
     _flat_layout,
+    _unit_array,
     canonical_bipartitions,
     check_dims,
     check_tol,
@@ -72,13 +79,14 @@ from .states import (
     gauss_rats,
     narrow_ints,
     normalize,
+    scale_parts,
 )
 
 DEFAULT_TOL = 1e-10
-# Float minor sums at or below this fraction of ||M||_F^4 are recomputed from
-# the singular values: the Gram identity's absolute error is ~1e-16 ||M||_F^4.
+# Float minor sums at or below this fraction of ||M||_F^4 are recomputed by the
+# rank-1 deflation: the Gram identity's absolute error is ~1e-16 ||M||_F^4.
 GRAM_CUTOFF = 1e-4
-# The float kernel stacks the splits of one shape in chunks of at most this
+# The float kernel stacks the splits of one small side in chunks of at most this
 # many amplitudes, so a chunk's stack and Gram matrices stay in cache.  Of
 # 2^12..2^16, 2^13 was fastest for float generalized_concurrence at m = 8-12,
 # and unchunked shape groups were slower than one split at a time from m = 10.
@@ -184,27 +192,57 @@ def state_assignment(s: PureState) -> dict[StateVar, Scalar]:
 
 
 def _stacked_minor_sums(mats: np.ndarray) -> list[float]:
-    """Minor sums of a k x rows x cols complex128 stack, as floats.
+    """Minor sums of a k x rows x cols complex128 stack with rows <= cols, as floats.
 
-    Each matrix takes the Gram identity on its smaller side, and the ones
-    where it cancels (not above ``GRAM_CUTOFF * ||M||_F^4``) take
-    sum_{i<j} sigma_i^2 sigma_j^2 from one stacked SVD.  A matrix's term does
-    not depend on the others in its stack.  Chunks are short, so the
+    Each matrix takes the Gram identity on its rows, and the ones where it
+    cancels (not above ``GRAM_CUTOFF * ||M||_F^4``) take the rank-1
+    deflation, batched over them (``_deflated_minor_sums``).  A matrix's term
+    does not depend on the others in its stack.  Chunks are short, so the
     per-matrix scalars are finished in Python floats, which round as numpy's do.
     """
-    h = mats.conj().transpose(0, 2, 1)
-    g = mats @ h if mats.shape[1] <= mats.shape[2] else h @ mats
+    conj = mats.conj()
+    g = mats @ conj.transpose(0, 2, 1)
     terms, low = [], []
     for i, (n, q) in enumerate(zip(_squared_norms(mats), _squared_norms(g))):
         fro4 = n * n
         terms.append((fro4 - q) / 2)
-        if not terms[i] > GRAM_CUTOFF * fro4:
+        if fro4 and not terms[i] > GRAM_CUTOFF * fro4:  # a zero matrix's 0 is exact
             low.append(i)
     if low:
-        s2 = np.linalg.svd(mats if len(low) == len(mats) else mats[low], compute_uv=False) ** 2
-        pairs = s2[:, 1:] * np.add.accumulate(s2, axis=1)[:, :-1]
-        for i, t in zip(low, np.add.reduce(pairs, axis=1).tolist()):
+        if len(low) < len(mats):
+            mats, conj, g = mats[low], conj[low], g[low]
+        for i, t in zip(low, _deflated_minor_sums(mats, conj, g)):
             terms[i] = t
+    return terms
+
+
+def _deflated_minor_sums(mats: np.ndarray, conj: np.ndarray, g: np.ndarray) -> list[float]:
+    """Minor sums of a stack M with rows <= cols by a rank-1 deflation, which does
+    not cancel near rank 1, from M, conj(M) (overwritten) and G = M M*.
+
+    Let x be the column of M through the largest entry of its largest row,
+    a = x* M and R = M - x a / |x|^2, so that x* R = 0.  A unitary change of
+    rows that takes x to the first one leaves the minor sum as it is: the
+    minors on that row sum to (|a|^2 ||R||_F^2 - ||R a*||^2) / |x|^2 by
+    Lagrange's identity, and the others are R's own, by the Gram identity
+    (||R||_F^4 - ||R R*||_F^2) / 2, which is as small as R.  R is formed from
+    M, never as G minus its rank-1 part, which would cancel, and a and R sum
+    over the rows only, so a rank-1 M leaves R at a few units of rounding of
+    its entries whatever the number of columns.
+    """
+    kk = np.arange(len(mats))
+    j = np.abs(mats[kk, g.diagonal(0, 1, 2).real.argmax(1)]).argmax(1)
+    a = conj[kk, :, j][:, None, :] @ mats  # x* M
+    nx = a[kk, 0, j].real  # |x|^2, the pivot entry of x* M
+    r = np.multiply((mats[kk, :, j] / nx[:, None])[:, :, None], a, out=conj)
+    r = np.subtract(mats, r, out=r)
+    s = r @ r.conj().transpose(0, 2, 1)
+    terms = []
+    for n, diag, q, w, aa in zip(nx.tolist(), s.diagonal(0, 1, 2).real.tolist(), _squared_norms(s),
+                                 _squared_norms(r @ a.conj().transpose(0, 2, 1)), _squared_norms(a)):
+        t = sum(diag)  # ||R||_F^2
+        # both parts are sums of squares, which rounding may leave just below 0
+        terms.append(max((aa * t - w) / n, 0.0) + max((t * t - q) / 2, 0.0))
     return terms
 
 
@@ -217,25 +255,31 @@ def _squared_norms(mats: np.ndarray) -> list[float]:
 def _float_terms(arr: np.ndarray, layouts) -> list[float]:
     """The minor sum of the float array laid out by each ``(perm, rows)``.
 
-    The layouts of one row count are stacked in chunks of at most
-    ``CHUNK_AMPS`` amplitudes, and each chunk is one ``_stacked_minor_sums``.
+    Each split is copied into a stack on its small side: a tall one as its
+    transpose, whose minor sum is the same.  The splits of one small side are
+    stacked in chunks of at most ``CHUNK_AMPS`` amplitudes, and each chunk is
+    one ``_stacked_minor_sums``.
     """
-    if len(layouts) == 1:  # one split, a stack of one view: nothing to group
+    size = arr.size
+    if len(layouts) == 1 and layouts[0][1] ** 2 <= size:  # one wide split: a stack of one view
         (perm, rows), = layouts
         return _stacked_minor_sums(arr.transpose(perm).reshape(1, rows, -1))
-    per = max(1, CHUNK_AMPS // arr.size)
+    per = max(1, CHUNK_AMPS // size)
     groups = {}
     for i, (_, rows) in enumerate(layouts):
-        groups.setdefault(rows, []).append(i)
+        groups.setdefault(min(rows, size // rows), []).append(i)
     terms = [0.0] * len(layouts)
-    for rows, group in groups.items():
+    for small, group in groups.items():
         for k in range(0, len(group), per):
             chunk = group[k:k + per]
-            # each transpose is copied once, into its slot of the stack
-            mats = np.empty((len(chunk), rows, arr.size // rows), dtype=arr.dtype)
+            # each transpose is copied once, into its slot of the stack; a tall
+            # split's slot is written through its transpose, a view, as splitting
+            # the axes of a view needs no copy
+            mats = np.empty((len(chunk), small, size // small), dtype=arr.dtype)
             for mat, i in zip(mats, chunk):
-                src = arr.transpose(layouts[i][0])
-                mat.reshape(src.shape)[...] = src
+                perm, rows = layouts[i]
+                src = arr.transpose(perm)
+                (mat if rows == small else mat.T).reshape(src.shape)[...] = src
             for i, t in zip(chunk, _stacked_minor_sums(mats)):
                 terms[i] = t
     return terms
@@ -274,14 +318,23 @@ def minor_sum(f: Flattening):
     """Sum of squared moduli of all 2x2 minors of the flattening.
 
     Exact: the Gram identity in integers over the common denominator of the
-    entries, a Fraction.  Float: the Gram identity when it is above
-    ``GRAM_CUTOFF * ||M||_F^4``, else sum_{i<j} sigma_i^2 sigma_j^2 over the
-    singular values, which does not cancel near rank-1 matrices.
+    entries, a Fraction.  Float: the matrix on its small side, a tall one
+    transposed as a split's stack holds it; the Gram identity when it is above
+    ``GRAM_CUTOFF * ||M||_F^4``, else the rank-1 deflation
+    (``_deflated_minor_sums``), which does not cancel near rank-1 matrices.
+    The entries are first divided by a power of two 2^e that brings the
+    largest part into [0.5, 1), and the sum is multiplied by 2^(4e), so any
+    finite matrix gives its sum, or NonFinite when that is beyond the float
+    range; both steps are exact, so the bits equal that split's term.
     """
     if f.exact:
         a, c, _, den = _gram_parts(f.entries)
         return Fraction(_twice_int_minor_sum(a, c), 2 * den ** 4)
-    return _stacked_minor_sums(f.entries[None])[0]
+    parts, e, _ = scale_parts(f.entries.view(np.float64))
+    try:
+        return math.ldexp(_float_terms(parts.view(np.complex128), [((0, 1), f.rows)])[0], 4 * e)
+    except OverflowError:
+        raise NonFinite("minor sum is beyond the float range") from None
 
 
 def minor_sum_direct(f: Flattening):
@@ -337,7 +390,7 @@ def split_terms(s: PureState, splits: Iterable[Bipartition]) -> Iterator:
 def _kernel_input(s: PureState):
     """What the split kernels read of a state, taken once per call: a float
     state's normalized array, or an exact state's ``_gram_parts``."""
-    return _gram_parts(s.array) if s.exact else normalize(s).array
+    return _gram_parts(s.array) if s.exact else _unit_array(s.array)
 
 
 def _unit_terms(unit, layouts) -> Iterator:

@@ -168,12 +168,13 @@ def gauss_rats(re: np.ndarray, im: np.ndarray, den: int) -> np.ndarray:
     return out.reshape(re.shape)
 
 
-def scale_parts(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """``(re / 2**e, im / 2**e, e, top)`` with the largest float part scaled to
-    ``top`` in [0.5, 1), so products of parts do not overflow.  Exact but for
-    subnormals, which only round down, so no scaled part exceeds ``top``."""
-    top, e = np.frexp(max(np.abs(re).max(), np.abs(im).max()))
-    return np.ldexp(re, -e), np.ldexp(im, -e), int(e), float(top)
+def scale_parts(*parts: np.ndarray) -> tuple:
+    """``(*scaled, e, top)``: each float part array divided by ``2**e``, with the
+    largest part scaled to ``top`` in [0.5, 1), so products of parts do not
+    overflow.  Exact but for subnormals, which only round down, so no scaled
+    part exceeds ``top``."""
+    top, e = math.frexp(max(np.abs(p).max() for p in parts))
+    return (*(np.ldexp(p, -e) for p in parts), e, top)
 
 
 def abs_sq_sum(arr: np.ndarray):
@@ -208,15 +209,19 @@ def check_dims(dims) -> tuple[int, ...]:
 
 
 class _Amplitudes(Frozen):
-    """The states' one constructor: :func:`check_dims` on the shape, NonFinite for NaN/Inf
-    in a float array, ZeroVector for an all-zero one, and the array is made read-only."""
+    """The states' one constructor: :func:`check_dims` on the shape, MalformedInput for a
+    dtype other than the two backends' (``complex128`` and ``object``, told by the dtype
+    alone), NonFinite for NaN/Inf in a float array, ZeroVector for an all-zero one, and
+    the array is made read-only."""
 
     __slots__ = ()
 
     def __init__(self, array: np.ndarray):
         check_dims(array.shape)
-        if array.dtype != object:
+        if array.dtype == np.complex128:
             _check_finite(array, "amps")
+        elif array.dtype != object:
+            raise MalformedInput(f"amps must be a complex128 or object array, got dtype {array.dtype}")
         if not np.count_nonzero(array):
             raise ZeroVector("all amplitudes are zero")
         array.flags.writeable = False
@@ -377,12 +382,9 @@ def canonical_bipartitions(num_modes: int) -> list[Bipartition]:
 def normalize(s: PureState) -> PureState:
     """Scale to unit 2-norm.  Stays exact when the norm is rational.
 
-    The float path first divides by the largest real or imaginary part, so
-    the norm neither overflows nor underflows for any finite nonzero state.
-    Its power-of-two exponent is taken off each part exactly first: complex
-    division multiplies by the reciprocal, which is infinite for a subnormal.
-    An exact state with an irrational norm is divided by that part exactly
-    before it becomes float, so amplitudes beyond the float range convert.
+    An exact state with an irrational norm is divided by its largest real or
+    imaginary part exactly before it becomes float (:func:`_unit_array`), so
+    amplitudes beyond the float range convert.
     """
     arr = s.array
     if s.exact:
@@ -390,10 +392,21 @@ def normalize(s: PureState) -> PureState:
         if r is not None:
             return PureState(arr * GaussRat(1 / r))
         arr = arr / max(max(abs(x.re), abs(x.im)) for x in arr.flat)
-    arr = arr.astype(np.complex128)
-    arr.real, arr.imag, _, top = scale_parts(arr.real, arr.imag)
-    arr = arr / top
-    return PureState(arr / np.linalg.norm(arr))
+    return PureState(_unit_array(arr))
+
+
+def _unit_array(arr: np.ndarray) -> np.ndarray:
+    """The float body of :func:`normalize`: a nonzero amplitude array as a new
+    ``complex128`` array of unit 2-norm, with no state built around it.
+
+    It first divides by the largest real or imaginary part, so the norm
+    neither overflows nor underflows for any finite nonzero array.  Its
+    power-of-two exponent is taken off each part exactly first: complex
+    division multiplies by the reciprocal, which is infinite for a subnormal.
+    """
+    parts, _, top = scale_parts(np.ascontiguousarray(arr, dtype=np.complex128).view(np.float64))
+    arr = parts.view(np.complex128) / top
+    return arr / np.linalg.norm(arr)
 
 
 def segre_map(factors: Sequence[LocalState]) -> PureState:

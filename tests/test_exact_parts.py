@@ -31,7 +31,7 @@ from qsegre import segre
 from qsegre.errors import NotProduct
 from qsegre.sampling import default_rng, random_exact_product_state, random_haar_state
 from qsegre.segre import split_terms
-from qsegre.states import flat_matrix, gauss_ints, normalize
+from qsegre.states import _unit_array, flat_matrix, gauss_ints, normalize
 
 
 def object_twice_minor_sum(a, c):
@@ -189,8 +189,9 @@ def test_exact_concurrence_kernel_calls(monkeypatch, m):
 
 
 def test_float_local_factors_normalize_once(monkeypatch):
+    # float measures normalize through the array helper, with no state built around it
     calls = []
-    monkeypatch.setattr(segre, "normalize", lambda s: calls.append(1) or normalize(s))
+    monkeypatch.setattr(segre, "_unit_array", lambda arr: calls.append(1) or _unit_array(arr))
     rng = default_rng(11)
     for m in (2, 3, 5):
         s = make_state([2] * m, random_exact_product_state(rng, [2] * m).to_numpy() * 1e3j)

@@ -38,7 +38,7 @@ from qsegre import (
     segre_map,
     state_assignment,
 )
-from qsegre.errors import MalformedInput, NotProduct
+from qsegre.errors import MalformedInput, NonFinite, NotProduct
 from qsegre import segre
 from qsegre.grassmann import unique_rows
 from qsegre.segre import GRAM_CUTOFF, split_terms
@@ -377,16 +377,25 @@ def test_minor_sum_near_rank_one_float():
         assert abs(a - b) <= 1e-5 * b
 
 
-def singular_value_minor_sum(mat):
-    """Reference float minor sum: sum_{i<j} s_i^2 s_j^2 over numpy's singular values."""
-    s2 = np.linalg.svd(mat, compute_uv=False) ** 2
-    return sum(s2[i] * s2[j] for i, j in itertools.combinations(range(len(s2)), 2))
+U = 2.0 ** -53  # unit roundoff of a float
+
+
+def exact_copy(hat):
+    """The exact state whose amplitudes are the float state's own entries, bit for bit."""
+    return make_state(list(hat.dims), [GaussRat(Fraction(x.real), Fraction(x.imag)) for x in hat.array.flat])
 
 
 @pytest.mark.parametrize("m", range(2, 11))
 def test_float_split_terms_match_singular_values_across_cutoff(m):
-    # Haar terms take the Gram identity, product terms the singular values,
-    # and the perturbed products put terms on both sides of GRAM_CUTOFF
+    # Haar terms take the Gram identity, product terms the rank-1 deflation,
+    # and the perturbed products put terms on both sides of GRAM_CUTOFF.  Each
+    # term is compared with the exact minor sum of the same float entries:
+    # within relative 1e-12 above the cutoff, and within 16 (u sqrt(exact) + u^2)
+    # ||M||_F^4 at or below it.  The singular-value pair sum meets that bound
+    # too: its worst ratio here is 10.3, the deflation's 0.97.
+    # Exact sums of the larger flattenings take seconds each from 9 qubits, so
+    # there every split of at most two modes a side is checked exactly, and the
+    # first split of each larger shape.
     rng = default_rng(70 + m)
     dims = [2] * m
     prod = random_product_state(rng, dims).to_numpy()
@@ -399,13 +408,22 @@ def test_float_split_terms_match_singular_values_across_cutoff(m):
     above = set()
     for s in states:
         hat = normalize(s)
+        exact = exact_copy(hat)
+        n4 = exact.norm_sq() ** 2
+        shapes = set()
         for b, term in zip(parts, split_terms(s, parts)):
-            f = flatten(hat, b)
-            ref = singular_value_minor_sum(f.entries)
-            assert abs(term - ref) <= 1e-12
-            assert abs(term - ref) <= 1e-10 * ref
-            assert minor_sum(f) == term
+            assert minor_sum(flatten(hat, b)) == term
             above.add(term > GRAM_CUTOFF)
+            side = min(len(b.left), m - len(b.left))
+            if m >= 9 and side > 2 and side in shapes:
+                continue
+            shapes.add(side)
+            ref = minor_sum(flatten(exact, b))
+            err = abs(Fraction(term) - ref)
+            if ref > GRAM_CUTOFF * n4:
+                assert err <= Fraction(1e-12) * ref
+            else:
+                assert err <= 16 * (U * math.sqrt(ref) + U * U) * n4
     assert above == {True, False}
 
 
@@ -436,20 +454,51 @@ def test_stacked_float_terms_equal_one_matrix_kernel(dims):
     assert above == {True, False}
 
 
-def test_float_product_takes_one_svd_per_chunk(monkeypatch):
-    # every split of a float product state falls back to the SVD, once per
-    # chunk of equal-shape splits rather than once per split
+def test_float_product_takes_one_kernel_call_per_chunk(monkeypatch):
+    # every split of a float product state is deflated, once per chunk of
+    # splits with the same small side rather than once per split, and no SVD
+    # is taken
     m = 10
-    calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(len(a)) or svd(a, **kw))
+    stacks, deflated = [], []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("np.linalg.svd called"))
+    kernel, deflate = segre._stacked_minor_sums, segre._deflated_minor_sums
+    monkeypatch.setattr(segre, "_stacked_minor_sums", lambda mats: stacks.append(len(mats)) or kernel(mats))
+    monkeypatch.setattr(segre, "_deflated_minor_sums", lambda mats, *rest: deflated.append(len(mats)) or deflate(mats, *rest))
     s = random_product_state(default_rng(12), [2] * m)
     report = generalized_concurrence(s)
     per = segre.CHUNK_AMPS // 2 ** m
-    shapes = [2 ** len(b.left) for b in canonical_bipartitions(m)]
-    chunks = sum(-(-shapes.count(r) // per) for r in set(shapes))
-    assert len(report.per_bipartition) == sum(calls) == 2 ** (m - 1) - 1
-    assert len(calls) == chunks < 2 ** (m - 1) - 1
+    sides = [min(len(b.left), m - len(b.left)) for b in canonical_bipartitions(m)]
+    chunks = sum(-(-sides.count(r) // per) for r in set(sides))
+    assert len(report.per_bipartition) == sum(stacks) == sum(deflated) == 2 ** (m - 1) - 1
+    assert len(stacks) == len(deflated) == chunks < 2 ** (m - 1) - 1
+    assert max(report.per_bipartition.values()) < 1e-28
+
+
+def test_float_minor_sum_at_any_scale():
+    # the entries are brought into range by a power of two first: any finite
+    # matrix gives its sum scaled by 2^(4e), bit for bit, a zero one 0, and a
+    # sum beyond the float range NonFinite, where the unscaled kernel gave nan
+    rng = default_rng(21)
+    near = np.outer(rng.normal(size=3), rng.normal(size=5)) + 1e-6j * rng.normal(size=(3, 5))
+    for mat in (rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5)), near, near.T):
+        base = minor_sum(float_flattening(mat))
+        for e in (-200, -40, 40, 200):
+            assert minor_sum(float_flattening(np.ldexp(mat.real, e) + 1j * np.ldexp(mat.imag, e))) == math.ldexp(base, 4 * e)
+    assert minor_sum(float_flattening(np.zeros((2, 3), dtype=complex))) == 0.0
+    with pytest.raises(NonFinite, match="minor sum is beyond the float range"):
+        minor_sum(float_flattening(np.array([[1e150, 1e150, 0], [1e150, 1e150j, 0]])))
+
+
+def test_float_deflation_terms_are_not_negative():
+    # a rank-1 matrix with a zero row: the deflation's two parts cancel to
+    # rounding there, and its Lagrange part came out at -3.4e-48, so the
+    # concurrence's square root raised a math domain error
+    for amps in ([0, 0, complex(-258 / 7, 114 / 5), complex(-129 / 7, 57 / 5)],
+                 [0, 0, complex(-1763 / 30, 369 / 10), complex(-409 / 12, 17 / 12)]):
+        s = make_state([2, 2], amps)
+        (term,) = generalized_concurrence(s).per_bipartition.values()
+        assert 0 <= term < 1e-30
+        assert all(0 <= t < 1e-30 for t in split_terms(s, [Bipartition((1,)), Bipartition((2,))]))
 
 
 def test_fully_separable_haar_stops_after_first_split(monkeypatch):

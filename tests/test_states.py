@@ -637,6 +637,40 @@ def test_constructors_refuse_shapes_outside_the_dims_rule():
         state_from_json({"dims": 5, "amps": [[1, 0]]})
 
 
+def test_constructor_refuses_dtypes_of_neither_backend():
+    # an int array built a state that was neither backend, and a str array
+    # raised a bare TypeError from np.isfinite
+    for build in (
+        lambda: PureState(np.array([1, 2])),
+        lambda: PureState(np.array(["a", "b"])),
+        lambda: PureState(np.ones((2, 2))),
+        lambda: LocalState(np.array([1.0, 0.0])),
+        lambda: LocalState(np.array([True, False])),
+    ):
+        with pytest.raises(MalformedInput, match="complex128 or object array, got dtype"):
+            build()
+    # the two backends' dtypes still build, the exact one without a scan of its entries
+    assert not PureState(np.array([1, 2], dtype=np.complex128)).exact
+    assert PureState(np.array([GaussRat(1), GaussRat(0)], dtype=object)).exact
+
+
+def test_long_literals_give_short_messages():
+    # the whole literal was printed: a 5000-digit string gave a 5,027-character message
+    for build in (
+        lambda: GaussRat("1" * 5000),
+        lambda: GaussRat("x" * 5000),
+        lambda: GaussRat("e" * 5000),
+        lambda: state_from_json({"dims": [2], "amps": [["1" * 5000, 0], [1, 0]]}),
+        lambda: state_from_json({"dims": [2], "amps": [[1, "\u00e9" * 5000], [1, 0]]}),
+    ):
+        with pytest.raises(MalformedInput, match="fraction literal") as info:
+            build()
+        assert len(str(info.value)) < 200 and "5000 characters" in str(info.value)
+    # a short literal is shown whole, as its repr
+    with pytest.raises(MalformedInput, match="re: bad fraction literal 'abc'$"):
+        GaussRat("abc")
+
+
 dims_entries = st.one_of(
     st.integers(-3, 6),
     st.integers(-10**5000, 10**5000),
