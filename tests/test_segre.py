@@ -368,7 +368,7 @@ def test_exact_split_terms_equal_direct_minor_sums(m):
 
 def test_minor_sum_near_rank_one_float():
     # the Gram identity cancels here (relative error up to ~1e3); the
-    # singular-value form agrees with the enumeration to its own rounding
+    # rank-1 deflation agrees with the enumeration to its own rounding
     rng = default_rng(3)
     for _ in range(20):
         u, v, noise = (rng.normal(size=n) + 1j * rng.normal(size=n) for n in (4, 4, (4, 4)))
@@ -385,17 +385,24 @@ def exact_copy(hat):
     return make_state(list(hat.dims), [GaussRat(Fraction(x.real), Fraction(x.imag)) for x in hat.array.flat])
 
 
+def singular_value_pair_sum(mat):
+    """sum_{i<j} s_i^2 s_j^2 of a float matrix, from its singular values: a sum of nonnegative terms."""
+    s2 = np.linalg.svd(mat, compute_uv=False) ** 2
+    return float(np.sum(s2[1:] * np.cumsum(s2)[:-1]))
+
+
 @pytest.mark.parametrize("m", range(2, 11))
 def test_float_split_terms_match_singular_values_across_cutoff(m):
     # Haar terms take the Gram identity, product terms the rank-1 deflation,
     # and the perturbed products put terms on both sides of GRAM_CUTOFF.  Each
-    # term is compared with the exact minor sum of the same float entries:
-    # within relative 1e-12 above the cutoff, and within 16 (u sqrt(exact) + u^2)
-    # ||M||_F^4 at or below it.  The singular-value pair sum meets that bound
-    # too: its worst ratio here is 10.3, the deflation's 0.97.
-    # Exact sums of the larger flattenings take seconds each from 9 qubits, so
-    # there every split of at most two modes a side is checked exactly, and the
-    # first split of each larger shape.
+    # term is compared with an independent reference: within relative 1e-12
+    # above the cutoff, and within c (u sqrt(ref) + u^2) ||M||_F^4 at or below
+    # it.  The reference is the exact minor sum of the same float entries, with
+    # c = 16 (the deflation's worst ratio here is 0.97, the singular-value pair
+    # sum's 10.3).  Exact sums of the larger flattenings take seconds each from
+    # 9 qubits, so there the splits of more than two modes a side, past the
+    # first of each shape, take the singular-value pair sum of the same float
+    # matrix instead, with c = 32: both forms are within 16 of the exact value.
     rng = default_rng(70 + m)
     dims = [2] * m
     prod = random_product_state(rng, dims).to_numpy()
@@ -412,18 +419,20 @@ def test_float_split_terms_match_singular_values_across_cutoff(m):
         n4 = exact.norm_sq() ** 2
         shapes = set()
         for b, term in zip(parts, split_terms(s, parts)):
-            assert minor_sum(flatten(hat, b)) == term
+            f = flatten(hat, b)
+            assert minor_sum(f) == term
             above.add(term > GRAM_CUTOFF)
             side = min(len(b.left), m - len(b.left))
             if m >= 9 and side > 2 and side in shapes:
-                continue
+                ref, c = Fraction(singular_value_pair_sum(f.entries)), 32
+            else:
+                ref, c = minor_sum(flatten(exact, b)), 16
             shapes.add(side)
-            ref = minor_sum(flatten(exact, b))
             err = abs(Fraction(term) - ref)
             if ref > GRAM_CUTOFF * n4:
                 assert err <= Fraction(1e-12) * ref
             else:
-                assert err <= 16 * (U * math.sqrt(ref) + U * U) * n4
+                assert err <= c * (U * math.sqrt(ref) + U * U) * n4
     assert above == {True, False}
 
 
