@@ -5,6 +5,8 @@ catch the whole family at once.  Construction and input-format problems carry a
 message naming the offending field.  The size caps and their check live here.
 """
 
+import numbers
+
 MAX_AMPS = 4096  # prod(dims) of a state, a factors file or a Segre ideal
 MAX_CHOOSE = 10000  # minors in a row of the Plucker expansion: C(N, min(k, N // 2))
 MAX_TERMS = 2**22  # rows a family build lays out (README "Work cap")
@@ -54,20 +56,29 @@ class MalformedInput(QsegreError):
     """A JSON document or CLI argument failed validation; message names the field."""
 
 
-def short_text(value) -> str:
+def short_text(value, _depth: int = 0) -> str:
     """``value`` for a message, short at any size (str() refuses ints of over 4300
-    digits): an int by its digits below 2**64 in magnitude, a str by its repr,
-    cut to 32 characters and its length past 40, and a tuple by at most its
-    first eight entries and its length."""
+    digits): an integer by its digits below 2**64 in magnitude, a float by its str,
+    a str by its repr, cut to 32 characters and its length past 40, a tuple or
+    list by at most its first eight entries, three levels deep, cut to 100
+    characters, and its length, and anything else by its type name."""
     if isinstance(value, str):
         text = repr(value)
         return text if len(text) <= 40 else f"{text[:32]}... ({len(value)} characters)"
-    if isinstance(value, tuple):
-        head = ", ".join(map(short_text, value[:8]))
-        return f"({head})" if len(value) <= 8 else f"({head}, ... {len(value)} entries)"
-    if isinstance(value, int) and abs(value) >= 2**64:
+    if isinstance(value, (tuple, list)):
+        if _depth == 3:
+            return "..."
+        head = ", ".join(short_text(v, _depth + 1) for v in value[:8])
+        if len(head) > 100:
+            head = head[:96] + " ..."
+        if len(value) > 8:
+            head += f", ... {len(value)} entries"
+        return f"({head})" if isinstance(value, tuple) else f"[{head}]"
+    if isinstance(value, numbers.Integral) and abs(value) >= 2**64:
         return "over 2**64" if value > 0 else "under -2**64"
-    return str(value)
+    if isinstance(value, (numbers.Integral, float)):
+        return str(value)
+    return type(value).__name__
 
 
 def check_cap(what: str, factors, cap: int) -> None:

@@ -37,6 +37,35 @@ class Frozen:
         return f"{type(self).__name__}({args})"
 
 
+class Keyed(Frozen):
+    """A Frozen value under the one equality rule of the value types: it equals a
+    value of its own type with an equal key, and hashes as its key.  The
+    constructor stores the key (:meth:`_keep`); the hash is computed on first use
+    and kept, so a value whose key holds a dict is unhashable and building one
+    hashes nothing."""
+
+    __slots__ = ("_key", "_hash")
+
+    def _keep(self, key: tuple) -> None:
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", None)
+
+    def key(self) -> tuple:
+        return self._key
+
+    def __eq__(self, other):
+        if not isinstance(other, Keyed):
+            return NotImplemented
+        return self is other or (type(self) is type(other) and self._key == other._key)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._key)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+
 def is_int(x) -> bool:
     """An int that is not a bool: the one rule for indices, modes and shape parameters."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -44,13 +73,14 @@ def is_int(x) -> bool:
 
 def as_fraction(x: RatLike, field: str) -> Fraction:
     """The one fraction-literal rule: ``Fraction(x)``, but MalformedInput naming ``field`` for a
-    bad literal or a str with an exponent, which Fraction expands ("1e-1000000": 3.3M bits).
+    bad literal, a str with an exponent, which Fraction expands ("1e-1000000": 3.3M bits),
+    a NaN or infinite float, or a value of a type Fraction does not take.
     The message shows the literal through ``short_text``, so it stays short."""
     if isinstance(x, str) and ("e" in x or "E" in x):
         raise MalformedInput(f"{field}: exponent not allowed in fraction literal {short_text(x)}")
     try:
         return Fraction(x)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError):
         raise MalformedInput(f"{field}: bad fraction literal {short_text(x)}") from None
 
 

@@ -36,33 +36,83 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, isqrt
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import (MAX_CHOOSE, MAX_TERMS, IndexOutOfRange, MissingVariable, NonFinite, ShapeError,
-                     WrongShape, check_cap, short_text)
-from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussRat, Scalar, is_int
+from .errors import (MAX_CHOOSE, MAX_TERMS, IndexOutOfRange, MalformedInput, MissingVariable, NonFinite,
+                     ShapeError, WrongShape, check_cap, short_text)
+from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussRat, Keyed, Scalar, is_int
 from .poly import MultiPoly, PluVar, pair_monomials
 from .segre import split_terms
 from .states import (Bipartition, PureState, _check_finite, amplitude_array, amplitudes_to_json,
                      exact_backend, gauss_ints, matrix_array, scale_parts)
 
 
-@dataclass(frozen=True)
-class PlueckerSet:
-    """The C(N, k) maximal minors of a k x N matrix, keyed by sorted subsets."""
+def _check_shape(k, N) -> None:
+    """The one shape rule of G(k, N): ints (``is_int``) with 1 <= k < N, else ShapeError."""
+    if not (is_int(k) and is_int(N)) or k < 1 or k >= N:
+        raise ShapeError(f"need 1 <= k < N, got k={short_text(k)}, N={short_text(N)}")
 
-    k: int
-    N: int
-    coords: dict[tuple[int, ...], Scalar]
+
+def _are_subsets(keys: list, k: int, N: int) -> bool:
+    """True iff every key is a strictly increasing tuple of k ints (``is_int``) in 1..N.
+    The keys are read a column at a time, in passes that run in C."""
+    if not (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {k}):
+        return False
+    cols = list(zip(*keys))
+    return not cols or (set(map(type, itertools.chain(*cols))) == {int} and min(cols[0]) >= 1
+                        and max(cols[-1]) <= N and all(all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:])))
+
+
+class _Coordinates(Keyed):
+    """Holds what ``states.exact_backend`` said of a PlueckerSet's values, outside its key."""
+
+    __slots__ = ("_exact",)
+
+
+class PlueckerSet(_Coordinates):
+    """The C(N, k) maximal minors of a k x N matrix, keyed by sorted subsets.
+
+    The constructor takes ints 1 <= k < N (ShapeError) and a mapping whose
+    keys are strictly increasing k-subsets of 1..N (IndexOutOfRange, naming
+    the first bad one) and whose values are numbers (``states.exact_backend``,
+    MalformedInput); ``exact`` is what that rule answered.  ``coords`` is a
+    read-only copy of the mapping, and copy and pickle pass it on as a dict.
+    Unhashable, as its mapping is.
+    """
+
+    __slots__ = ("k", "N", "coords")
+
+    def __init__(self, k: int, N: int, coords: Mapping[tuple[int, ...], Scalar]):
+        _check_shape(k, N)
+        if not isinstance(coords, Mapping):
+            raise MalformedInput(f"coords must be a mapping, got {type(coords).__name__}")
+        coords = dict(coords)
+        keys = list(coords)
+        if not _are_subsets(keys, k, N):
+            bad = next(key for key in keys if not _are_subsets([key], k, N))
+            raise IndexOutOfRange(f"coords key {short_text(bad)} is not a strictly increasing "
+                                  f"{short_text(k)}-subset of 1..{short_text(N)}")
+        exact = exact_backend(list(coords.values()), "coords")
+        coords = MappingProxyType(coords)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_exact", exact)
+        self._keep((k, N, coords))
+
+    def __reduce__(self):
+        return type(self), (self.k, self.N, dict(self.coords))
 
     @property
     def exact(self) -> bool:
         """True iff every coordinate is exact: ``states.exact_backend``, the rule of ``amplitude_array``."""
-        return exact_backend(list(self.coords.values()), "coords")
+        return self._exact
 
     def get(self, indices) -> Scalar:
         """Coordinate for a tuple or list of ints (``is_int``), else IndexOutOfRange:
@@ -79,13 +129,21 @@ class PlueckerSet:
         return value if _parity(indices) == 0 else -value
 
 
-@dataclass(frozen=True)
-class PlueckerRelation:
-    """One quadric of the relation family, with the (I, J) pair it came from."""
+class PlueckerRelation(Keyed):
+    """One quadric of the relation family, with the (I, J) pair it came from: a
+    MultiPoly and two tuples, else MalformedInput.  The family builds many, so
+    the check reads the fields' types alone, not the tuples' entries."""
 
-    poly: MultiPoly
-    I: tuple[int, ...]
-    J: tuple[int, ...]
+    __slots__ = ("poly", "I", "J")
+
+    def __init__(self, poly: MultiPoly, I: tuple[int, ...], J: tuple[int, ...]):
+        if not (isinstance(poly, MultiPoly) and isinstance(I, tuple) and isinstance(J, tuple)):
+            raise MalformedInput(f"a Plucker relation is a MultiPoly and two tuples, got {type(poly).__name__}, "
+                                 f"{type(I).__name__} and {type(J).__name__}")
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "I", I)
+        object.__setattr__(self, "J", J)
+        self._keep((poly, I, J))
 
 
 def _parity(indices: tuple[int, ...]) -> int:
@@ -162,8 +220,7 @@ def _relation_terms(k: int, N: int) -> RelationFamily:
     produced it.  The arrays are read-only.  The shape and the term cap are
     checked on every call; the family itself is built once per (k, N).
     """
-    if not (is_int(k) and is_int(N)) or k < 1 or k >= N:
-        raise ShapeError(f"need 1 <= k < N, got k={short_text(k)}, N={short_text(N)}")
+    _check_shape(k, N)
     # a nonempty family's binomials are at least N: past N = 2048 the product passes the cap at N * N
     terms = (N, N, k + 1) if k not in (1, N - 1) and N > isqrt(MAX_TERMS) else (_relation_term_count(k, N),)
     check_cap(f"raw terms of the relation family of G({short_text(k)},{short_text(N)})", terms, MAX_TERMS)
@@ -283,13 +340,15 @@ def pluecker_measure(s: PureState, pivot: int = 1) -> float:
     if s.num_modes < 2:
         raise WrongShape("measure needs >= 2 modes")
     if not is_int(pivot) or not 1 <= pivot <= s.num_modes:
-        raise IndexOutOfRange(f"pivot {pivot!r} is not an int in 1..{s.num_modes}")
+        raise IndexOutOfRange(f"pivot {short_text(pivot)} is not an int in 1..{s.num_modes}")
     (term,) = split_terms(s, [Bipartition((pivot,))])
     return 2.0 * math.sqrt(float(term))
 
 
 def pluecker_set_to_json(ps: PlueckerSet) -> dict:
+    """The coordinates in subset order, in the backend ``states.amplitude_array`` gives them."""
     subsets = sorted(ps.coords)
-    pairs = amplitudes_to_json(np.array([ps.coords[subset] for subset in subsets]))
+    values = [ps.coords[subset] for subset in subsets]
+    pairs = amplitudes_to_json(amplitude_array(values, (len(values),), "coords"))
     coords = [{"I": list(subset), "re": re, "im": im} for subset, (re, im) in zip(subsets, pairs)]
     return {"k": ps.k, "N": ps.N, "coords": coords}

@@ -8,8 +8,9 @@ exponents, no zero coefficients.
 
 Variables (:class:`StateVar`, :class:`PluVar`) and :class:`Monomial` are
 immutable atoms whose constructor computes, once per object, the sort
-``key()``, its hash and the printed ``text``; equality, hashing, sorting and
-:func:`format_poly` only read them.  ``Monomial``'s constructor is the one
+``key()`` and the printed ``text``, and whose hash is computed once, on first
+use (``gaussrat.Keyed``); equality, hashing, sorting and :func:`format_poly`
+only read them.  ``Monomial``'s constructor is the one
 canonicalizing path.  The family builders share atoms within one call: one
 variable per index and, through :func:`pair_monomials`, one monomial per
 index pair, so a family pays these costs once per distinct atom, not once
@@ -23,32 +24,21 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import IndexOutOfRange, MalformedInput, MissingVariable, short_text
-from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, Frozen, GaussRat, is_int
+from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, Frozen, GaussRat, Keyed, is_int
 from .states import amplitude_array, exact_backend
 
 
-class _Atom(Frozen):
+class _Atom(Keyed):
     """A variable or monomial: compared, hashed and printed by what its
-    constructor computed once, the sort key and the text."""
+    constructor computed once, the sort key and the text; the key is also
+    the ``Keyed`` key."""
 
-    __slots__ = ("_key", "_hash", "text")
+    __slots__ = ("text",)
 
     def _freeze(self, arg, key: tuple, text: str) -> None:
         object.__setattr__(self, type(self).__slots__[0], arg)  # the constructor's one argument
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        self._keep(key)
         object.__setattr__(self, "text", text)
-
-    def key(self) -> tuple:
-        return self._key
-
-    def __eq__(self, other):
-        if not isinstance(other, _Atom):
-            return NotImplemented
-        return self is other or (type(self) is type(other) and self._key == other._key)
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self):
         return self.text
@@ -97,21 +87,30 @@ class Monomial(_Atom):
 
     The constructor is the one canonicalizing path: it merges repeated
     variables, drops zero exponents, sorts by variable key, and raises
-    IndexOutOfRange on an exponent that is not an int >= 0 or that reaches
-    2**64 once merged, so every exponent stays printable.
+    MalformedInput unless ``factors`` is an iterable of (variable, exponent)
+    pairs, and IndexOutOfRange on an exponent that is not an int >= 0 or that
+    reaches 2**64 once merged, so every exponent stays printable.
     """
 
     __slots__ = ("factors",)
 
     def __init__(self, factors: Iterable[tuple[VarId, int]] = ()):
         merged: dict[VarId, int] = {}
-        for var, exp in factors:
-            if not is_int(exp) or exp < 0:
-                raise IndexOutOfRange(f"bad exponent {short_text(exp)} on {var}: expected an int >= 0")
-            if exp:
-                merged[var] = merged.get(var, 0) + exp
-                if merged[var] >= 2**64:
-                    raise IndexOutOfRange(f"exponent on {var} reaches 2**64")
+        # one try around the loop, not a checked copy of factors (10% of a
+        # monomial's cost): its body raises neither error once var and exp are checked
+        try:
+            for var, exp in factors:
+                if not isinstance(var, (StateVar, PluVar)):
+                    raise MalformedInput(f"monomial variable {short_text(var)}: expected a StateVar or PluVar")
+                if not is_int(exp) or exp < 0:
+                    raise IndexOutOfRange(f"bad exponent {short_text(exp)} on {var}: expected an int >= 0")
+                if exp:
+                    merged[var] = merged.get(var, 0) + exp
+                    if merged[var] >= 2**64:
+                        raise IndexOutOfRange(f"exponent on {var} reaches 2**64")
+        except (TypeError, ValueError):  # factors is not an iterable of pairs
+            raise MalformedInput(f"monomial factors must be (variable, exponent) pairs, "
+                                 f"got {short_text(factors)}") from None
         pairs = tuple(sorted(merged.items(), key=lambda ve: ve[0]._key))
         text = "*".join(v.text if e == 1 else f"{v.text}^{e}" for v, e in pairs)
         self._freeze(pairs, tuple((v._key, e) for v, e in pairs), text or "1")

@@ -55,14 +55,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import MAX_AMPS, MAX_TERMS, NonFinite, NotProduct, WrongShape, check_cap
-from .gaussrat import GR_MINUS_ONE, GR_ONE, Scalar
+from .errors import (MAX_AMPS, MAX_TERMS, DimensionMismatch, MalformedInput, NonFinite, NotProduct,
+                     WrongShape, check_cap, short_text)
+from .gaussrat import GR_MINUS_ONE, GR_ONE, Keyed, Scalar
 from .poly import MultiPoly, StateVar, pair_monomials
 from .states import (
     Bipartition,
@@ -93,23 +93,43 @@ GRAM_CUTOFF = 1e-4
 CHUNK_AMPS = 2**13
 
 
-@dataclass(frozen=True)
-class SegreIdeal:
-    """Degree-2 generators of the product-state ideal for given dims."""
+class SegreIdeal(Keyed):
+    """Degree-2 generators of the product-state ideal for given dims.
 
-    dims: tuple[int, ...]
-    gens: tuple[MultiPoly, ...]
+    ``dims`` is a tuple that ``states.check_dims`` accepts (DimensionMismatch)
+    and ``gens`` a tuple of MultiPoly (MalformedInput).  Nothing hashes the
+    generators until the ideal itself is hashed.
+    """
+
+    __slots__ = ("dims", "gens")
+
+    def __init__(self, dims: tuple[int, ...], gens: tuple[MultiPoly, ...]):
+        if not isinstance(dims, tuple):
+            raise DimensionMismatch(f"dims must be a tuple, got {type(dims).__name__}")
+        check_dims(dims)
+        if not (isinstance(gens, tuple) and all(isinstance(g, MultiPoly) for g in gens)):
+            raise MalformedInput("gens must be a tuple of MultiPoly")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "gens", gens)
+        self._keep((dims, gens))
 
     def __len__(self):
         return len(self.gens)
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    """Measure value plus the per-bipartition minor sums it averages."""
+class MeasureReport(Keyed):
+    """Measure value plus the per-bipartition minor sums it averages: a float
+    and a dict, else MalformedInput; unhashable, as its dict is."""
 
-    value: float
-    per_bipartition: dict[Bipartition, float]
+    __slots__ = ("value", "per_bipartition")
+
+    def __init__(self, value: float, per_bipartition: dict[Bipartition, float]):
+        if not (isinstance(value, float) and isinstance(per_bipartition, dict)):
+            raise MalformedInput(f"a measure report is a float and a dict, got {type(value).__name__} "
+                                 f"and {type(per_bipartition).__name__}")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "per_bipartition", per_bipartition)
+        self._keep((value, per_bipartition))
 
 
 def _minor_keys(dims: tuple[int, ...]) -> np.ndarray:
@@ -485,7 +505,7 @@ def local_factors(s: PureState, tol: float) -> list[LocalState]:
     check_tol(tol)
     unit = _kernel_input(s)
     if not _unit_separable(unit, s.dims, tol):
-        raise NotProduct(f"state is not fully separable at tol {tol!r}")
+        raise NotProduct(f"state is not fully separable at tol {short_text(tol)}")
     if s.num_modes == 1:
         return [LocalState(normalize(s).array)]
     re, im = unit[:2] if s.exact else (unit.real, unit.imag)

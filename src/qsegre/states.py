@@ -21,8 +21,8 @@ import functools
 import itertools
 import math
 import numbers
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+import operator
+from collections.abc import Iterable, Sequence, Sized
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +38,7 @@ from .errors import (
     check_cap,
     short_text,
 )
-from .gaussrat import Frozen, GaussRat, Scalar, as_fraction, is_int, rational_sqrt
+from .gaussrat import Frozen, GaussRat, Keyed, Scalar, as_fraction, is_int, rational_sqrt
 
 
 def amplitude_array(values, shape: tuple[int, ...], label: str = "amps") -> np.ndarray:
@@ -48,9 +48,12 @@ def amplitude_array(values, shape: tuple[int, ...], label: str = "amps") -> np.n
     Fraction or GaussRat (:func:`exact_backend`); otherwise a finite
     ``complex128`` array.  Raises DimensionMismatch unless there are
     prod(shape) values (an array counts all its entries), MalformedInput for
-    entries that are not numbers (bool and str included) and NonFinite for
-    NaN/Inf and for exact entries beyond the float range in a float array.
+    values that are not iterable or entries that are not numbers (bool and str
+    included) and NonFinite for NaN/Inf and for exact entries beyond the float
+    range in a float array.
     """
+    if not isinstance(values, Iterable):
+        raise MalformedInput(f"{label} must be a sequence or an array, got {type(values).__name__}")
     if isinstance(values, np.ndarray) and values.dtype.kind in "iufc":
         values = values.reshape(-1)
     else:
@@ -190,10 +193,16 @@ def abs_sq_sum(arr: np.ndarray):
 
 
 def check_tol(tol) -> None:
-    """The one tolerance rule: a finite nonnegative real that is not a bool, else MalformedInput."""
+    """The one tolerance rule: a finite nonnegative real that is not a bool, and within
+    the float range (``math.isfinite`` converts it), else MalformedInput."""
     real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-    if not (real and math.isfinite(tol) and tol >= 0):
-        raise MalformedInput(f"tol must be finite and nonnegative, got {tol!r}")
+    try:
+        ok = real and math.isfinite(tol) and tol >= 0
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise MalformedInput(f"tol must be finite, nonnegative and within the float range, "
+                             f"got {short_text(tol)}")
 
 
 def check_dims(dims) -> tuple[int, ...]:
@@ -264,7 +273,7 @@ class PureState(_Amplitudes):
         index = tuple(index)
         if len(index) != self.num_modes or not all(
                 is_int(i) and 0 <= i < d for i, d in zip(index, self.dims)):
-            raise IndexOutOfRange(f"index {index} is not a multi-index of dims {self.dims}")
+            raise IndexOutOfRange(f"index {short_text(index)} is not a multi-index of dims {self.dims}")
         return int(np.ravel_multi_index(index, self.dims))
 
     def amplitude(self, index: Sequence[int]) -> Scalar:
@@ -290,21 +299,36 @@ class LocalState(_Amplitudes):
         return tuple(self.array.tolist())
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """An unordered split of the modes {1..m}, stored by its row group.
+class Bipartition(Keyed):
+    """An unordered split of the modes {1..m}, stored by its row group: a
+    nonempty, strictly increasing tuple of ints >= 1 (``is_int``), else
+    IndexOutOfRange.  The bound m is not known here; :func:`make_bipartition`
+    checks it, and so do the methods that take it.
 
     The canonical representative of a split contains mode 1; use
     :meth:`canonicalize` to get it.  Non-canonical row groups are still legal
     for :func:`flatten`, which only reindexes.
     """
 
-    left: tuple[int, ...]
+    __slots__ = ("left",)
+
+    def __init__(self, left: tuple[int, ...]):
+        if not (isinstance(left, tuple) and left and all(map(is_int, left)) and left[0] >= 1
+                and all(map(operator.lt, left, left[1:]))):
+            got = short_text(left) if isinstance(left, tuple) else type(left).__name__
+            raise IndexOutOfRange(f"bipartition {got} is not a nonempty strictly increasing tuple of ints >= 1")
+        object.__setattr__(self, "left", left)
+        self._keep((left,))
 
     def canonicalize(self, num_modes: int) -> "Bipartition":
-        return self if 1 in self.left else Bipartition(self.complement(num_modes))
+        rest = self.complement(num_modes)
+        return self if self.left[0] == 1 else Bipartition(rest)
 
     def complement(self, num_modes: int) -> tuple[int, ...]:
+        """The other side of the split, once :func:`make_bipartition`'s rule accepts
+        the row group against ``num_modes``."""
+        check_num_modes(num_modes)
+        _check_within(self.left, num_modes)
         return tuple(j for j in range(1, num_modes + 1) if j not in self.left)
 
 
@@ -322,7 +346,7 @@ class Flattening(Frozen):
     def __init__(self, rows: int, cols: int, entries):
         arr = matrix_array(entries, "entries")
         if not (is_int(rows) and is_int(cols)) or arr.shape != (rows, cols):
-            raise ShapeError(f"entries have shape {arr.shape}, expected ({rows!r}, {cols!r})")
+            raise ShapeError(f"entries have shape {arr.shape}, expected {short_text((rows, cols))}")
         arr.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -345,35 +369,53 @@ def make_state(dims: Sequence[int], amps) -> PureState:
 
 def make_local(vec: Sequence) -> LocalState:
     """Validate and build a LocalState; its constructor refuses fewer than 2 entries."""
+    if not isinstance(vec, Sized):
+        raise MalformedInput(f"vec must be a sequence or an array, got {type(vec).__name__}")
     return LocalState(amplitude_array(vec, (len(vec),), "vec"))
 
 
 def make_bipartition(left: Iterable[int], num_modes: int) -> Bipartition:
-    """Validate a row group against the mode count {1..num_modes}."""
+    """Validate a row group against the mode count {1..num_modes}: the count by
+    :func:`check_num_modes`, then ints, deduplicated and sorted, that
+    :func:`_check_within` accepts."""
+    check_num_modes(num_modes)
+    if not isinstance(left, Iterable):
+        raise IndexOutOfRange(f"bipartition must be an iterable of modes, got {type(left).__name__}")
     left = tuple(left)
     for j in left:
         if not is_int(j):
-            raise IndexOutOfRange(f"bipartition mode {j!r}: expected an int")
+            raise IndexOutOfRange(f"bipartition mode {short_text(j)}: expected an int")
     modes = tuple(sorted(set(left)))
     if not modes:
         raise IndexOutOfRange("bipartition is empty")
-    if modes[0] < 1 or modes[-1] > num_modes:
-        raise IndexOutOfRange(f"bipartition {short_text(modes)} out of range 1..{num_modes}")
-    if len(modes) == num_modes:
-        raise IndexOutOfRange("bipartition must be a proper subset of the modes")
+    _check_within(modes, num_modes)
     return Bipartition(modes)
 
 
-def canonical_bipartitions(num_modes: int) -> list[Bipartition]:
-    """All 2^(m-1) - 1 unordered splits, each by its 1-containing representative,
-    sorted by row group, in a fresh list.  DimensionMismatch unless m is an int >= 1,
-    TooLarge past 12 modes: no state of more (2 levels each) is within MAX_AMPS."""
+def _check_within(left: tuple[int, ...], num_modes: int) -> None:
+    """The range half of :func:`make_bipartition`'s rule, on a row group of sorted
+    distinct ints: its modes lie in 1..num_modes and leave at least one out."""
+    if left[0] < 1 or left[-1] > num_modes:
+        raise IndexOutOfRange(f"bipartition {short_text(left)} out of range 1..{num_modes}")
+    if len(left) == num_modes:
+        raise IndexOutOfRange("bipartition must be a proper subset of the modes")
+
+
+def check_num_modes(num_modes) -> None:
+    """The one mode-count rule: DimensionMismatch unless m is an int >= 1, TooLarge
+    past 12 modes: no state of more (2 levels each) is within MAX_AMPS."""
     if not is_int(num_modes) or num_modes < 1:
         got = short_text(num_modes) if is_int(num_modes) else type(num_modes).__name__
         raise DimensionMismatch(f"mode count must be an int >= 1, got {got}")
     # 2**13 passes the cap, so 14 factors show the count is past it without building it
     check_cap(f"2**m amplitudes of a state of m = {short_text(num_modes)} modes",
               (2,) * min(num_modes, 14), MAX_AMPS)
+
+
+def canonical_bipartitions(num_modes: int) -> list[Bipartition]:
+    """All 2^(m-1) - 1 unordered splits, each by its 1-containing representative,
+    sorted by row group, in a fresh list; m by :func:`check_num_modes`."""
+    check_num_modes(num_modes)
     rest = range(2, num_modes + 1)
     lefts = sorted((1,) + extra for r in range(num_modes - 1) for extra in itertools.combinations(rest, r))
     return [Bipartition(left) for left in lefts]
@@ -442,11 +484,12 @@ def segre_map(factors: Sequence[LocalState]) -> PureState:
 def flat_layout(shape: tuple[int, ...], b: Bipartition) -> tuple[tuple[int, ...], int]:
     """``(perm, rows)`` with ``arr.transpose(perm).reshape(rows, -1)`` the
     flattening of an array of ``shape`` at b (see :func:`flat_matrix`).
-    IndexOutOfRange unless :func:`make_bipartition` accepts b.left as it is."""
-    left = tuple(b.left)
-    if make_bipartition(left, len(shape)).left != left:
-        raise IndexOutOfRange(f"bipartition {short_text(left)} is not strictly increasing")
-    return _flat_layout(shape, left)
+    IndexOutOfRange unless b is a Bipartition that :func:`make_bipartition`'s
+    rule accepts against the ``len(shape)`` modes."""
+    if not isinstance(b, Bipartition):
+        raise IndexOutOfRange(f"expected a Bipartition, got {type(b).__name__}")
+    _check_within(b.left, len(shape))
+    return _flat_layout(shape, b.left)
 
 
 def _flat_layout(shape: tuple[int, ...], left: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -482,7 +525,7 @@ def permute_modes(s: PureState, perm: Sequence[int]) -> PureState:
     m = s.num_modes
     ints = all(is_int(p) or isinstance(p, np.integer) for p in perm)
     if not ints or sorted(perm) != list(range(1, m + 1)):
-        raise IndexOutOfRange(f"perm {perm} is not a permutation of 1..{m}")
+        raise IndexOutOfRange(f"perm {short_text(list(perm))} is not a permutation of 1..{m}")
     return PureState(s.array.transpose([p - 1 for p in perm]))
 
 
@@ -490,7 +533,7 @@ def apply_local_unitary(s: PureState, mode: int, u: np.ndarray) -> PureState:
     """Apply a d x d matrix (:func:`matrix_array`) to one mode (float backend);
     the PureState constructor rejects a zero or non-finite result."""
     if not is_int(mode) or mode < 1 or mode > s.num_modes:
-        raise IndexOutOfRange(f"mode {mode!r} is not an int in 1..{s.num_modes}")
+        raise IndexOutOfRange(f"mode {short_text(mode)} is not an int in 1..{s.num_modes}")
     d = s.dims[mode - 1]
     u = matrix_array(u, "u")
     if u.shape != (d, d):

@@ -1,8 +1,15 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from qsegre import make_state
+
+# Hypothesis draws the same examples on every run, seeded from each test, so a
+# failure reproduces and tier-1 and CI test alike.  No example database either:
+# replaying a failure saved by an earlier run would change what a run tests.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SQ3 = 1.0 / math.sqrt(3.0)
