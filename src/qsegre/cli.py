@@ -6,7 +6,8 @@ object per invocation; polynomial families print one line per polynomial.
 
 Exit codes: 0 success (yes/no questions report their answer in the JSON and
 still exit 0), 1 domain failures (a state that is NotProduct), 2 malformed or
-oversized input (bad JSON, bad shapes, exceeded caps).
+oversized input (a usage error, bad JSON, bad shapes, exceeded caps).  Each
+failure prints one ``error:`` line to stderr.
 
 Input files:
   state JSON    {"dims": [2, 2], "amps": [[re, im], ...]}  row-major, mode 1
@@ -91,7 +92,7 @@ def _load_factors(args):
     return [make_local(parse_amplitudes(vec, f"factors[{j}]", args.exact)) for j, vec in enumerate(raw)]
 
 
-def _cmd_check_separable(args) -> int:
+def _cmd_check_separable(args) -> None:
     s = _load_state(args)
     if args.partition is not None:
         b = make_bipartition(_parse_ints(args.partition, "--partition"), s.num_modes)
@@ -100,51 +101,48 @@ def _cmd_check_separable(args) -> int:
     else:
         ok = is_fully_separable(s, args.tol)
         _emit({"separable": ok, "tol": args.tol})
-    return 0
 
 
-def _cmd_concurrence(args) -> int:
+def _cmd_concurrence(args) -> None:
     _emit({"value": concurrence2(_load_state(args))})
-    return 0
 
 
-def _cmd_gen_concurrence(args) -> int:
+def _cmd_gen_concurrence(args) -> None:
     _emit(measure_report_to_json(generalized_concurrence(_load_state(args))))
-    return 0
 
 
-def _cmd_pluecker_measure(args) -> int:
+def _cmd_pluecker_measure(args) -> None:
     _emit({"value": pluecker_measure(_load_state(args), pivot=args.pivot)})
-    return 0
 
 
-def _cmd_segre_ideal(args) -> int:
+def _cmd_segre_ideal(args) -> None:
     ideal = segre_generators(_parse_ints(args.dims, "--dims"))
     sys.stderr.write(f"{len(ideal.gens)} generators\n")
     for gen in ideal.gens:
         sys.stdout.write(format_poly(gen) + "\n")
-    return 0
 
 
-def _cmd_pluecker_relations(args) -> int:
+def _cmd_pluecker_relations(args) -> None:
     for rel in pluecker_relations(args.k, args.n):
         sys.stdout.write(format_poly(rel.poly) + "\n")
-    return 0
 
 
-def _cmd_segre_map(args) -> int:
+def _cmd_segre_map(args) -> None:
     _emit(state_to_json(segre_map(_load_factors(args))))
-    return 0
 
 
-def _cmd_factor(args) -> int:
+def _cmd_factor(args) -> None:
     factors = local_factors(_load_state(args), args.tol)
     _emit({"factors": [amplitudes_to_json(f.array) for f in factors]})
-    return 0
+
+
+class _Parser(argparse.ArgumentParser):  # subparsers take its class, and its error()
+    def error(self, message):  # a usage error leaves through main like any input error
+        raise MalformedInput(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qsegre", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="qsegre", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_state_flags(p):
@@ -193,16 +191,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """The one exit: 0, or one error line, its message cut to 280 characters, and 1 for NotProduct, else 2."""
     try:
-        return args.func(args)
-    except NotProduct as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        args = build_parser().parse_args(argv)
+        args.func(args)
     except QsegreError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        text = " ".join(str(exc).splitlines())
+        sys.stderr.write(f"error: {text if len(text) <= 280 else text[:276] + ' ...'}\n")
+        return 1 if isinstance(exc, NotProduct) else 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -63,8 +63,7 @@ def short_text(value, _depth: int = 0) -> str:
     list by at most its first eight entries, three levels deep, cut to 100
     characters, and its length, and anything else by its type name."""
     if isinstance(value, str):
-        text = repr(value)
-        return text if len(text) <= 40 else f"{text[:32]}... ({len(value)} characters)"
+        return cut_text(repr(value), len(value))
     if isinstance(value, (tuple, list)):
         if _depth == 3:
             return "..."
@@ -79,6 +78,14 @@ def short_text(value, _depth: int = 0) -> str:
     if isinstance(value, (numbers.Integral, float)):
         return str(value)
     return type(value).__name__
+
+
+def cut_text(text: str, length: int | None = None) -> str:
+    """``text`` whole up to 40 characters, else its first 32 and ``length`` (by
+    default its own), such as a variable's printed text in a message."""
+    if len(text) <= 40:
+        return text
+    return f"{text[:32]}... ({len(text) if length is None else length} characters)"
 
 
 def check_cap(what: str, factors, cap: int) -> None:

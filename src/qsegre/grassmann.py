@@ -45,7 +45,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import (MAX_CHOOSE, MAX_TERMS, IndexOutOfRange, MalformedInput, MissingVariable, NonFinite,
-                     ShapeError, WrongShape, check_cap, short_text)
+                     ShapeError, WrongShape, check_cap, cut_text, short_text)
 from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussRat, Keyed, Scalar, is_int
 from .poly import MultiPoly, PluVar, pair_monomials
 from .segre import split_terms
@@ -307,7 +307,7 @@ def check_relations(ps: PlueckerSet):
     vals = []
     for subset in itertools.combinations(range(1, ps.N + 1), ps.k):
         if subset not in ps.coords:
-            raise MissingVariable(f"no value for {PluVar(subset)}")
+            raise MissingVariable(f"no value for {cut_text(PluVar(subset).text)}")
         vals.append(ps.coords[subset])
     re, im, den = gauss_ints(amplitude_array(vals, (len(vals),), "coords"))
     exact = re.dtype == object

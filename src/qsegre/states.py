@@ -130,6 +130,16 @@ def _check_finite(arr: np.ndarray, label: str) -> None:
         raise NonFinite(f"{label}[{np.flatnonzero(~finite)[0]}] is not finite")
 
 
+def _check_gauss_rats(arr: np.ndarray) -> None:
+    """Raise MalformedInput naming the first entry of an ``object`` array that is not a
+    GaussRat, in row-major order."""
+    flat = arr.reshape(-1).tolist()
+    if set(map(type, flat)) != {GaussRat}:  # one pass in C; the loop runs only on a miss
+        for k, a in enumerate(flat):
+            if not isinstance(a, GaussRat):
+                raise MalformedInput(f"amps[{k}]: an object array holds GaussRat only, got {type(a).__name__}")
+
+
 def gauss_ints(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Real and imaginary parts over one common denominator: ``arr == (re + i*im) / den``.
 
@@ -218,18 +228,22 @@ def check_dims(dims) -> tuple[int, ...]:
 
 
 class _Amplitudes(Frozen):
-    """The states' one constructor: :func:`check_dims` on the shape, MalformedInput for a
-    dtype other than the two backends' (``complex128`` and ``object``, told by the dtype
-    alone), NonFinite for NaN/Inf in a float array, ZeroVector for an all-zero one, and
-    the array is made read-only."""
+    """The states' one constructor: MalformedInput for anything but a numpy array,
+    :func:`check_dims` on the shape, MalformedInput for a dtype other than the two
+    backends' (``complex128``, or ``object`` holding GaussRat alone), NonFinite for NaN/Inf
+    in a float array, ZeroVector for an all-zero one, and the array is made read-only."""
 
     __slots__ = ()
 
     def __init__(self, array: np.ndarray):
+        if not isinstance(array, np.ndarray):
+            raise MalformedInput(f"amps must be a numpy array, got {type(array).__name__}")
         check_dims(array.shape)
         if array.dtype == np.complex128:
             _check_finite(array, "amps")
-        elif array.dtype != object:
+        elif array.dtype == object:
+            _check_gauss_rats(array)
+        else:
             raise MalformedInput(f"amps must be a complex128 or object array, got dtype {array.dtype}")
         if not np.count_nonzero(array):
             raise ZeroVector("all amplitudes are zero")
@@ -286,7 +300,7 @@ class LocalState(_Amplitudes):
     __slots__ = ("array",)
 
     def __init__(self, array: np.ndarray):
-        if array.ndim != 1:
+        if isinstance(array, np.ndarray) and array.ndim != 1:
             raise DimensionMismatch(f"a local vector has one axis, got shape {short_text(array.shape)}")
         super().__init__(array)
 

@@ -179,10 +179,15 @@ def test_caps_reported(capsys):
         assert str(count) in err and "cap" in err
 
 
-def test_unknown_flag_exits_2(bell_file):
-    with pytest.raises(SystemExit) as exc:
-        main(["concurrence", "--state", bell_file, "--bogus"])
-    assert exc.value.code == 2
+def assert_one_error_line(err):
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 300
+
+
+def test_unknown_flag_exits_2(capsys, bell_file):
+    code, out, err = run(capsys, ["concurrence", "--state", bell_file, "--bogus"])
+    assert (code, out) == (2, "")
+    assert_one_error_line(err)
+    assert "--bogus" in err
 
 
 def test_byte_identical_output(capsys, ghz_file):
@@ -270,9 +275,9 @@ def test_state_commands_accept_amplitudes_at_cap(capsys, tmp_path):
         assert code == 0, err
         assert out
     # the cap is a constant: no flag raises it
-    with pytest.raises(SystemExit) as exc:
-        main(["pluecker-measure", "--state", s, "--max-amps", "8192"])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, ["pluecker-measure", "--state", s, "--max-amps", "8192"])
+    assert (code, out) == (2, "")
+    assert_one_error_line(err)
 
 
 def write_factors(path, count):
@@ -450,3 +455,112 @@ def test_cli_fuzz_exits_cleanly(tmp_path_factory, case):
     else:
         assert len(lines) == 1
         json.loads(lines[0], parse_constant=reject_constant)
+
+
+# ------------------------------------------------------------------ argv fuzz
+
+def no_flag(text):
+    return not text.startswith("-")  # a drawn value never spells -h or --help
+
+
+def mostly(good, bad):
+    """``good`` about seven times in eight, else ``bad``, so many argvs reach the command."""
+    return st.integers(0, 7).flatmap(lambda i: bad if i == 7 else good)
+
+
+ints = mostly(st.integers(1, 6).map(str), st.one_of(
+    st.integers(-3, 0).map(str),
+    st.sampled_from([str(2**64), N_4001_DIGITS, "1" * 4301, "2.5", "x" * 3000]),
+    st.text(max_size=6).filter(no_flag),
+))
+int_lists = mostly(st.lists(st.integers(1, 4).map(str), min_size=1, max_size=3).map(",".join), st.one_of(
+    st.sampled_from(["", ",", "2,,2", "-2,2", ",".join(["2"] * 15000), "1" * 4301 + ",2", "x" * 3000]),
+    st.text(max_size=8).filter(no_flag),
+))
+tols = mostly(st.sampled_from(["1e-10", "0", "0.5"]), st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1", "5e-324", "1" * 4301]),
+    st.floats().map(repr),
+    st.text(max_size=6).filter(no_flag),
+))
+paths = mostly(st.just("file"), st.sampled_from(["missing", "dir", "long", "newline", "nul"]))
+FLAGS = {  # the flags of each subcommand, each with what it may be given
+    "check-separable": {"--state": paths, "--exact": None, "--partition": int_lists, "--tol": tols},
+    "concurrence": {"--state": paths, "--exact": None},
+    "gen-concurrence": {"--state": paths, "--exact": None},
+    "pluecker-measure": {"--state": paths, "--exact": None, "--pivot": ints},
+    "segre-ideal": {"--dims": int_lists},
+    "pluecker-relations": {"--k": ints, "--n": ints},
+    "segre-map": {"--factors": paths, "--exact": None},
+    "factor": {"--state": paths, "--exact": None, "--tol": tols},
+}
+commands = mostly(st.sampled_from(sorted(FLAGS)), st.sampled_from(["", "bogus", "-x"]))
+strays = mostly(st.just([]), st.lists(st.sampled_from(
+    ["--bogus", "--max-amps", "8192", "-x", "--", "extra", "--state", "--k", "--exact=1"]), min_size=1, max_size=2))
+hostile_files = st.one_of(
+    st.sampled_from([b"\xff\xfe", b"[" * 100_000, b'{"a":' * 100_000, b"",
+                     b'{"dims": [' + b"1" * 5000 + b', 2], "amps": []}', b'{"dims": [2, 2], "amps": 5}']),
+    st.binary(max_size=16),
+)
+plain_pairs = st.lists(st.integers(-2, 2) | st.floats(-1, 1), min_size=2, max_size=2)
+plain_states = st.sampled_from([[2, 2], [2, 2, 2], [3, 2]]).flatmap(lambda dims: st.fixed_dictionaries(
+    {"dims": st.just(dims), "amps": st.lists(plain_pairs, min_size=math.prod(dims), max_size=math.prod(dims))}))
+plain_factors = st.fixed_dictionaries({"factors": st.lists(st.lists(plain_pairs, min_size=2, max_size=3),
+                                                           min_size=2, max_size=3)})
+state_bytes, factor_bytes = (st.one_of(plain, docs).map(json.dumps).map(str.encode)
+                             for plain, docs in ((plain_states, states), (plain_factors, factor_files)))
+FILES = {"--state": mostly(state_bytes, hostile_files | factor_bytes),
+         "--factors": mostly(factor_bytes, hostile_files | state_bytes)}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, then each of its flags given once, left out or repeated, with
+    stray tokens; and the contents of the file it names."""
+    command = draw(commands)
+    tokens = []
+    for flag, value in FLAGS.get(command, {}).items():
+        count = draw(mostly(st.just(0), st.just(1)) if value is None else mostly(st.just(1), st.sampled_from([0, 2])))
+        tokens += [[flag] if value is None else [flag, draw(value)] for _ in range(count)]
+    tokens += [[t] for t in draw(strays)]
+    file_flag = next((flag for flag in FLAGS.get(command, {}) if flag in FILES), "--state")
+    return [command, *(t for pair in draw(st.permutations(tokens)) for t in pair)], draw(FILES[file_flag])
+
+
+# cases the argv fuzz found: a usage error raised SystemExit out of main after a
+# usage line, and a long or multi-line path was printed whole
+def test_usage_error_prints_one_bounded_error_line(capsys):
+    code, out, err = run(capsys, ["pluecker-relations", "--k", "x" * 3000, "--n", "4"])
+    assert (code, out) == (2, "")
+    assert_one_error_line(err)
+    assert "argument --k: invalid int value" in err
+
+
+def test_long_path_prints_one_bounded_error_line(capsys, tmp_path):
+    code, out, err = run(capsys, ["concurrence", "--state", str(tmp_path / ("x" * 5000))])
+    assert (code, out) == (2, "")
+    assert_one_error_line(err)
+
+
+def test_path_with_a_line_break_prints_one_error_line(capsys, tmp_path):
+    code, out, err = run(capsys, ["segre-map", "--factors", str(tmp_path / "a\nb.json")])
+    assert (code, out) == (2, "")
+    assert_one_error_line(err)
+    assert "No such file" in err
+
+
+@settings(max_examples=250, deadline=None)
+@given(argvs())
+def test_cli_argv_fuzz_returns_a_code_and_one_short_error_line(tmp_path_factory, case):
+    argv, content = case
+    base = tmp_path_factory.getbasetemp()
+    (base / "argv-fuzz.json").write_bytes(content)
+    where = {"file": base / "argv-fuzz.json", "missing": base / "missing.json", "dir": base,
+             "long": base / ("x" * 5000), "newline": base / "a\nb.json", "nul": base / "a\0b.json"}
+    argv = [str(where[a]) if a in where else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1 and all(len(line) <= 300 for line in lines)

@@ -18,19 +18,24 @@ from qsegre import (
     Flattening,
     GaussRat,
     IndexOutOfRange,
+    LocalState,
     MalformedInput,
     MeasureReport,
+    MissingVariable,
     Monomial,
     MultiPoly,
     PluVar,
     PlueckerRelation,
     PlueckerSet,
+    PureState,
     QsegreError,
     SegreIdeal,
     ShapeError,
     StateVar,
     TooLarge,
     apply_local_unitary,
+    check_relations,
+    evaluate,
     flatten,
     generalized_concurrence,
     is_bipartite_separable,
@@ -249,6 +254,19 @@ UNCHECKED_INPUTS = {
     "Monomial-not-iterable": (lambda: Monomial(5), MalformedInput),
     "Monomial-nested-long-strings": (lambda: Monomial([[["7" * 5000] * 3] * 3] * 3), MalformedInput),
     "StateVar-huge-entry-in-list": (lambda: StateVar(([BIG],)), IndexOutOfRange),
+    "PureState-object-ints": (lambda: PureState(np.array([[1, 0], [0, 1]], dtype=object)), MalformedInput),
+    "LocalState-object-ints": (lambda: LocalState(np.array([1, 2], dtype=object)), MalformedInput),
+    "PureState-not-an-array": (lambda: PureState([[1, 0], [0, 1]]), MalformedInput),
+    "LocalState-not-an-array": (lambda: LocalState(5), MalformedInput),
+    "MultiPoly-str-key": (lambda: MultiPoly({"x": 1}), MalformedInput),
+    "MultiPoly-not-a-mapping": (lambda: MultiPoly(5), MalformedInput),
+    "MultiPoly-zero-not-a-mapping": (lambda: MultiPoly(0), MalformedInput),
+    # a variable's text grows with its index; messages print a bounded prefix of it
+    "Monomial-exponent-on-long-variable": (lambda: Monomial([(StateVar((0,) * 100000), -1)]), IndexOutOfRange),
+    "evaluate-long-missing-variable": (lambda: evaluate(MultiPoly.variable(StateVar((0,) * 100000)), {}),
+                                       MissingVariable),
+    "check_relations-long-missing-variable": (lambda: check_relations(PlueckerSet(200, 201, {})),
+                                              MissingVariable),
 }
 
 
@@ -307,6 +325,14 @@ int_tuples = st.lists(st.integers(-1, 5), max_size=4).map(tuple)
 splits = st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True).map(sorted).map(tuple)
 variables = st.sampled_from([StateVar((0, 1)), StateVar((1, 1)), PluVar((1, 2))])
 polys = st.sampled_from([MultiPoly(), MultiPoly.const(2), MultiPoly.variable(PluVar((1, 2)))])
+monomials = st.sampled_from([Monomial(()), Monomial(((StateVar((0, 1)), 1),)), Monomial(((PluVar((1, 2)), 2),))])
+# arrays in either backend's dtype, or object arrays of anything numbers draws
+state_arrays = st.one_of(
+    hnp.arrays(np.complex128, hnp.array_shapes(min_dims=1, max_dims=3, max_side=3)),
+    st.lists(numbers, min_size=1, max_size=6).map(lambda xs: np.array(xs, dtype=object)),
+    st.lists(st.builds(GaussRat, st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=6)
+    .map(lambda xs: np.array(xs, dtype=object)),
+)
 
 
 def args(*specific):
@@ -350,6 +376,9 @@ BUILDERS = {
     "Bipartition": (Bipartition, args(splits | int_tuples)),
     "PlueckerSet": (PlueckerSet, pluecker_set_args()
                     | args(small_ints, small_ints, st.dictionaries(int_tuples | keys, scalars, max_size=4))),
+    "PureState": (PureState, args(state_arrays | arrays)),
+    "LocalState": (LocalState, args(state_arrays | arrays)),
+    "MultiPoly": (MultiPoly, args(st.none() | st.dictionaries(monomials | keys, numbers | scalars, max_size=3))),
     "PlueckerRelation": (PlueckerRelation, args(polys, int_tuples, int_tuples)),
     "SegreIdeal": (SegreIdeal, args(int_tuples, st.lists(polys, max_size=2).map(tuple))),
     "MeasureReport": (MeasureReport, args(st.floats(), st.dictionaries(splits.map(Bipartition), st.floats()))),
