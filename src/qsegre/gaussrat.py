@@ -74,10 +74,12 @@ def is_int(x) -> bool:
 def as_fraction(x: RatLike, field: str) -> Fraction:
     """The one fraction-literal rule: ``Fraction(x)``, but MalformedInput naming ``field`` for a
     bad literal, a str with an exponent, which Fraction expands ("1e-1000000": 3.3M bits),
-    a NaN or infinite float, or a value of a type Fraction does not take.
+    a NaN or infinite float, a bool, or a value of a type Fraction does not take.
     The message shows the literal through ``short_text``, so it stays short."""
     if isinstance(x, str) and ("e" in x or "E" in x):
         raise MalformedInput(f"{field}: exponent not allowed in fraction literal {short_text(x)}")
+    if isinstance(x, bool):
+        raise MalformedInput(f"{field}: expected a number, got bool")
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError, OverflowError, TypeError):
@@ -99,16 +101,8 @@ class GaussRat(Frozen):
         object.__setattr__(self, "re", re if type(re) is Fraction else as_fraction(re, "re"))
         object.__setattr__(self, "im", im if type(im) is Fraction else as_fraction(im, "im"))
 
-    @classmethod
-    def _coerce(cls, x) -> "GaussRat":
-        if isinstance(x, GaussRat):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(x)
-        return NotImplemented
-
     def __add__(self, other):
-        other = self._coerce(other)
+        other = exact_scalar(other)
         if other is NotImplemented:
             return NotImplemented
         return GaussRat(self.re + other.re, self.im + other.im)
@@ -116,7 +110,7 @@ class GaussRat(Frozen):
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = exact_scalar(other)
         if other is NotImplemented:
             return NotImplemented
         return GaussRat(self.re - other.re, self.im - other.im)
@@ -128,7 +122,7 @@ class GaussRat(Frozen):
         return GaussRat(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = exact_scalar(other)
         if other is NotImplemented:
             return NotImplemented
         return GaussRat(
@@ -139,7 +133,7 @@ class GaussRat(Frozen):
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = exact_scalar(other)
         if other is NotImplemented:
             return NotImplemented
         n = other.abs_sq()
@@ -151,13 +145,13 @@ class GaussRat(Frozen):
         )
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
+        other = exact_scalar(other)
         if other is NotImplemented:
             return NotImplemented
         return other / self
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if not is_int(n) or n < 0:
             return NotImplemented
         out = GaussRat(1)
         base = self
@@ -186,14 +180,14 @@ class GaussRat(Frozen):
         return self.re != 0 or self.im != 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GaussRat(other)
-        if not isinstance(other, GaussRat):
+        other = exact_scalar(other)
+        if other is NotImplemented:
             return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        """A real value hashes as its real part, so it hashes as the int or Fraction it equals."""
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __repr__(self):
         return f"GaussRat({self.re}, {self.im})"
@@ -212,19 +206,19 @@ class GaussRat(Frozen):
         return f"{self.re}{sign}{imag(abs(self.im))}"
 
 
+def exact_scalar(x) -> GaussRat:
+    """The one exact-scalar rule: ``x`` as a GaussRat if it is a GaussRat, a Fraction or an
+    int that is not a bool (``is_int``), else NotImplemented."""
+    if isinstance(x, GaussRat):
+        return x
+    if isinstance(x, Fraction) or is_int(x):
+        return GaussRat(x)
+    return NotImplemented
+
+
 GR_ZERO = GaussRat(0)
 GR_ONE = GaussRat(1)
 GR_MINUS_ONE = GaussRat(-1)
 
 Scalar = Union[complex, GaussRat]
 
-
-def rational_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None

@@ -69,21 +69,15 @@ def _are_subsets(keys: list, k: int, N: int) -> bool:
                         and max(cols[-1]) <= N and all(all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:])))
 
 
-class _Coordinates(Keyed):
-    """Holds what ``states.exact_backend`` said of a PlueckerSet's values, outside its key."""
-
-    __slots__ = ("_exact",)
-
-
-class PlueckerSet(_Coordinates):
+class PlueckerSet(Keyed):
     """The C(N, k) maximal minors of a k x N matrix, keyed by sorted subsets.
 
     The constructor takes ints 1 <= k < N (ShapeError) and a mapping whose
     keys are strictly increasing k-subsets of 1..N (IndexOutOfRange, naming
     the first bad one) and whose values are numbers (``states.exact_backend``,
-    MalformedInput); ``exact`` is what that rule answered.  ``coords`` is a
-    read-only copy of the mapping, and copy and pickle pass it on as a dict.
-    Unhashable, as its mapping is.
+    MalformedInput); ``exact`` asks that rule again each time it is read.
+    ``coords`` is a read-only copy of the mapping, and copy and pickle pass it
+    on as a dict.  Unhashable, as its mapping is.
     """
 
     __slots__ = ("k", "N", "coords")
@@ -98,12 +92,11 @@ class PlueckerSet(_Coordinates):
             bad = next(key for key in keys if not _are_subsets([key], k, N))
             raise IndexOutOfRange(f"coords key {short_text(bad)} is not a strictly increasing "
                                   f"{short_text(k)}-subset of 1..{short_text(N)}")
-        exact = exact_backend(list(coords.values()), "coords")
+        exact_backend(list(coords.values()), "coords")
         coords = MappingProxyType(coords)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "_exact", exact)
         self._keep((k, N, coords))
 
     def __reduce__(self):
@@ -112,7 +105,7 @@ class PlueckerSet(_Coordinates):
     @property
     def exact(self) -> bool:
         """True iff every coordinate is exact: ``states.exact_backend``, the rule of ``amplitude_array``."""
-        return self._exact
+        return exact_backend(list(self.coords.values()), "coords")
 
     def get(self, indices) -> Scalar:
         """Coordinate for a tuple or list of ints (``is_int``), else IndexOutOfRange:
@@ -190,8 +183,7 @@ def pluecker_coordinates(mat) -> PlueckerSet:
     """
     mat = matrix_array(mat)
     k, n = mat.shape
-    if k >= n:
-        raise ShapeError(f"need k < N, got k={k}, N={n}")
+    _check_shape(k, n)
     widest = min(k, n // 2)
     check_cap(f"minors per row C({n},{widest})", (comb(n, widest),), MAX_CHOOSE)
     subsets = itertools.combinations(range(1, n + 1), k)

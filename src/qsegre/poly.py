@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable, Iterable, Mapping
-from fractions import Fraction
 from typing import Union
 
 from .errors import IndexOutOfRange, MalformedInput, MissingVariable, cut_text, short_text
-from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, Frozen, GaussRat, Keyed, is_int
+from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, Frozen, GaussRat, Keyed, exact_scalar, is_int
 from .states import amplitude_array, exact_backend
 
 
@@ -156,19 +155,13 @@ class _AnyDegree:
 ANY_DEGREE = _AnyDegree()
 
 
-def _coerce_coeff(c) -> GaussRat:
-    if isinstance(c, GaussRat):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return GaussRat(c)
-    raise MalformedInput(f"polynomial coefficients must be exact, got {type(c).__name__}")
-
-
 def _as_poly(x):
-    """An operand as a MultiPoly: an exact scalar as a constant, else NotImplemented."""
-    if isinstance(x, (int, Fraction, GaussRat)):
-        return MultiPoly.const(x)
-    return x if isinstance(x, MultiPoly) else NotImplemented
+    """An operand as a MultiPoly: an exact scalar (``gaussrat.exact_scalar``) as a
+    constant, else NotImplemented."""
+    if isinstance(x, MultiPoly):
+        return x
+    c = exact_scalar(x)
+    return c if c is NotImplemented else MultiPoly.const(c)
 
 
 def _is_negative(c: GaussRat) -> bool:
@@ -180,7 +173,7 @@ class MultiPoly(Frozen):
     """Immutable sparse polynomial: map from Monomial to nonzero GaussRat.
 
     ``terms`` is None or a mapping whose keys are Monomials and whose values
-    are exact (GaussRat, int or Fraction), else MalformedInput."""
+    are exact (``gaussrat.exact_scalar``), else MalformedInput."""
 
     __slots__ = ("_terms",)
 
@@ -192,9 +185,11 @@ class MultiPoly(Frozen):
             for mono, c in terms.items():
                 if not isinstance(mono, Monomial):
                     raise MalformedInput(f"polynomial term {short_text(mono)}: expected a Monomial key")
-                c = _coerce_coeff(c)
-                if c:
-                    clean[mono] = c
+                g = exact_scalar(c)
+                if g is NotImplemented:
+                    raise MalformedInput(f"polynomial coefficients must be exact, got {type(c).__name__}")
+                if g:
+                    clean[mono] = g
         object.__setattr__(self, "_terms", clean)
 
     @classmethod

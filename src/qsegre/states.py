@@ -38,7 +38,7 @@ from .errors import (
     check_cap,
     short_text,
 )
-from .gaussrat import Frozen, GaussRat, Keyed, Scalar, as_fraction, is_int, rational_sqrt
+from .gaussrat import Frozen, GaussRat, Keyed, Scalar, as_fraction, is_int
 
 
 def amplitude_array(values, shape: tuple[int, ...], label: str = "amps") -> np.ndarray:
@@ -438,17 +438,21 @@ def canonical_bipartitions(num_modes: int) -> list[Bipartition]:
 def normalize(s: PureState) -> PureState:
     """Scale to unit 2-norm.  Stays exact when the norm is rational.
 
-    An exact state with an irrational norm is divided by its largest real or
-    imaginary part exactly before it becomes float (:func:`_unit_array`), so
-    amplitudes beyond the float range convert.
+    An exact state runs on its integer parts (:func:`gauss_ints`): with
+    n = sum(re^2 + im^2), the norm is rational iff n is a perfect square, and
+    then the state is the parts over isqrt(n).  Otherwise the parts are put
+    over the largest of them exactly before they become float
+    (:func:`_unit_array`), so amplitudes beyond the float range convert.
     """
-    arr = s.array
-    if s.exact:
-        r = rational_sqrt(s.norm_sq())
-        if r is not None:
-            return PureState(arr * GaussRat(1 / r))
-        arr = arr / max(max(abs(x.re), abs(x.im)) for x in arr.flat)
-    return PureState(_unit_array(arr))
+    if not s.exact:
+        return PureState(_unit_array(s.array))
+    re, im, _ = gauss_ints(s.array)
+    n = int((re * re + im * im).sum())
+    r = math.isqrt(n)
+    if r * r == n:
+        return PureState(gauss_rats(re, im, r))
+    top = max(np.abs(re).max(), np.abs(im).max())
+    return PureState(_unit_array(gauss_rats(re, im, top)))
 
 
 def _unit_array(arr: np.ndarray) -> np.ndarray:

@@ -548,6 +548,13 @@ def test_path_with_a_line_break_prints_one_error_line(capsys, tmp_path):
     assert "No such file" in err
 
 
+def test_path_with_a_nul_character_is_unreadable(capsys):
+    # open refuses it with a ValueError, which the digit-limit branch of the JSON parse once took
+    code, out, err = run(capsys, ["concurrence", "--state", "a\0b.json"])
+    assert (code, out) == (2, "")
+    assert err == "error: 'a\\x00b.json': unreadable path (embedded null byte)\n"
+
+
 @settings(max_examples=250, deadline=None)
 @given(argvs())
 def test_cli_argv_fuzz_returns_a_code_and_one_short_error_line(tmp_path_factory, case):

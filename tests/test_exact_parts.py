@@ -1,10 +1,11 @@
 """The exact state path on integer parts against the all-``object`` expressions it replaced.
 
-``split_terms``, ``minor_sum``, ``segre_map`` and ``local_factors`` build
-their exact results from ``gauss_ints`` parts: the Gram kernel runs on int64
-when n = ||A + iC||_F^2 < 2**62, the Segre product and the pivot division run
-in Gaussian integers.  The oracles below are the expressions they replaced,
-on ``object`` arrays of Python ints and on GaussRat arithmetic.
+``split_terms``, ``minor_sum``, ``segre_map``, ``local_factors`` and
+``normalize`` build their exact results from ``gauss_ints`` parts: the Gram
+kernel runs on int64 when n = ||A + iC||_F^2 < 2**62, the Segre product and
+the pivot division run in Gaussian integers, and the norm is rational iff
+the parts' n is a perfect square.  The oracles below are the expressions
+they replaced, on ``object`` arrays of Python ints and on GaussRat arithmetic.
 """
 
 import functools
@@ -68,6 +69,17 @@ def local_factors_oracle(s):
     pivot = np.unravel_index(int(np.argmax(re * re + im * im)), s.dims)
     fibers = [hat.array[pivot[:j] + (slice(None),) + pivot[j + 1:]] for j in range(s.num_modes)]
     return [v / (hat.array[pivot] if s.exact else np.linalg.norm(v)) for v in fibers]
+
+
+def normalize_oracle(s):
+    """The exact normalize on GaussRat arithmetic: times 1/||s|| when the squared
+    norm is a rational square, else divided by the largest part, then float."""
+    arr = s.array
+    q = s.norm_sq()
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return arr * GaussRat(Fraction(rd, rn))
+    return _unit_array(arr / max(max(abs(x.re), abs(x.im)) for x in arr.flat))
 
 
 def gram_dtype(s):
@@ -166,6 +178,51 @@ def test_gram_entries_near_n_below_two_to_the_62():
         assert gram_dtype(s) == np.int64
         splits = canonical_bipartitions(3)
         assert list(split_terms(s, splits)) == split_terms_oracle(s, splits)
+
+
+def random_normalize_case(rng):
+    """An exact state of 1 to 4 modes and whether its norm is rational.
+
+    Each part is p/q with |p| <= 9 and q <= 12, half of them times 10**400 or
+    10**-400.  A rational-norm state is (2 t u, |u|^2 - t^2) for random parts u
+    and a random t, whose norm is |u|^2 + t^2; the others have random parts."""
+    dims = [int(d) for d in rng.integers(2, 4, size=rng.integers(1, 5))]
+    scales = (1, 1, 10**400, Fraction(1, 10**400))
+
+    def part():
+        return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13))) * scales[rng.integers(4)]
+
+    parts = [part() for _ in range(2 * math.prod(dims))]
+    rational = bool(rng.integers(2))
+    if rational:
+        t = part() or Fraction(1)
+        u = parts[:-2] + parts[-1:]
+        parts = [2 * t * x for x in parts[:-2]] + [sum(x * x for x in u) - t * t, 2 * t * parts[-1]]
+    if not any(parts):
+        parts[0] = Fraction(1)
+    return make_state(dims, [GaussRat(a, b) for a, b in zip(parts[0::2], parts[1::2])]), rational
+
+
+def check_normalize(seed, count):
+    """``normalize`` against its oracle on ``count`` random cases: equal exact
+    parts when the norm is rational, the oracle's float bytes otherwise.
+    Returns how many results were exact."""
+    rng = default_rng(seed)
+    exact = 0
+    for _ in range(count):
+        s, rational = random_normalize_case(rng)
+        got, want = normalize(s), normalize_oracle(s)
+        assert got.exact is (want.dtype == object) and (got.exact or not rational)
+        if got.exact:
+            exact += 1
+            assert [(x.re, x.im) for x in got.array.flat] == [(x.re, x.im) for x in want.flat]
+        else:
+            assert got.array.tobytes() == want.tobytes()
+    return exact
+
+
+def test_normalize_matches_gauss_rat_oracle():
+    assert 200 < check_normalize(24, 500) < 300
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])

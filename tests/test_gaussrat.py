@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qsegre import GaussRat, MalformedInput
-from qsegre.gaussrat import rational_sqrt
 
 small_fracs = st.builds(
     Fraction, st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=12)
@@ -61,6 +60,24 @@ def test_integer_interop():
     assert z ** 0 == GaussRat(1)
 
 
+def test_a_bool_is_not_an_exact_scalar():
+    # the one exact-scalar rule, gaussrat.exact_scalar: states and evaluate refuse a bool too
+    z = GaussRat(1)
+    for op in (lambda: z + True, lambda: True + z, lambda: z * False, lambda: z - True, lambda: z / True,
+               lambda: True / z, lambda: z ** True):
+        with pytest.raises(TypeError):
+            op()
+    assert z != True  # noqa: E712
+    assert z == 1 and z == Fraction(1)
+
+
+def test_hash_agrees_with_equality():
+    # a GaussRat equal to an int or a Fraction hashes as it does, so a set or dict key holds them once
+    for q in (0, 1, -7, 2**70, Fraction(1, 3), Fraction(-22, 7), Fraction(10**40, 3)):
+        assert GaussRat(q) == q and hash(GaussRat(q)) == hash(q)
+    assert len({GaussRat(1), 1, Fraction(1)}) == 1
+
+
 def test_str_forms():
     assert str(GaussRat(0)) == "0"
     assert str(GaussRat(Fraction(1, 2))) == "1/2"
@@ -91,9 +108,3 @@ def test_conjugation_and_modulus(a, b):
     assert (a * b).abs_sq() == a.abs_sq() * b.abs_sq()
     assert (a * a.conjugate()) == GaussRat(a.abs_sq())
 
-
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(2)) is None
-    assert rational_sqrt(Fraction(0)) == 0
-    assert rational_sqrt(Fraction(-1)) is None

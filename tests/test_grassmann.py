@@ -148,10 +148,26 @@ def test_coordinates_satisfy_klein_exactly():
 
 
 def test_coordinates_shape_errors():
-    with pytest.raises(ShapeError):
+    # a square matrix is refused by _check_shape, the shape rule of G(k, N)
+    with pytest.raises(ShapeError, match=re.escape("need 1 <= k < N, got k=2, N=2")):
         pluecker_coordinates([[1, 0], [0, 1]])
     with pytest.raises(ShapeError):
         pluecker_coordinates([[1, 0, 0], [0, 1]])
+
+
+def test_exact_is_the_backend_rule_of_the_coordinates():
+    # PlueckerSet.exact runs states.exact_backend over the coordinates when it is read
+    subsets = list(itertools.combinations(range(1, 5), 2))
+    for values, exact in (([1, -2, 0, 3, 5, 7], True),
+                          ([Fraction(1, 2), Fraction(-3), 0, 1, Fraction(2, 9), 4], True),
+                          ([GaussRat(1, 2), 3, Fraction(1, 4), GaussRat(0), 1, 2], True),
+                          ([0.5, 1.0, -2.0, 0.0, 1.5, 3.0], False),
+                          ([1, Fraction(1, 2), GaussRat(0, 1), 2.5, 3, 4], False),
+                          ([1, 2, 3, 4, 5, 1j], False)):
+        ps = PlueckerSet(2, 4, dict(zip(subsets, values)))
+        assert ps.exact is exact
+        assert ps.get((1, 1)) == 0 and isinstance(ps.get((1, 1)), GaussRat if exact else complex)
+    assert PlueckerSet(2, 4, {}).exact
 
 
 def test_coordinates_cap_on_widest_level():

@@ -51,6 +51,7 @@ from qsegre import (
     pluecker_set_to_json,
     segre_generators,
 )
+from qsegre.poly import ONE_MONOMIAL
 
 BIG = 10**5000  # str() refuses ints of over 4300 digits
 SHORT = 300  # characters a message may take, whatever the input
@@ -243,6 +244,10 @@ UNCHECKED_INPUTS = {
     "GaussRat-None": (lambda: GaussRat(None), MalformedInput),
     "GaussRat-inf": (lambda: GaussRat(0, float("inf")), MalformedInput),
     "GaussRat-complex": (lambda: GaussRat(1j), MalformedInput),
+    # a bool is not an exact scalar (gaussrat.exact_scalar), as make_state and evaluate refuse it
+    "GaussRat-bool": (lambda: GaussRat(True), MalformedInput),
+    "GaussRat-bool-imaginary-part": (lambda: GaussRat(1, False), MalformedInput),
+    "MultiPoly-bool-coefficient": (lambda: MultiPoly({ONE_MONOMIAL: True}), MalformedInput),
     "make_state-not-iterable": (lambda: make_state([2], 5), MalformedInput),
     "make_local-not-sized": (lambda: make_local(5), MalformedInput),
     "make_bipartition-not-iterable": (lambda: make_bipartition(5, 3), IndexOutOfRange),
