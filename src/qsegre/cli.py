@@ -52,23 +52,24 @@ def _emit(obj) -> None:
 
 
 def _load_json(path: str):
+    name = short_text(path)  # quoted, with control characters (an ESC, a NUL) escaped
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise MalformedInput(f"{path}: {exc.strerror or exc}") from None
+        raise MalformedInput(f"{name}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
-        raise MalformedInput(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    except ValueError as exc:  # open refuses a path holding a NUL character, which short_text escapes
-        raise MalformedInput(f"{short_text(path)}: unreadable path ({exc})") from None
+        raise MalformedInput(f"{name}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except ValueError as exc:  # open refuses a path holding a NUL character
+        raise MalformedInput(f"{name}: unreadable path ({exc})") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise MalformedInput(f"{path}: invalid JSON ({exc.msg} at line {exc.lineno})") from None
+        raise MalformedInput(f"{name}: invalid JSON ({exc.msg} at line {exc.lineno})") from None
     except RecursionError:
-        raise MalformedInput(f"{path}: invalid JSON (arrays or objects nested too deeply)") from None
+        raise MalformedInput(f"{name}: invalid JSON (arrays or objects nested too deeply)") from None
     except ValueError:  # json refuses int literals past the digit limit (4300 by default)
-        raise MalformedInput(f"{path}: invalid JSON (an integer literal past the digit limit)") from None
+        raise MalformedInput(f"{name}: invalid JSON (an integer literal past the digit limit)") from None
 
 
 def _load_state(args):

@@ -23,7 +23,9 @@ The build holds all C(N, k-1) C(N, k+1) (k+1) terms at once, so that count
 is capped by ``errors.MAX_TERMS`` first.  ``unique_rows`` deduplicates the
 relations, which are cached per (k, N) as read-only flat integer term
 arrays that ``check_relations`` evaluates in one expression for both
-backends and ``pluecker_relations`` slices.
+backends.  ``pluecker_relations`` hands the arrays and each relation's
+bounds to ``poly._pair_polys``, the family builder the Segre ideal uses too,
+which makes one polynomial per relation with no per-term constructor call.
 
 The measure reads "square root of the sum of each coordinate times its
 conjugate" (an l2 norm of the coordinate vector).  A literal product over all
@@ -46,8 +48,8 @@ import numpy as np
 
 from .errors import (MAX_CHOOSE, MAX_TERMS, IndexOutOfRange, MalformedInput, MissingVariable, NonFinite,
                      ShapeError, WrongShape, check_cap, cut_text, short_text)
-from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, GaussRat, Keyed, Scalar, is_int
-from .poly import MultiPoly, PluVar, pair_monomials
+from .gaussrat import GR_ZERO, GaussRat, Keyed, Scalar, is_int
+from .poly import MultiPoly, PluVar, _pair_polys
 from .segre import split_terms
 from .states import (Bipartition, PureState, _check_finite, amplitude_array, amplitudes_to_json,
                      exact_backend, gauss_ints, matrix_array, scale_parts)
@@ -276,12 +278,9 @@ def pluecker_relations(k: int, N: int) -> list[PlueckerRelation]:
     a, b, c, rel, pairs = _relation_terms(k, N)
     if not pairs:
         return []
-    mono = pair_monomials([PluVar(subset) for subset in itertools.combinations(range(1, N + 1), k)])
-    coeff = {1: GR_ONE, -1: GR_MINUS_ONE}
-    terms = [(mono(x, y), coeff[z]) for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
-    bounds = np.searchsorted(rel, range(len(pairs) + 1)).tolist()
-    return [PlueckerRelation(MultiPoly(dict(terms[i:j])), *pair)
-            for i, j, pair in zip(bounds, bounds[1:], pairs)]
+    variables = [PluVar(subset) for subset in itertools.combinations(range(1, N + 1), k)]
+    polys = _pair_polys(variables, a, b, c, np.searchsorted(rel, range(len(pairs) + 1)).tolist())
+    return [PlueckerRelation(poly, *pair) for poly, pair in zip(polys, pairs)]
 
 
 def check_relations(ps: PlueckerSet):

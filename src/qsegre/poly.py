@@ -11,17 +11,23 @@ immutable atoms whose constructor computes, once per object, the sort
 ``key()`` and the printed ``text``, and whose hash is computed once, on first
 use (``gaussrat.Keyed``); equality, hashing, sorting and :func:`format_poly`
 only read them.  ``Monomial``'s constructor is the one
-canonicalizing path.  The family builders share atoms within one call: one
-variable per index and, through :func:`pair_monomials`, one monomial per
-index pair, so a family pays these costs once per distinct atom, not once
-per term.
+canonicalizing path for terms of unknown shape.  The Segre and Plucker
+families come as integer term arrays, whose invariants already make every
+term canonical, and one private builder, ``_pair_polys``, turns them into
+polynomials: one variable per index, one monomial per distinct index pair,
+frozen without the constructor's merge and sort, and each polynomial's terms
+set without the constructor's per-term checks.  A family thus pays the atom
+costs once per distinct atom, not once per term, and builds the same objects
+the public constructors build from the same terms.
 """
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Callable, Iterable, Mapping
+import itertools
+from collections.abc import Iterable, Mapping
 from typing import Union
+
+import numpy as np
 
 from .errors import IndexOutOfRange, MalformedInput, MissingVariable, cut_text, short_text
 from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, Frozen, GaussRat, Keyed, exact_scalar, is_int
@@ -124,15 +130,6 @@ class Monomial(_Atom):
 
     def variables(self):
         return [v for v, _ in self.factors]
-
-
-def pair_monomials(variables: list[VarId]) -> Callable[[int, int], Monomial]:
-    """``mono(a, b)``, the Monomial variables[a] * variables[b], built once per
-    pair (a, b) for as long as the caller keeps ``mono``."""
-    @functools.cache
-    def mono(a: int, b: int) -> Monomial:
-        return Monomial(((variables[a], 1), (variables[b], 1)))
-    return mono
 
 
 ONE_MONOMIAL = Monomial(())
@@ -292,6 +289,35 @@ class MultiPoly(Frozen):
         return f"MultiPoly({format_poly(self)})"
 
 
+def _pair_polys(variables: list[VarId], a: np.ndarray, b: np.ndarray, c: np.ndarray, bounds) -> list[MultiPoly]:
+    """The polynomials of a family of quadrics from its integer term arrays.
+
+    Term t is ``c[t] * variables[a[t]] * variables[b[t]]``, with a[t] < b[t],
+    ``variables`` in key order and c[t] in {1, -1}; polynomial i holds terms
+    ``bounds[i]`` to ``bounds[i + 1]``, from ``bounds[0] = 0``, no two with
+    the same (a, b).  These invariants make each pair monomial canonical as it
+    stands and each coefficient the shared ``GR_ONE`` or ``GR_MINUS_ONE``, so
+    each distinct monomial is frozen once without the constructor's merge and
+    sort, and each polynomial takes its terms without the constructor's
+    checks.  The result equals what the public constructors build from the
+    same terms."""
+    n = len(variables)
+    pairs, inverse = np.unique(a * n + b, return_inverse=True)
+    monos = np.empty(len(pairs), object)
+    for t, (x, y) in enumerate(zip((pairs // n).tolist(), (pairs % n).tolist())):
+        vx, vy = variables[x], variables[y]
+        mono = monos[t] = Monomial.__new__(Monomial)
+        mono._freeze(((vx, 1), (vy, 1)), ((vx._key, 1), (vy._key, 1)), vx.text + "*" + vy.text)
+    # one stream of (monomial, coefficient) pairs, cut into polynomials by bounds
+    terms = zip(monos[inverse].tolist(), np.where(c > 0, GR_ONE, GR_MINUS_ONE).tolist())
+    polys = []
+    for i, j in zip(bounds, bounds[1:]):
+        poly = MultiPoly.__new__(MultiPoly)
+        object.__setattr__(poly, "_terms", dict(itertools.islice(terms, j - i)))
+        polys.append(poly)
+    return polys
+
+
 def poly_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Exact sum in canonical form."""
     return p + q
@@ -331,10 +357,19 @@ def evaluate(p: MultiPoly, assignment: Mapping[VarId, object]):
     point = dict(zip(used, values))
     total = GR_ZERO if exact else 0j
     for mono, coeff in p._terms.items():
-        term = coeff if exact else complex(coeff)
-        for v, e in mono.factors:
+        factors, negate = mono.factors, False
+        if not exact:
+            term = complex(coeff)
+        elif factors and (coeff is GR_ONE or coeff is GR_MINUS_ONE):
+            # a shared unit coefficient is a sign: the term starts from its first
+            # factor, as a GaussRat product by +-1 costs about 5x a negation
+            (v, e), factors = factors[0], factors[1:]
+            term, negate = point[v] if e == 1 else point[v] ** e, coeff is GR_MINUS_ONE
+        else:
+            term = coeff
+        for v, e in factors:
             term *= point[v] if e == 1 else point[v] ** e
-        total += term
+        total = total - term if negate else total + term
     return total
 
 

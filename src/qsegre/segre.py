@@ -8,6 +8,11 @@ equals the pair-product sum of squared singular values of the flattening:
     sum_{2x2 minors} |det|^2 = sum_{i<j} sigma_i^2 sigma_j^2
                              = (||M||_F^4 - ||M M*||_F^2) / 2.
 
+``segre_generators`` enumerates each generator once, as a sorted integer row
+(p, q, r, s) of amplitude offsets (``_minor_keys``), and hands the rows to
+``poly._pair_polys``, the family builder the Plucker relations use too, as
+the terms +a_p a_q and -a_r a_s: no per-term constructor call is made.
+
 ``minor_sum`` is the one definition of that quantity, and it runs one private
 kernel per backend.  The exact kernel clears denominators once and evaluates
 the right-hand Gram identity over Gaussian integers A + iC, giving one
@@ -62,8 +67,8 @@ import numpy as np
 
 from .errors import (MAX_AMPS, MAX_TERMS, DimensionMismatch, MalformedInput, NonFinite, NotProduct,
                      WrongShape, check_cap, short_text)
-from .gaussrat import GR_MINUS_ONE, GR_ONE, Keyed, Scalar
-from .poly import MultiPoly, StateVar, pair_monomials
+from .gaussrat import Keyed, Scalar
+from .poly import MultiPoly, StateVar, _pair_polys
 from .states import (
     Bipartition,
     Flattening,
@@ -197,12 +202,12 @@ def segre_generators(dims) -> SegreIdeal:
         raise WrongShape(f"need >= 2 modes, got {len(dims)}")
     check_cap("prod(dims)", dims, MAX_AMPS)
     check_cap(f"generators of the Segre ideal of dims {dims}", (_minor_key_count(dims),), MAX_TERMS)
-    mono = pair_monomials([StateVar(index) for index in itertools.product(*(range(d) for d in dims))])
-    gens = tuple(
-        MultiPoly({mono(p, q): GR_ONE, mono(r, s): GR_MINUS_ONE})
-        for p, q, r, s in _minor_keys(dims).tolist()
-    )
-    return SegreIdeal(dims, gens)
+    keys = _minor_keys(dims)
+    variables = [StateVar(index) for index in itertools.product(*(range(d) for d in dims))]
+    # generator g is terms 2g (+a_p a_q) and 2g + 1 (-a_r a_s)
+    a, b, c = keys[:, 0::2].ravel(), keys[:, 1::2].ravel(), np.tile([1, -1], len(keys))
+    gens = _pair_polys(variables, a, b, c, range(0, 2 * len(keys) + 1, 2))
+    return SegreIdeal(dims, tuple(gens))
 
 
 def state_assignment(s: PureState) -> dict[StateVar, Scalar]:

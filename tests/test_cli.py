@@ -555,6 +555,21 @@ def test_path_with_a_nul_character_is_unreadable(capsys):
     assert err == "error: 'a\\x00b.json': unreadable path (embedded null byte)\n"
 
 
+def test_control_characters_in_a_path_stay_out_of_stderr(capsys, tmp_path):
+    # a terminal escape in the argument once reached stderr raw in every message but the NUL one
+    name = "a\x1b[31mb\x07\t.json"
+    assert run(capsys, ["concurrence", "--state", name])[2] == \
+        "error: 'a\\x1b[31mb\\x07\\t.json': No such file or directory\n"
+    path = tmp_path / name
+    for data in (b"\xff\xfe", b"[1,", b"[" * 100_000, b"[" + b"1" * 5000 + b"]"):
+        path.write_bytes(data)
+        for command in (["concurrence", "--state"], ["segre-map", "--factors"]):
+            code, out, err = run(capsys, [*command, str(path)])
+            assert (code, out) == (2, "")
+            assert_one_error_line(err)
+            assert not any(ch < " " for ch in err[:-1]), err
+
+
 @settings(max_examples=250, deadline=None)
 @given(argvs())
 def test_cli_argv_fuzz_returns_a_code_and_one_short_error_line(tmp_path_factory, case):

@@ -30,6 +30,7 @@ from qsegre import (
     poly_add,
     poly_mul,
 )
+from qsegre.gaussrat import GR_MINUS_ONE, GR_ONE
 from qsegre.poly import ONE_MONOMIAL
 from qsegre.sampling import default_rng, random_exact_matrix, random_gaussrat
 
@@ -169,6 +170,27 @@ def test_evaluate_takes_values_by_the_one_backend_rule():
         with pytest.raises(error, match="assignment"):
             evaluate(p, {x: bad, y: other})
     assert evaluate(p, {x: 10**400, y: GaussRat(2)}) == GaussRat(2 * 10**400)
+
+
+def test_evaluate_takes_shared_unit_coefficients_as_signs():
+    # exact terms with GR_ONE or GR_MINUS_ONE start from their first factor and take the
+    # sign once; fresh units, other coefficients and the float backend multiply as before
+    x, y, z = StateVar((0,)), StateVar((1,)), StateVar((2,))
+    xy, x2z, yz = Monomial(((x, 1), (y, 1))), Monomial(((x, 2), (z, 1))), Monomial(((y, 1), (z, 1)))
+    shared = MultiPoly({xy: GR_ONE, x2z: GR_MINUS_ONE, yz: GaussRat(2, -1), ONE_MONOMIAL: GR_MINUS_ONE})
+    assert shared._terms[xy] is GR_ONE and shared._terms[x2z] is GR_MINUS_ONE
+    fresh = MultiPoly({m: GaussRat(c.re, c.im) for m, c in shared._terms.items()})
+    assert not any(c is GR_ONE or c is GR_MINUS_ONE for c in fresh._terms.values())
+    rng = default_rng(5)
+    for _ in range(10):
+        a, b, c = (random_gaussrat(rng, span=7) for _ in range(3))
+        exact = {x: a, y: b, z: c}
+        want = a * b - a * a * c + GaussRat(2, -1) * b * c - 1
+        assert evaluate(shared, exact) == want == evaluate(fresh, exact)
+        floats = {v: complex(w) for v, w in exact.items()}
+        fa, fb, fc = floats[x], floats[y], floats[z]
+        want = 0j + fa * fb + -1 * fa ** 2 * fc + complex(2, -1) * fb * fc + -1
+        assert evaluate(shared, floats) == want == evaluate(fresh, floats)
 
 
 # ------------------------------------------------------------ hypothesis lane
