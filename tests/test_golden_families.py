@@ -23,8 +23,10 @@ from qsegre.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-SEGRE_DIMS = ((2, 2, 2), (2, 2, 2, 2), (3, 3, 3), (2, 3, 4), (2, 2, 2, 2, 2))
-PLUECKER_SHAPES = ((2, 4), (2, 5), (3, 6), (2, 8))
+# the last shape of each has a two-digit index, so its printed order is the key
+# order and not the text order: a[0,10] after a[02], P[1,10] after P[1,2]
+SEGRE_DIMS = ((2, 2, 2), (2, 2, 2, 2), (3, 3, 3), (2, 3, 4), (2, 2, 2, 2, 2), (2, 11))
+PLUECKER_SHAPES = ((2, 4), (2, 5), (3, 6), (2, 8), (2, 11))
 
 DIGESTS = {
     "segre_2x2x2x2x2x2": "3f0a0f4e629fc8278eb79b8d335c1e3f922a31741492006d0e9dbaf58d00a9ad",
