@@ -51,8 +51,16 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
+def _path_text(path: str) -> str:
+    """A path for a message: its repr, so control characters (an ESC, a NUL) are
+    escaped, whole up to 160 characters, else its last 140 after ``...`` and its
+    length, so the file name stays and the error line stays within main's cut."""
+    text = repr(path)
+    return text if len(text) <= 160 else f"...{text[-140:]} ({len(path)} characters)"
+
+
 def _load_json(path: str):
-    name = short_text(path)  # quoted, with control characters (an ESC, a NUL) escaped
+    name = _path_text(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

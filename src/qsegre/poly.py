@@ -4,7 +4,10 @@ Variables name either state amplitudes (``a[i1...im]``) or Plucker coordinates
 (``P[i1,i2,...]``).  Coefficients are always exact :class:`GaussRat`; the
 float world enters only through :func:`evaluate` with complex assignments.
 Terms are kept canonical: sorted variables inside each monomial, no zero
-exponents, no zero coefficients.
+exponents, no zero coefficients, and a polynomial's terms stored in monomial
+key order, sorted once when it is built.  So :meth:`MultiPoly.sorted_terms`,
+:meth:`MultiPoly.leading` and :func:`format_poly` read the terms as stored,
+with no sort, and a float :func:`evaluate` sums them in printed order.
 
 Variables (:class:`StateVar`, :class:`PluVar`) and :class:`Monomial` are
 immutable atoms whose constructor computes, once per object, the sort
@@ -18,20 +21,29 @@ polynomials: one variable per index, one monomial per distinct index pair,
 frozen without the constructor's merge and sort, and each polynomial's terms
 set without the constructor's per-term checks.  A family thus pays the atom
 costs once per distinct atom, not once per term, and builds the same objects
-the public constructors build from the same terms.
+the public constructors build from the same terms, its terms already in key
+order.
+
+:func:`evaluate` runs on the real and imaginary parts of the values
+(``states.gauss_ints``): Python ints over one common denominator for exact
+values, so no term does ``Fraction`` arithmetic, and the floats themselves for
+float values.  One term loop serves both backends; only the one result is
+converted back, to a GaussRat or a complex.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Mapping
+from fractions import Fraction
 from typing import Union
 
 import numpy as np
 
 from .errors import IndexOutOfRange, MalformedInput, MissingVariable, cut_text, short_text
 from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, Frozen, GaussRat, Keyed, exact_scalar, is_int
-from .states import amplitude_array, exact_backend
+from .states import amplitude_array, gauss_ints
 
 
 class _Atom(Keyed):
@@ -161,16 +173,22 @@ def _as_poly(x):
     return c if c is NotImplemented else MultiPoly.const(c)
 
 
+def _term_key(term: tuple[Monomial, GaussRat]) -> tuple:
+    return term[0]._key
+
+
 def _is_negative(c: GaussRat) -> bool:
     """Canonical sign used for rendering and sign normalization."""
     return c.re < 0 or (c.re == 0 and c.im < 0)
 
 
 class MultiPoly(Frozen):
-    """Immutable sparse polynomial: map from Monomial to nonzero GaussRat.
+    """Immutable sparse polynomial: map from Monomial to nonzero GaussRat,
+    stored in monomial key order.
 
     ``terms`` is None or a mapping whose keys are Monomials and whose values
-    are exact (``gaussrat.exact_scalar``), else MalformedInput."""
+    are exact (``gaussrat.exact_scalar``), else MalformedInput.  Any insertion
+    order gives the same stored order."""
 
     __slots__ = ("_terms",)
 
@@ -187,7 +205,7 @@ class MultiPoly(Frozen):
                     raise MalformedInput(f"polynomial coefficients must be exact, got {type(c).__name__}")
                 if g:
                     clean[mono] = g
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", dict(sorted(clean.items(), key=_term_key)))
 
     @classmethod
     def zero(cls) -> "MultiPoly":
@@ -257,14 +275,11 @@ class MultiPoly(Frozen):
         return hash(frozenset(self._terms.items()))
 
     def sorted_terms(self) -> list[tuple[Monomial, GaussRat]]:
-        return sorted(self._terms.items(), key=lambda mc: mc[0]._key)
+        return list(self._terms.items())
 
     def leading(self) -> tuple[Monomial, GaussRat] | None:
         """Term with the lexicographically first monomial, or None if zero."""
-        if not self._terms:
-            return None
-        mono = min(self._terms, key=lambda m: m._key)
-        return mono, self._terms[mono]
+        return next(iter(self._terms.items()), None)
 
     def sign_canonical(self) -> "MultiPoly":
         """Flip the overall sign so the leading coefficient is positive."""
@@ -295,7 +310,8 @@ def _pair_polys(variables: list[VarId], a: np.ndarray, b: np.ndarray, c: np.ndar
     Term t is ``c[t] * variables[a[t]] * variables[b[t]]``, with a[t] < b[t],
     ``variables`` in key order and c[t] in {1, -1}; polynomial i holds terms
     ``bounds[i]`` to ``bounds[i + 1]``, from ``bounds[0] = 0``, no two with
-    the same (a, b).  These invariants make each pair monomial canonical as it
+    the same (a, b), and each polynomial's terms in (a, b) order, which is
+    their key order.  These invariants make each pair monomial canonical as it
     stands and each coefficient the shared ``GR_ONE`` or ``GR_MINUS_ONE``, so
     each distinct monomial is frozen once without the constructor's merge and
     sort, and each polynomial takes its terms without the constructor's
@@ -338,55 +354,95 @@ def is_homogeneous(p: MultiPoly):
     return None
 
 
+def _power(re, im, e: int) -> tuple:
+    """The parts of ``(re + i*im)**e`` for an int e >= 1, squaring and multiplying in
+    the order CPython's complex ``**`` takes for e <= 100, so float parts round alike."""
+    out = None
+    while True:
+        if e & 1:
+            out = (re, im) if out is None else (out[0] * re - out[1] * im, out[0] * im + out[1] * re)
+        e >>= 1
+        if not e:
+            return out
+        re, im = re * re - im * im, re * im + im * re
+
+
+def _exact_parts(c: GaussRat) -> tuple:
+    """A coefficient as integer parts over its own denominator: ``c == (x + i*y) / d``."""
+    d = math.lcm(c.re.denominator, c.im.denominator)
+    return c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator), d
+
+
+def _float_parts(c: GaussRat) -> tuple:
+    """A coefficient as the float parts of ``complex(c)``, over 1."""
+    return float(c.re), float(c.im), 1
+
+
 def evaluate(p: MultiPoly, assignment: Mapping[VarId, object]):
     """Evaluate at a point; exact GaussRat result iff every used value is exact.
 
     The used values take the backend ``states.amplitude_array`` gives them and raise
     what it raises; MissingVariable when the assignment does not cover p.  Each
-    used value is converted once, and one loop serves both backends."""
+    used value is converted once, to its parts over one denominator ``den``
+    (``states.gauss_ints``), and one loop over the terms in stored order serves
+    both backends: a term of degree d is its parts over ``den**d`` times its
+    coefficient's denominator, and the sum is kept over the lcm of the terms'
+    denominators, which for float values is always 1.  A float result is thus
+    the complex arithmetic of ``coefficient * factor * ...`` summed in printed
+    order (up to the sign of a zero).
+    """
     used = p.variables()
     for v in used:
         if v not in assignment:
             raise MissingVariable(f"no value for {cut_text(v.text)}")
-    values = [assignment[v] for v in used]
-    exact = exact_backend(values, "assignment values")
-    if exact:
-        values = [a if isinstance(a, GaussRat) else GaussRat(a) for a in values]
-    else:
-        values = amplitude_array(values, (len(values),), "assignment values").tolist()
-    point = dict(zip(used, values))
-    total = GR_ZERO if exact else 0j
-    for mono, coeff in p._terms.items():
-        factors, negate = mono.factors, False
-        if not exact:
-            term = complex(coeff)
-        elif factors and (coeff is GR_ONE or coeff is GR_MINUS_ONE):
-            # a shared unit coefficient is a sign: the term starts from its first
-            # factor, as a GaussRat product by +-1 costs about 5x a negation
+    values = amplitude_array([assignment[v] for v in used], (len(used),), "assignment values")
+    exact = values.dtype == object
+    re, im, den = gauss_ints(values)
+    point = dict(zip(used, zip(re.tolist(), im.tolist())))
+    coeff_parts = _exact_parts if exact else _float_parts
+    total_re = total_im = 0
+    scale = 1  # the sum so far is (total_re + i*total_im) / scale
+    for mono, c in p._terms.items():
+        factors, negate = mono.factors, c is GR_MINUS_ONE
+        if factors and (negate or c is GR_ONE):
+            # a shared unit coefficient is a sign: the term starts from its first factor
             (v, e), factors = factors[0], factors[1:]
-            term, negate = point[v] if e == 1 else point[v] ** e, coeff is GR_MINUS_ONE
+            x, y = point[v] if e == 1 else _power(*point[v], e)
+            deg, d = e, 1
         else:
-            term = coeff
+            x, y, d = coeff_parts(c)
+            deg, negate = 0, False
         for v, e in factors:
-            term *= point[v] if e == 1 else point[v] ** e
-        total = total - term if negate else total + term
-    return total
+            a, b = point[v] if e == 1 else _power(*point[v], e)
+            x, y = x * a - y * b, x * b + y * a
+            deg += e
+        d *= den**deg
+        if d != scale:  # put the sum and the term over the lcm of their denominators
+            common = math.lcm(scale, d)
+            total_re, total_im = total_re * (common // scale), total_im * (common // scale)
+            x, y, scale = x * (common // d), y * (common // d), common
+        if negate:
+            total_re, total_im = total_re - x, total_im - y
+        else:
+            total_re, total_im = total_re + x, total_im + y
+    if exact:
+        return GaussRat(Fraction(total_re, scale), Fraction(total_im, scale))
+    return complex(total_re, total_im)
 
 
 def format_poly(p: MultiPoly) -> str:
     """Render one polynomial in the line format.
 
-    Terms are sorted by monomial; each prints as ``coef*mono`` with unit
-    coefficients dropped, real/imaginary zero parts omitted, and a
-    coefficient with both parts nonzero parenthesized, constant terms
-    included.  The shared ``GR_ONE`` and ``GR_MINUS_ONE`` print without any
+    Terms print in stored order, which is monomial key order, with no sort;
+    each prints as ``coef*mono`` with unit coefficients dropped,
+    real/imaginary zero parts omitted, and a coefficient with both parts
+    nonzero parenthesized, constant terms included.  The shared ``GR_ONE`` and ``GR_MINUS_ONE`` print without any
     arithmetic.
     """
-    items = p.sorted_terms()
-    if not items:
+    if not p._terms:
         return "0"
     parts = []
-    for mono, coeff in items:
+    for mono, coeff in p._terms.items():
         if coeff is GR_ONE or coeff is GR_MINUS_ONE:
             parts += (" - " if coeff is GR_MINUS_ONE else " + ", mono.text)
             continue

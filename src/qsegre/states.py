@@ -440,9 +440,10 @@ def normalize(s: PureState) -> PureState:
 
     An exact state runs on its integer parts (:func:`gauss_ints`): with
     n = sum(re^2 + im^2), the norm is rational iff n is a perfect square, and
-    then the state is the parts over isqrt(n).  Otherwise the parts are put
-    over the largest of them exactly before they become float
-    (:func:`_unit_array`), so amplitudes beyond the float range convert.
+    then the state is the parts over isqrt(n).  Otherwise each part becomes
+    float over the largest of them, by int true division, which is correctly
+    rounded as ``float(Fraction)`` is, before :func:`_unit_array`; so
+    amplitudes beyond the float range convert, and no GaussRat is built.
     """
     if not s.exact:
         return PureState(_unit_array(s.array))
@@ -452,7 +453,9 @@ def normalize(s: PureState) -> PureState:
     if r * r == n:
         return PureState(gauss_rats(re, im, r))
     top = max(np.abs(re).max(), np.abs(im).max())
-    return PureState(_unit_array(gauss_rats(re, im, top)))
+    arr = np.empty(re.shape, np.complex128)
+    arr.real, arr.imag = re / top, im / top
+    return PureState(_unit_array(arr))
 
 
 def _unit_array(arr: np.ndarray) -> np.ndarray:

@@ -570,6 +570,20 @@ def test_control_characters_in_a_path_stay_out_of_stderr(capsys, tmp_path):
             assert not any(ch < " " for ch in err[:-1]), err
 
 
+def test_long_path_keeps_its_file_name_in_the_error_line(capsys, tmp_path):
+    # a long path was once cut to its first 32 characters, which lost the file name
+    nested = tmp_path / "some/long/directory/name/for/fixtures"
+    for path, name in ((nested / "bell_state.json", "bell_state.json"),
+                       (nested / ("d" * 300) / "bell\x1b[31m_state.json", "bell\\x1b[31m_state.json"),
+                       (tmp_path / ("d" * 5000 + "\x07") / "bell_state.json", "bell_state.json")):
+        code, out, err = run(capsys, ["concurrence", "--state", str(path)])
+        assert (code, out) == (2, "")
+        assert_one_error_line(err)
+        assert len(err) <= len("error: \n") + 280 and not err.endswith(" ...\n")
+        assert f"{name}'" in err, err
+        assert not any(ch < " " for ch in err[:-1]), err
+
+
 @settings(max_examples=250, deadline=None)
 @given(argvs())
 def test_cli_argv_fuzz_returns_a_code_and_one_short_error_line(tmp_path_factory, case):

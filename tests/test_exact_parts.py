@@ -32,7 +32,7 @@ from qsegre import segre
 from qsegre.errors import NotProduct
 from qsegre.sampling import default_rng, random_exact_product_state, random_haar_state
 from qsegre.segre import split_terms
-from qsegre.states import _unit_array, flat_matrix, gauss_ints, normalize
+from qsegre.states import _unit_array, flat_matrix, gauss_ints, gauss_rats, normalize
 
 
 def object_twice_minor_sum(a, c):
@@ -223,6 +223,26 @@ def check_normalize(seed, count):
 
 def test_normalize_matches_gauss_rat_oracle():
     assert 200 < check_normalize(24, 500) < 300
+
+
+def test_irrational_normalize_matches_the_gauss_rat_path():
+    # each part over the largest, by int true division, rounds as float(Fraction)
+    # does, so the bytes are those of the path that built one GaussRat per amplitude
+    rng = default_rng(26)
+    cases = [make_state([2], [1, 1])]  # CI's {"dims":[2],"amps":[[1,0],[1,0]]}
+    while len(cases) < 150:
+        s, rational = random_normalize_case(rng)
+        cases += [] if rational else [s]
+    floats = 0
+    for s in cases:
+        re, im, _ = gauss_ints(s.array)
+        got = normalize(s)
+        if not got.exact:
+            floats += 1
+            want = _unit_array(gauss_rats(re, im, max(np.abs(re).max(), np.abs(im).max())))
+            assert got.array.tobytes() == want.tobytes()
+    assert floats > 140
+    assert normalize(cases[0]).array.tobytes() == np.array([0.7071067811865475] * 2, np.complex128).tobytes()
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])

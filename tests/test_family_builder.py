@@ -4,7 +4,8 @@
 integer term arrays through ``poly._pair_polys``, which skips the
 constructors' checks.  Every polynomial and monomial it builds must be the
 one the public ``Monomial`` and ``MultiPoly`` constructors build from the
-same terms, down to keys, texts, hashes, pickles and copies.
+same terms, down to keys, texts, hashes, pickles and copies, with its terms
+stored in key order as the constructor stores them.
 """
 
 import copy
@@ -37,6 +38,7 @@ def assert_same(built: list[MultiPoly], expected: list[MultiPoly]):
     assert [hash(p) for p in built] == [hash(p) for p in expected]
     assert [repr(p) for p in built] == [repr(p) for p in expected]  # format_poly's line, wrapped
     for p, q in zip(built, expected):
+        assert list(p._terms) == sorted(p._terms, key=Monomial.key)  # stored in key order
         assert list(p.terms) == list(q.terms)  # the same monomials in the same order
         for got, want in zip(p.terms, q.terms):
             assert got.key() == want.key() and got.text == want.text and hash(got) == hash(want)

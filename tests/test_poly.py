@@ -174,7 +174,8 @@ def test_evaluate_takes_values_by_the_one_backend_rule():
 
 def test_evaluate_takes_shared_unit_coefficients_as_signs():
     # exact terms with GR_ONE or GR_MINUS_ONE start from their first factor and take the
-    # sign once; fresh units, other coefficients and the float backend multiply as before
+    # sign once; fresh units, other coefficients and the float backend multiply as before,
+    # and float terms are summed in stored order, the monomial key order
     x, y, z = StateVar((0,)), StateVar((1,)), StateVar((2,))
     xy, x2z, yz = Monomial(((x, 1), (y, 1))), Monomial(((x, 2), (z, 1))), Monomial(((y, 1), (z, 1)))
     shared = MultiPoly({xy: GR_ONE, x2z: GR_MINUS_ONE, yz: GaussRat(2, -1), ONE_MONOMIAL: GR_MINUS_ONE})
@@ -189,7 +190,7 @@ def test_evaluate_takes_shared_unit_coefficients_as_signs():
         assert evaluate(shared, exact) == want == evaluate(fresh, exact)
         floats = {v: complex(w) for v, w in exact.items()}
         fa, fb, fc = floats[x], floats[y], floats[z]
-        want = 0j + fa * fb + -1 * fa ** 2 * fc + complex(2, -1) * fb * fc + -1
+        want = 0j + -1 + fa * fb + -1 * fa ** 2 * fc + complex(2, -1) * fb * fc
         assert evaluate(shared, floats) == want == evaluate(fresh, floats)
 
 
@@ -232,6 +233,114 @@ def test_evaluate_is_ring_homomorphism(p, q, seed):
     rhs = evaluate(p, assignment) * evaluate(q, assignment)
     assert lhs == rhs
     assert evaluate(poly_add(p, q), assignment) == evaluate(p, assignment) + evaluate(q, assignment)
+
+
+# ------------------------------------------------- stored order and evaluate
+
+# two-digit indices, so key order and text order differ: a[0,10] after a[01] by
+# key and before it by text
+keyed_vars = [StateVar((0,)), StateVar((2,)), StateVar((10,)), StateVar((0, 1)), StateVar((0, 10)),
+              PluVar((1, 2)), PluVar((1, 10))]
+keyed_monos = st.lists(st.tuples(st.sampled_from(keyed_vars), st.integers(1, 4)), max_size=3).map(Monomial)
+big_fracs = st.builds(Fraction, st.integers(-2**40, 2**40), st.integers(1, 2**30))
+keyed_coeffs = st.one_of(st.sampled_from([GR_ONE, GR_MINUS_ONE]), coeffs, st.builds(GaussRat, big_fracs, big_fracs))
+keyed_polys = st.dictionaries(keyed_monos, keyed_coeffs, max_size=6).map(MultiPoly)
+
+
+def key_sorted(p: MultiPoly) -> list:
+    return sorted(p._terms, key=Monomial.key)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(keyed_monos, keyed_coeffs, max_size=6)
+       .flatmap(lambda terms: st.tuples(st.just(terms), st.permutations(list(terms.items())))))
+def test_any_insertion_order_stores_key_order(case):
+    terms, shuffled = case
+    p, q = MultiPoly(terms), MultiPoly(dict(shuffled))
+    assert list(p._terms) == list(q._terms) == key_sorted(p)
+    assert p.sorted_terms() == list(p._terms.items()) == q.sorted_terms()
+    assert format_poly(p) == format_poly(q) and p == q and hash(p) == hash(q)
+    for built in (-p, p + q, p * q, *clones(p)):
+        assert list(built._terms) == key_sorted(built)
+
+
+@settings(max_examples=60, deadline=None)
+@given(keyed_polys)
+def test_leading_is_the_term_of_least_key(p):
+    if p.is_zero():
+        assert p.leading() is None
+    else:
+        mono = min(p._terms, key=Monomial.key)
+        assert p.leading() == (mono, p._terms[mono])
+        assert p.leading()[1] is p._terms[mono]
+
+
+def evaluate_oracle(p: MultiPoly, assignment, exact: bool):
+    """Term by term in stored (key) order: GaussRat arithmetic for exact values, and
+    ``complex(c) * x**e * ...`` summed from 0j for float values."""
+    total = GaussRat(0) if exact else 0j
+    for mono in key_sorted(p):
+        c = p._terms[mono]
+        term = c if exact else complex(c)
+        for v, e in mono.factors:
+            term = term * assignment[v] ** e
+        total = total + term
+    return total
+
+
+# exact values: ints, Fractions and GaussRats, some whose parts, put over a common
+# denominator, pass int64
+exact_values = st.one_of(st.integers(-9, 9), fracs, coeffs, big_fracs, st.builds(GaussRat, big_fracs, big_fracs))
+float_values = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=120, deadline=None)
+@given(keyed_polys, st.lists(exact_values, min_size=len(keyed_vars), max_size=len(keyed_vars)))
+def test_exact_evaluate_matches_gauss_rat_oracle(p, values):
+    assignment = dict(zip(keyed_vars, values))
+    got = evaluate(p, assignment)
+    assert isinstance(got, GaussRat) and got == evaluate_oracle(p, assignment, True)
+
+
+def test_exact_evaluate_on_parts_past_int64():
+    # non-homogeneous, non-unit coefficients, a constant and exponents up to 4,
+    # at values whose parts over their common denominator pass 2**63
+    x, y, z = StateVar((0,)), StateVar((1,)), StateVar((0, 10))
+    p = MultiPoly({Monomial(((x, 4), (y, 1))): GaussRat(Fraction(3, 7), -2), Monomial(((z, 2),)): GR_MINUS_ONE,
+                   Monomial(((x, 1),)): GaussRat(0, Fraction(-5, 11)), ONE_MONOMIAL: GaussRat(Fraction(1, 3))})
+    rng = default_rng(26)
+    for _ in range(20):
+        values = [GaussRat(Fraction(int(rng.integers(-2**62, 2**62)), int(rng.integers(1, 2**40))),
+                          Fraction(int(rng.integers(-2**62, 2**62)), int(rng.integers(1, 2**40))))
+                  for _ in range(3)]
+        assignment = dict(zip((x, y, z), values))
+        assert evaluate(p, assignment) == evaluate_oracle(p, assignment, True)
+
+
+@settings(max_examples=120, deadline=None)
+@given(keyed_polys, st.lists(float_values, min_size=len(keyed_vars), max_size=len(keyed_vars)))
+def test_float_evaluate_matches_complex_oracle_in_key_order(p, values):
+    assignment = dict(zip(keyed_vars, values))
+    got = evaluate(p, assignment)
+    # a polynomial with no variables uses no value, and takes the exact backend
+    assert isinstance(got, complex if p.variables() else GaussRat)
+    assert complex(got) == evaluate_oracle(p, assignment, False)
+
+
+def test_evaluate_raises_before_any_arithmetic():
+    x, y = StateVar((0,)), StateVar((0, 10))
+    p = MultiPoly({Monomial(((x, 3), (y, 1))): GaussRat(Fraction(2, 3), 1), ONE_MONOMIAL: GR_ONE})
+    with pytest.raises(MissingVariable, match=r"a\[0,10\]"):
+        evaluate(p, {x: GaussRat(1)})
+    for bad in ("1", None, True):
+        with pytest.raises(MalformedInput, match="assignment"):
+            evaluate(p, {x: GaussRat(1), y: bad})
+    with pytest.raises(NonFinite, match="assignment"):
+        evaluate(p, {x: math.inf, y: GaussRat(1)})
+    with pytest.raises(MalformedInput, match="Monomial"):
+        MultiPoly({Monomial(((x, 1),)): GR_ONE, "a[0]": GR_ONE})
+    assert evaluate(MultiPoly.zero(), {}) == GaussRat(0)
+    assert evaluate(MultiPoly.const(GaussRat(0, 2)), {}) == GaussRat(0, 2)
 
 
 # ----------------------------------------------------------------- rendering
