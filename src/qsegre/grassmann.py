@@ -209,10 +209,10 @@ def _relation_terms(k: int, N: int) -> RelationFamily:
     Term t is the coefficient c[t] on P_A P_B of relation rel[t], where
     a[t] < b[t] are the ranks of the k-subsets A and B in lexicographic order.
     Each relation's terms are consecutive and sorted, and its first
-    coefficient is positive (``sign_canonical``); the relations are sorted
-    like the polynomials' sorted terms, and each keeps the first (I, J) that
-    produced it.  The arrays are read-only.  The shape and the term cap are
-    checked on every call; the family itself is built once per (k, N).
+    coefficient is positive; the relations are sorted like the polynomials'
+    sorted terms, and each keeps the first (I, J) that produced it.  The
+    arrays are read-only.  The shape and the term cap are checked on every
+    call; the family itself is built once per (k, N).
     """
     _check_shape(k, N)
     # a nonempty family's binomials are at least N: past N = 2048 the product passes the cap at N * N

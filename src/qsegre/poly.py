@@ -5,9 +5,10 @@ Variables name either state amplitudes (``a[i1...im]``) or Plucker coordinates
 float world enters only through :func:`evaluate` with complex assignments.
 Terms are kept canonical: sorted variables inside each monomial, no zero
 exponents, no zero coefficients, and a polynomial's terms stored in monomial
-key order, sorted once when it is built.  So :meth:`MultiPoly.sorted_terms`,
-:meth:`MultiPoly.leading` and :func:`format_poly` read the terms as stored,
-with no sort, and a float :func:`evaluate` sums them in printed order.
+key order, sorted once when it is built.  So ``MultiPoly.terms`` and
+:func:`format_poly` read the terms as stored, with no sort, and a float
+:func:`evaluate` sums them in printed order.  A polynomial has no ring
+arithmetic: the package builds every polynomial it needs from its terms.
 
 Variables (:class:`StateVar`, :class:`PluVar`) and :class:`Monomial` are
 immutable atoms whose constructor computes, once per object, the sort
@@ -42,7 +43,7 @@ from typing import Union
 import numpy as np
 
 from .errors import IndexOutOfRange, MalformedInput, MissingVariable, cut_text, short_text
-from .gaussrat import GR_MINUS_ONE, GR_ONE, GR_ZERO, Frozen, GaussRat, Keyed, exact_scalar, is_int
+from .gaussrat import GR_MINUS_ONE, GR_ONE, Frozen, GaussRat, Keyed, exact_scalar, is_int
 from .states import amplitude_array, gauss_ints
 
 
@@ -137,15 +138,6 @@ class Monomial(_Atom):
     def degree(self) -> int:
         return sum(e for _, e in self.factors)
 
-    def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.factors + other.factors)
-
-    def variables(self):
-        return [v for v, _ in self.factors]
-
-
-ONE_MONOMIAL = Monomial(())
-
 
 class _AnyDegree:
     """Marker: the zero polynomial is homogeneous of every degree."""
@@ -164,21 +156,13 @@ class _AnyDegree:
 ANY_DEGREE = _AnyDegree()
 
 
-def _as_poly(x):
-    """An operand as a MultiPoly: an exact scalar (``gaussrat.exact_scalar``) as a
-    constant, else NotImplemented."""
-    if isinstance(x, MultiPoly):
-        return x
-    c = exact_scalar(x)
-    return c if c is NotImplemented else MultiPoly.const(c)
-
-
 def _term_key(term: tuple[Monomial, GaussRat]) -> tuple:
     return term[0]._key
 
 
 def _is_negative(c: GaussRat) -> bool:
-    """Canonical sign used for rendering and sign normalization."""
+    """The sign a coefficient prints with: negative real part, or zero real part
+    and negative imaginary part."""
     return c.re < 0 or (c.re == 0 and c.im < 0)
 
 
@@ -207,18 +191,6 @@ class MultiPoly(Frozen):
                     clean[mono] = g
         object.__setattr__(self, "_terms", dict(sorted(clean.items(), key=_term_key)))
 
-    @classmethod
-    def zero(cls) -> "MultiPoly":
-        return cls()
-
-    @classmethod
-    def const(cls, c) -> "MultiPoly":
-        return cls({ONE_MONOMIAL: c})
-
-    @classmethod
-    def variable(cls, v: VarId) -> "MultiPoly":
-        return cls({Monomial(((v, 1),)): GR_ONE})
-
     @property
     def terms(self) -> dict[Monomial, GaussRat]:
         return dict(self._terms)
@@ -229,64 +201,14 @@ class MultiPoly(Frozen):
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def __add__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self._terms)
-        for mono, c in other._terms.items():
-            out[mono] = out.get(mono, GR_ZERO) + c
-        return MultiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[Monomial, GaussRat] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1.mul(m2)
-                out[m] = out.get(m, GR_ZERO) + c1 * c2
-        return MultiPoly(out)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
+        # a MultiPoly equals only a MultiPoly, as equal values must hash alike
+        if not isinstance(other, MultiPoly):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
-
-    def sorted_terms(self) -> list[tuple[Monomial, GaussRat]]:
-        return list(self._terms.items())
-
-    def leading(self) -> tuple[Monomial, GaussRat] | None:
-        """Term with the lexicographically first monomial, or None if zero."""
-        return next(iter(self._terms.items()), None)
-
-    def sign_canonical(self) -> "MultiPoly":
-        """Flip the overall sign so the leading coefficient is positive."""
-        lead = self.leading()
-        if lead is None or not _is_negative(lead[1]):
-            return self
-        return -self
 
     def variables(self) -> set[VarId]:
         return {v for mono in self._terms for v, _ in mono.factors}
@@ -332,16 +254,6 @@ def _pair_polys(variables: list[VarId], a: np.ndarray, b: np.ndarray, c: np.ndar
         object.__setattr__(poly, "_terms", dict(itertools.islice(terms, j - i)))
         polys.append(poly)
     return polys
-
-
-def poly_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Exact sum in canonical form."""
-    return p + q
-
-
-def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Exact product in canonical form; total degrees add."""
-    return p * q
 
 
 def is_homogeneous(p: MultiPoly):

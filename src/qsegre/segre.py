@@ -37,8 +37,7 @@ on stacks: the splits of one small side are copied into chunks of at most
 one batched deflation of its members at or below the cutoff, with no
 factorization.  A matrix's term does not depend on its stack, so
 ``minor_sum`` of one flattening, a stack of one, is bitwise equal to that
-split's term in any chunk.  ``minor_sum_direct`` enumerates the minors and
-is the oracle for both kernels.
+split's term in any chunk.
 
 ``_split_plan`` is the one source of the canonical splits of a ``dims`` and
 their layouts, read by the ideal's generators, the concurrence, the
@@ -67,7 +66,7 @@ import numpy as np
 
 from .errors import (MAX_AMPS, MAX_TERMS, DimensionMismatch, MalformedInput, NonFinite, NotProduct,
                      WrongShape, check_cap, short_text)
-from .gaussrat import Keyed, Scalar
+from .gaussrat import Keyed
 from .poly import MultiPoly, StateVar, _pair_polys
 from .states import (
     Bipartition,
@@ -143,7 +142,8 @@ def _minor_keys(dims: tuple[int, ...]) -> np.ndarray:
     Entries are row-major amplitude offsets; a row stands for the binomial
     a_p a_q - a_r a_s with p < q, r < s and p < r.  Offsets order like the
     multi-indices they encode, so the rows sort like the generators' sorted
-    terms, and the leading monomial a_p a_q takes +1 as in ``sign_canonical``.
+    terms, and the first monomial a_p a_q takes +1: the first coefficient is
+    positive.
 
     A generator is fixed by the modes D where its diagonal x, y differs and
     the part S of D, holding min D, where x' of the antidiagonal x', y'
@@ -168,7 +168,7 @@ def _minor_keys(dims: tuple[int, ...]) -> np.ndarray:
         c1, c2 = np.nonzero(np.less.outer(digits[0], digits[0]) & differ)
         # offsets grow along every row and column, so the diagonal a_p a_q of
         # the minor on rows r1 < r2 and columns c1 < c2 holds the smallest
-        # offset and is the leading monomial
+        # offset and is the first monomial
         p, q, c, d = np.broadcast_arrays(mat[r1, c1], mat[r2, c2], mat[r1, c2], mat[r2, c1])
         keys.append(np.stack([p, q, np.minimum(c, d), np.maximum(c, d)], axis=-1).reshape(-1, 4))
     keys = np.concatenate(keys)
@@ -191,7 +191,7 @@ def _minor_key_count(dims: tuple[int, ...]) -> int:
 def segre_generators(dims) -> SegreIdeal:
     """All distinct 2x2 minors of all canonical-bipartition flattenings.
 
-    Generators are sign-canonical (leading monomial positive), distinct and
+    Generators have their first coefficient positive, are distinct and
     sorted; each is homogeneous of degree 2 and vanishes identically on the
     image of the Segre map, enumerated once each as integer keys.  Raises
     DimensionMismatch for dims ``check_dims`` refuses, WrongShape for one mode,
@@ -208,12 +208,6 @@ def segre_generators(dims) -> SegreIdeal:
     a, b, c = keys[:, 0::2].ravel(), keys[:, 1::2].ravel(), np.tile([1, -1], len(keys))
     gens = _pair_polys(variables, a, b, c, range(0, 2 * len(keys) + 1, 2))
     return SegreIdeal(dims, tuple(gens))
-
-
-def state_assignment(s: PureState) -> dict[StateVar, Scalar]:
-    """Map each amplitude variable to the state's value there."""
-    indices = itertools.product(*(range(d) for d in s.dims))
-    return {StateVar(index): a for index, a in zip(indices, s.amps)}
 
 
 def _stacked_minor_sums(mats: np.ndarray) -> list[float]:
@@ -360,22 +354,6 @@ def minor_sum(f: Flattening):
         return math.ldexp(_float_terms(parts.view(np.complex128), [((0, 1), f.rows)])[0], 4 * e)
     except OverflowError:
         raise NonFinite("minor sum is beyond the float range") from None
-
-
-def minor_sum_direct(f: Flattening):
-    """Brute-force enumeration of all 2x2 minors; oracle for minor_sum."""
-    if f.exact:
-        total = Fraction(0)
-        for (i, ri), (j, rj) in itertools.combinations(enumerate(f.entries), 2):
-            for k, l in itertools.combinations(range(f.cols), 2):
-                total += (ri[k] * rj[l] - ri[l] * rj[k]).abs_sq()
-        return total
-    mat = f.entries
-    total = 0.0
-    for i, j in itertools.combinations(range(f.rows), 2):
-        for k, l in itertools.combinations(range(f.cols), 2):
-            total += abs(mat[i, k] * mat[j, l] - mat[i, l] * mat[j, k]) ** 2
-    return total
 
 
 class _SplitPlan(NamedTuple):

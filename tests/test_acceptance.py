@@ -21,7 +21,6 @@ from qsegre import (
     local_factors,
     make_state,
     minor_sum,
-    minor_sum_direct,
     normalize,
     pluecker_coordinates,
     pluecker_measure,
@@ -29,7 +28,6 @@ from qsegre import (
     check_relations,
     segre_generators,
     segre_map,
-    state_assignment,
 )
 from qsegre.sampling import (
     default_rng,
@@ -41,6 +39,8 @@ from qsegre.sampling import (
     random_unitary,
 )
 from qsegre.states import apply_local_unitaries, permute_modes
+
+from oracles import minor_sum_direct, state_assignment
 
 SQ2 = 1.0 / math.sqrt(2.0)
 

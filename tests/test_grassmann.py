@@ -15,8 +15,6 @@ from qsegre import (
     IndexOutOfRange,
     MalformedInput,
     MissingVariable,
-    Monomial,
-    MultiPoly,
     NonFinite,
     NotProduct,
     PluVar,
@@ -26,6 +24,7 @@ from qsegre import (
     check_relations,
     evaluate,
     flatten,
+    format_poly,
     generalized_concurrence,
     is_bipartite_separable,
     is_fully_separable,
@@ -52,6 +51,8 @@ from qsegre.sampling import (
     random_unitary,
 )
 
+from oracles import add, first_positive, mul, poly_rows, pv, render, term_rows
+
 SQ2 = 1.0 / math.sqrt(2.0)
 
 
@@ -69,25 +70,24 @@ def det_oracle(rows):
 
 
 def relation_product_oracle(k, n):
-    """The (I, J) relation family built as MultiPoly sums term by term,
-    sign-canonicalized, deduplicated (first (I, J) kept) and sorted."""
+    """The (I, J) relation family built as oracle polynomials (tests/oracles.py)
+    summed term by term, first coefficient positive, deduplicated (first
+    (I, J) kept) and sorted by terms, as (polynomial, I, J)."""
     def coord(indices):
         ordered = tuple(sorted(indices))
         inv = sum(1 for a, b in itertools.combinations(indices, 2) if a > b)
-        return (-1) ** inv * MultiPoly.variable(PluVar(ordered))
+        return mul((-1) ** inv, pv(*ordered))
 
     universe = range(1, n + 1)
     seen = {}
     for I in itertools.combinations(universe, k - 1):
         for J in itertools.combinations(universe, k + 1):
-            poly = MultiPoly()
-            for t, jt in enumerate(J, start=1):
-                if jt not in I:
-                    poly = poly + (-1) ** t * coord(I + (jt,)) * coord(J[:t - 1] + J[t:])
-            if not poly.is_zero():
-                seen.setdefault(poly.sign_canonical(), (I, J))
-    key = lambda p: tuple((m.key(), (c.re, c.im)) for m, c in p.sorted_terms())
-    return [(p, *seen[p]) for p in sorted(seen, key=key)]
+            poly = add(*(mul((-1) ** t, coord(I + (jt,)), coord(J[:t - 1] + J[t:]))
+                         for t, jt in enumerate(J, start=1) if jt not in I))
+            if poly:
+                poly = first_positive(poly)
+                seen.setdefault(term_rows(poly), (poly, I, J))
+    return [seen[key] for key in sorted(seen)]
 
 
 # ---------------------------------------------------------------- coordinates
@@ -236,13 +236,9 @@ def test_relation_counts_for_k2_match_column_quadruples():
         expected = set()
         for cols in itertools.combinations(range(1, n + 1), 4):
             a, b, c, d = cols
-            poly = (
-                MultiPoly.variable(PluVar((a, b))) * MultiPoly.variable(PluVar((c, d)))
-                - MultiPoly.variable(PluVar((a, c))) * MultiPoly.variable(PluVar((b, d)))
-                + MultiPoly.variable(PluVar((a, d))) * MultiPoly.variable(PluVar((b, c)))
-            )
-            expected.add(poly.sign_canonical())
-        assert {r.poly for r in rels} == expected
+            poly = add(mul(pv(a, b), pv(c, d)), mul(-1, pv(a, c), pv(b, d)), mul(pv(a, d), pv(b, c)))
+            expected.add(term_rows(first_positive(poly)))
+        assert {poly_rows(r.poly) for r in rels} == expected
 
 
 def test_relations_3_5_are_hodge_duals_of_2_5():
@@ -254,26 +250,27 @@ def test_relations_3_5_are_hodge_duals_of_2_5():
         return (-1) ** inv
 
     def dualize(poly):
-        terms = {}
+        # each term's coefficient is real: an imaginary part would show in the package's rows
+        terms = []
         for mono, c in poly.terms.items():
-            pairs, sign = [], 1
+            factors, sign = [], 1
             for v, e in mono.factors:
                 comp = tuple(i for i in universe if i not in v.subset)
                 sign *= shuffle_sign(v.subset) ** e
-                pairs.append((PluVar(comp), e))
-            m2 = Monomial(pairs)
-            terms[m2] = terms.get(m2, GaussRat(0)) + GaussRat(sign) * c
-        return MultiPoly(terms).sign_canonical()
+                factors += [pv(*comp)] * e
+            terms.append(mul(sign * c.re, *factors))
+        return term_rows(first_positive(add(*terms)))
 
     duals = {dualize(r.poly) for r in pluecker_relations(2, 5)}
-    assert duals == {r.poly for r in pluecker_relations(3, 5)}
+    assert duals == {poly_rows(r.poly) for r in pluecker_relations(3, 5)}
 
 
 @pytest.mark.parametrize("k, n", [(2, 4), (2, 6), (3, 5), (3, 6), (3, 7), (4, 7), (2, 8), (5, 7),
                                   (1, 4), (3, 4), (4, 5), (6, 8), (2, 9)])
 def test_relations_match_product_oracle(k, n):
-    got = [(r.poly, r.I, r.J) for r in pluecker_relations(k, n)]
-    assert got == relation_product_oracle(k, n)
+    rels, want = pluecker_relations(k, n), relation_product_oracle(k, n)
+    assert [(poly_rows(r.poly), r.I, r.J) for r in rels] == [(term_rows(p), I, J) for p, I, J in want]
+    assert [format_poly(r.poly) for r in rels] == [render(p) for p, _, _ in want]
 
 
 def _supports(a, b, rel):

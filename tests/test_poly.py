@@ -27,53 +27,49 @@ from qsegre import (
     make_local,
     make_state,
     pluecker_coordinates,
-    poly_add,
-    poly_mul,
 )
 from qsegre.gaussrat import GR_MINUS_ONE, GR_ONE
-from qsegre.poly import ONE_MONOMIAL
 from qsegre.sampling import default_rng, random_exact_matrix, random_gaussrat
 
+from oracles import add, first_positive, mul, pv, render, sv, to_multipoly
 
-def sv(*index):
-    return MultiPoly.variable(StateVar(tuple(index)))
-
-
-def pv(*subset):
-    return MultiPoly.variable(PluVar(tuple(subset)))
+ONE = Monomial(())
+# the two quadrics as oracle polynomials (tests/oracles.py)
+QUADRIC = add(mul(sv(0, 0), sv(1, 1)), mul(-1, sv(0, 1), sv(1, 0)))
+KLEIN = add(mul(pv(1, 2), pv(3, 4)), mul(-1, pv(1, 3), pv(2, 4)), mul(pv(1, 4), pv(2, 3)))
 
 
 def two_qubit_quadric():
-    return sv(0, 0) * sv(1, 1) - sv(0, 1) * sv(1, 0)
+    return to_multipoly(QUADRIC)
 
 
 def klein_quadric():
-    return pv(1, 2) * pv(3, 4) - pv(1, 3) * pv(2, 4) + pv(1, 4) * pv(2, 3)
+    return to_multipoly(KLEIN)
 
 
-# ------------------------------------------------------------------ addition
+# ------------------------------------------------ the oracle's sum, as a MultiPoly
 
 def test_add_identity():
-    p = two_qubit_quadric()
-    assert poly_add(p, MultiPoly.zero()) == p
+    assert add(QUADRIC, {}) == add(QUADRIC, 0) == QUADRIC
+    assert to_multipoly(add(QUADRIC, {})) == two_qubit_quadric()
 
 
 def test_add_cancellation():
-    p = sv(0, 0) * sv(1, 1)
-    assert poly_add(p, -p) == MultiPoly.zero()
-    assert poly_add(p, -p).is_zero()
+    p = mul(sv(0, 0), sv(1, 1))
+    assert add(p, mul(-1, p)) == {}
+    assert to_multipoly(add(p, mul(-1, p))) == MultiPoly()
+    assert to_multipoly(add(p, mul(-1, p))).is_zero()
 
 
 def test_add_term_merge():
-    p = two_qubit_quadric()
-    q = sv(0, 1) * sv(1, 0)
-    assert poly_add(p, q) == sv(0, 0) * sv(1, 1)
+    q = mul(sv(0, 1), sv(1, 0))
+    assert to_multipoly(add(QUADRIC, q)) == to_multipoly(mul(sv(0, 0), sv(1, 1)))
 
 
-# ------------------------------------------------------------ multiplication
+# -------------------------------------------- the oracle's product, as a MultiPoly
 
 def test_mul_monomials():
-    p = poly_mul(sv(0, 0), sv(1, 1))
+    p = to_multipoly(mul(sv(0, 0), sv(1, 1)))
     assert len(p.terms) == 1
     ((mono, coeff),) = p.terms.items()
     assert coeff == GaussRat(1)
@@ -82,15 +78,15 @@ def test_mul_monomials():
 
 def test_mul_difference_of_squares():
     x, y = sv(0,), sv(1,)
-    assert poly_mul(x + y, x - y) == x * x - y * y
+    assert to_multipoly(mul(add(x, y), add(x, mul(-1, y)))) == to_multipoly(add(mul(x, x), mul(-1, y, y)))
 
 
 def test_mul_grading():
-    p = sv(0, 0) + 2 * sv(1, 1)
-    q = sv(0, 1) - sv(1, 0)
-    assert is_homogeneous(p) == 1
-    assert is_homogeneous(q) == 1
-    assert is_homogeneous(poly_mul(p, q)) == 2
+    p = add(sv(0, 0), mul(2, sv(1, 1)))
+    q = add(sv(0, 1), mul(-1, sv(1, 0)))
+    assert is_homogeneous(to_multipoly(p)) == 1
+    assert is_homogeneous(to_multipoly(q)) == 1
+    assert is_homogeneous(to_multipoly(mul(p, q))) == 2
 
 
 # -------------------------------------------------------------- homogeneity
@@ -102,11 +98,11 @@ def test_is_homogeneous_quadric():
 
 def test_is_homogeneous_mixed():
     x = sv(0,)
-    assert is_homogeneous(x + x * x) is None
+    assert is_homogeneous(to_multipoly(add(x, mul(x, x)))) is None
 
 
 def test_is_homogeneous_zero():
-    assert is_homogeneous(MultiPoly.zero()) is ANY_DEGREE
+    assert is_homogeneous(MultiPoly()) is ANY_DEGREE
 
 
 # ---------------------------------------------------------------- evaluation
@@ -154,7 +150,7 @@ def test_evaluate_missing_variable():
 
 
 def test_evaluate_mixed_assignment_is_float():
-    p = sv(0,) * sv(1,)
+    p = to_multipoly(mul(sv(0,), sv(1,)))
     out = evaluate(p, {StateVar((0,)): GaussRat(2), StateVar((1,)): 0.5 + 0j})
     assert isinstance(out, complex)
     assert out == pytest.approx(1.0)
@@ -162,7 +158,7 @@ def test_evaluate_mixed_assignment_is_float():
 
 def test_evaluate_takes_values_by_the_one_backend_rule():
     # bools and str are not numbers, and float values must be finite, as in states.amplitude_array
-    p = sv(0,) * sv(1,)
+    p = to_multipoly(mul(sv(0,), sv(1,)))
     x, y = StateVar((0,)), StateVar((1,))
     for bad, other, error in (("a", 0.5, MalformedInput), (None, 0.5, MalformedInput),
                               (True, GaussRat(2), MalformedInput), (True, 0.5, MalformedInput),
@@ -178,7 +174,7 @@ def test_evaluate_takes_shared_unit_coefficients_as_signs():
     # and float terms are summed in stored order, the monomial key order
     x, y, z = StateVar((0,)), StateVar((1,)), StateVar((2,))
     xy, x2z, yz = Monomial(((x, 1), (y, 1))), Monomial(((x, 2), (z, 1))), Monomial(((y, 1), (z, 1)))
-    shared = MultiPoly({xy: GR_ONE, x2z: GR_MINUS_ONE, yz: GaussRat(2, -1), ONE_MONOMIAL: GR_MINUS_ONE})
+    shared = MultiPoly({xy: GR_ONE, x2z: GR_MINUS_ONE, yz: GaussRat(2, -1), ONE: GR_MINUS_ONE})
     assert shared._terms[xy] is GR_ONE and shared._terms[x2z] is GR_MINUS_ONE
     fresh = MultiPoly({m: GaussRat(c.re, c.im) for m, c in shared._terms.items()})
     assert not any(c is GR_ONE or c is GR_MINUS_ONE for c in fresh._terms.values())
@@ -203,14 +199,22 @@ monomials = st.lists(st.tuples(variables, st.integers(1, 3)), max_size=3).map(Mo
 polys = st.dictionaries(monomials, coeffs, max_size=4).map(MultiPoly)
 
 
+def oracle_terms(p: MultiPoly) -> dict:
+    """A MultiPoly's terms as an oracle polynomial (tests/oracles.py)."""
+    return {m.key(): c for m, c in p.terms.items()}
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys, polys, polys)
 def test_ring_axioms(p, q, r):
-    assert poly_add(poly_add(p, q), r) == poly_add(p, poly_add(q, r))
-    assert poly_mul(poly_mul(p, q), r) == poly_mul(p, poly_mul(q, r))
-    assert poly_mul(p, poly_add(q, r)) == poly_add(poly_mul(p, q), poly_mul(p, r))
-    assert poly_add(p, q) == poly_add(q, p)
-    assert poly_mul(p, q) == poly_mul(q, p)
+    # the oracle arithmetic the family oracles rest on, read back through the constructor
+    assert all(to_multipoly(oracle_terms(x)) == x for x in (p, q, r))
+    p, q, r = map(oracle_terms, (p, q, r))
+    assert add(add(p, q), r) == add(p, add(q, r))
+    assert mul(mul(p, q), r) == mul(p, mul(q, r))
+    assert mul(p, add(q, r)) == add(mul(p, q), mul(p, r))
+    assert add(p, q) == add(q, p)
+    assert mul(p, q) == mul(q, p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,7 +222,7 @@ def test_ring_axioms(p, q, r):
 def test_degree_adds_for_homogeneous(p, q):
     dp, dq = is_homogeneous(p), is_homogeneous(q)
     if isinstance(dp, int) and isinstance(dq, int):
-        prod = poly_mul(p, q)
+        prod = to_multipoly(mul(oracle_terms(p), oracle_terms(q)))
         d = is_homogeneous(prod)
         assert d == dp + dq or prod.is_zero()
 
@@ -229,10 +233,29 @@ def test_evaluate_is_ring_homomorphism(p, q, seed):
     rng = default_rng(seed)
     used = p.variables() | q.variables()
     assignment = {v: random_gaussrat(rng, span=5) for v in used}
-    lhs = evaluate(poly_mul(p, q), assignment)
+    lhs = evaluate(to_multipoly(mul(oracle_terms(p), oracle_terms(q))), assignment)
     rhs = evaluate(p, assignment) * evaluate(q, assignment)
     assert lhs == rhs
-    assert evaluate(poly_add(p, q), assignment) == evaluate(p, assignment) + evaluate(q, assignment)
+    total = to_multipoly(add(oracle_terms(p), oracle_terms(q)))
+    assert evaluate(total, assignment) == evaluate(p, assignment) + evaluate(q, assignment)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys)
+def test_equal_polynomials_hash_alike(p, q):
+    # a MultiPoly equals only a MultiPoly, so equal values hash alike
+    rebuilt = MultiPoly(dict(reversed(list(p.terms.items()))))
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+    assert p != q or hash(p) == hash(q)
+    for scalar in (0, 2, Fraction(1, 2), GaussRat(0, 1)):
+        assert p != scalar and scalar != p
+
+
+def test_a_constant_polynomial_is_not_its_scalar():
+    two = MultiPoly({ONE: 2})
+    assert two == MultiPoly({ONE: GaussRat(2)})
+    assert two != 2 and two != GaussRat(2) and 2 not in {two}
+    assert MultiPoly() != 0 and 0 not in {MultiPoly()}
 
 
 # ------------------------------------------------- stored order and evaluate
@@ -258,21 +281,23 @@ def test_any_insertion_order_stores_key_order(case):
     terms, shuffled = case
     p, q = MultiPoly(terms), MultiPoly(dict(shuffled))
     assert list(p._terms) == list(q._terms) == key_sorted(p)
-    assert p.sorted_terms() == list(p._terms.items()) == q.sorted_terms()
+    assert list(p.terms.items()) == list(p._terms.items()) == list(q.terms.items())
     assert format_poly(p) == format_poly(q) and p == q and hash(p) == hash(q)
-    for built in (-p, p + q, p * q, *clones(p)):
+    for built in clones(p):
         assert list(built._terms) == key_sorted(built)
 
 
 @settings(max_examples=60, deadline=None)
 @given(keyed_polys)
 def test_leading_is_the_term_of_least_key(p):
+    # the README's replacement for the removed leading(): the first stored term
+    leading = next(iter(p.terms.items()), None)
     if p.is_zero():
-        assert p.leading() is None
+        assert leading is None
     else:
         mono = min(p._terms, key=Monomial.key)
-        assert p.leading() == (mono, p._terms[mono])
-        assert p.leading()[1] is p._terms[mono]
+        assert leading == (mono, p._terms[mono])
+        assert leading[1] is p._terms[mono]
 
 
 def evaluate_oracle(p: MultiPoly, assignment, exact: bool):
@@ -307,7 +332,7 @@ def test_exact_evaluate_on_parts_past_int64():
     # at values whose parts over their common denominator pass 2**63
     x, y, z = StateVar((0,)), StateVar((1,)), StateVar((0, 10))
     p = MultiPoly({Monomial(((x, 4), (y, 1))): GaussRat(Fraction(3, 7), -2), Monomial(((z, 2),)): GR_MINUS_ONE,
-                   Monomial(((x, 1),)): GaussRat(0, Fraction(-5, 11)), ONE_MONOMIAL: GaussRat(Fraction(1, 3))})
+                   Monomial(((x, 1),)): GaussRat(0, Fraction(-5, 11)), ONE: GaussRat(Fraction(1, 3))})
     rng = default_rng(26)
     for _ in range(20):
         values = [GaussRat(Fraction(int(rng.integers(-2**62, 2**62)), int(rng.integers(1, 2**40))),
@@ -329,7 +354,7 @@ def test_float_evaluate_matches_complex_oracle_in_key_order(p, values):
 
 def test_evaluate_raises_before_any_arithmetic():
     x, y = StateVar((0,)), StateVar((0, 10))
-    p = MultiPoly({Monomial(((x, 3), (y, 1))): GaussRat(Fraction(2, 3), 1), ONE_MONOMIAL: GR_ONE})
+    p = MultiPoly({Monomial(((x, 3), (y, 1))): GaussRat(Fraction(2, 3), 1), ONE: GR_ONE})
     with pytest.raises(MissingVariable, match=r"a\[0,10\]"):
         evaluate(p, {x: GaussRat(1)})
     for bad in ("1", None, True):
@@ -339,8 +364,8 @@ def test_evaluate_raises_before_any_arithmetic():
         evaluate(p, {x: math.inf, y: GaussRat(1)})
     with pytest.raises(MalformedInput, match="Monomial"):
         MultiPoly({Monomial(((x, 1),)): GR_ONE, "a[0]": GR_ONE})
-    assert evaluate(MultiPoly.zero(), {}) == GaussRat(0)
-    assert evaluate(MultiPoly.const(GaussRat(0, 2)), {}) == GaussRat(0, 2)
+    assert evaluate(MultiPoly(), {}) == GaussRat(0)
+    assert evaluate(MultiPoly({ONE: GaussRat(0, 2)}), {}) == GaussRat(0, 2)
 
 
 # ----------------------------------------------------------------- rendering
@@ -351,24 +376,26 @@ def test_format_quadrics():
 
 
 def test_format_zero_and_constants():
-    assert format_poly(MultiPoly.zero()) == "0"
-    assert format_poly(MultiPoly.const(GaussRat(Fraction(-1, 2), Fraction(3, 4)))) == "-(1/2-3/4*i)"
+    assert format_poly(MultiPoly()) == "0"
+    assert format_poly(MultiPoly({ONE: GaussRat(Fraction(-1, 2), Fraction(3, 4))})) == "-(1/2-3/4*i)"
 
 
 def test_format_coefficients_and_powers():
     x = sv(0,)
     y = sv(1,)
-    p = MultiPoly.const(Fraction(3, 2)) * x * x - MultiPoly.const(GaussRat(0, 1)) * y
+    p = to_multipoly(add(mul(Fraction(3, 2), x, x), mul(-1, GaussRat(0, 1), y)))
     assert format_poly(p) == "3/2*a[0]^2 - i*a[1]"
 
 
 def test_sign_canonical_leading_positive():
-    p = -two_qubit_quadric()
-    assert format_poly(p.sign_canonical()) == "a[00]*a[11] - a[01]*a[10]"
+    # the families' sign rule, first coefficient positive, as the oracle states it
+    p = first_positive(mul(-1, QUADRIC))
+    assert p == QUADRIC and first_positive(KLEIN) == KLEIN
+    assert format_poly(to_multipoly(p)) == render(p) == "a[00]*a[11] - a[01]*a[10]"
 
 
 def test_terms_sorted_canonically():
-    p = pv(1, 4) * pv(2, 3) + pv(1, 2) * pv(3, 4)
+    p = to_multipoly(add(mul(pv(1, 4), pv(2, 3)), mul(pv(1, 2), pv(3, 4))))
     assert format_poly(p) == "P[1,2]*P[3,4] + P[1,4]*P[2,3]"
 
 
@@ -390,7 +417,7 @@ def test_format_parenthesizes_complex_coefficients():
     a00, a11 = (Monomial(((StateVar(i), 1),)) for i in ((0, 0), (1, 1)))
     p = MultiPoly({a00: GaussRat(1, 1), a11: GaussRat(-2, 3)})
     assert format_poly(p) == "(1+i)*a[00] - (2-3*i)*a[11]"
-    assert format_poly(-p) == "-(1+i)*a[00] + (2-3*i)*a[11]"
+    assert format_poly(MultiPoly({m: -c for m, c in p.terms.items()})) == "-(1+i)*a[00] + (2-3*i)*a[11]"
     # one nonzero part needs no parentheses
     q = MultiPoly({a00: GaussRat(Fraction(1, 2)), a11: GaussRat(0, -3)})
     assert format_poly(q) == "1/2*a[00] - 3*i*a[11]"
@@ -437,7 +464,7 @@ def test_atoms_survive_pickle_and_copy():
 def test_exact_values_survive_pickle_and_copy():
     rng = default_rng(11)
     x = StateVar((0, 1))
-    poly = MultiPoly({Monomial(((x, 2),)): GaussRat(Fraction(1, 2), -3), ONE_MONOMIAL: GaussRat(0, 5)})
+    poly = MultiPoly({Monomial(((x, 2),)): GaussRat(Fraction(1, 2), -3), ONE: GaussRat(0, 5)})
     ps = pluecker_coordinates(random_exact_matrix(rng, 2, 4))
     for value in (GaussRat(Fraction(-1, 2), Fraction(3, 4)), poly, ps):
         for clone in clones(value):
@@ -470,7 +497,7 @@ def test_float_coefficient_is_malformed():
         with pytest.raises(MalformedInput, match="exact"):
             MultiPoly({x: bad})
         with pytest.raises(MalformedInput, match="exact"):
-            MultiPoly.const(bad)
+            MultiPoly({ONE: bad})
 
 
 def test_variables_reject_bool_indices():

@@ -51,7 +51,8 @@ from qsegre import (
     pluecker_set_to_json,
     segre_generators,
 )
-from qsegre.poly import ONE_MONOMIAL
+
+from oracles import add, pv, sv, to_multipoly
 
 BIG = 10**5000  # str() refuses ints of over 4300 digits
 SHORT = 300  # characters a message may take, whatever the input
@@ -247,7 +248,7 @@ UNCHECKED_INPUTS = {
     # a bool is not an exact scalar (gaussrat.exact_scalar), as make_state and evaluate refuse it
     "GaussRat-bool": (lambda: GaussRat(True), MalformedInput),
     "GaussRat-bool-imaginary-part": (lambda: GaussRat(1, False), MalformedInput),
-    "MultiPoly-bool-coefficient": (lambda: MultiPoly({ONE_MONOMIAL: True}), MalformedInput),
+    "MultiPoly-bool-coefficient": (lambda: MultiPoly({Monomial(()): True}), MalformedInput),
     "make_state-not-iterable": (lambda: make_state([2], 5), MalformedInput),
     "make_local-not-sized": (lambda: make_local(5), MalformedInput),
     "make_bipartition-not-iterable": (lambda: make_bipartition(5, 3), IndexOutOfRange),
@@ -268,7 +269,7 @@ UNCHECKED_INPUTS = {
     "MultiPoly-zero-not-a-mapping": (lambda: MultiPoly(0), MalformedInput),
     # a variable's text grows with its index; messages print a bounded prefix of it
     "Monomial-exponent-on-long-variable": (lambda: Monomial([(StateVar((0,) * 100000), -1)]), IndexOutOfRange),
-    "evaluate-long-missing-variable": (lambda: evaluate(MultiPoly.variable(StateVar((0,) * 100000)), {}),
+    "evaluate-long-missing-variable": (lambda: evaluate(to_multipoly(sv(*(0,) * 100000)), {}),
                                        MissingVariable),
     "check_relations-long-missing-variable": (lambda: check_relations(PlueckerSet(200, 201, {})),
                                               MissingVariable),
@@ -329,7 +330,7 @@ small_ints = st.integers(-1, 5)
 int_tuples = st.lists(st.integers(-1, 5), max_size=4).map(tuple)
 splits = st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True).map(sorted).map(tuple)
 variables = st.sampled_from([StateVar((0, 1)), StateVar((1, 1)), PluVar((1, 2))])
-polys = st.sampled_from([MultiPoly(), MultiPoly.const(2), MultiPoly.variable(PluVar((1, 2)))])
+polys = st.sampled_from([MultiPoly(), to_multipoly(add(2)), to_multipoly(pv(1, 2))])
 monomials = st.sampled_from([Monomial(()), Monomial(((StateVar((0, 1)), 1),)), Monomial(((PluVar((1, 2)), 2),))])
 # arrays in either backend's dtype, or object arrays of anything numbers draws
 state_arrays = st.one_of(
