@@ -8,6 +8,8 @@ arrays need, so one array expression serves both backends.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 from fractions import Fraction
 from typing import Union
@@ -23,6 +25,13 @@ class Frozen:
     arguments, which are the class's own ``__slots__`` in order."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the slot descriptors' setters, for ``_unchecked``: the class's own slots
+        # first, then each base's down the MRO, so Keyed's _key and _hash come last
+        cls._slot_setters = tuple(vars(c)[name].__set__ for c in cls.__mro__
+                                  for name in vars(c).get("__slots__", ()))
 
     def __setattr__(self, name, value=None):  # also __delattr__, which passes no value
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -64,6 +73,25 @@ class Keyed(Frozen):
             h = hash(self._key)
             object.__setattr__(self, "_hash", h)
         return h
+
+
+def _unchecked(cls: type, *columns) -> list:
+    """``cls`` instances from columns of slot values, made with none of the constructor's checks.
+
+    The one unchecked construction path, for values their caller built valid:
+    ``object.__new__`` and the slot descriptors, with no ``__init__`` call.
+    Instance i holds entry i of each column.  The columns fill the class's own
+    slots first, then each base's in turn down to ``Keyed``'s ``_key``, which
+    must be the key the constructor would store; a Keyed value's ``_hash``
+    starts as None, as ``_keep`` leaves it.  So a ``Monomial`` takes columns of
+    factors, texts and keys, and a ``MultiPoly`` one column of term dicts.  Each
+    slot is set for the whole column by one ``map`` over its descriptor's setter,
+    so no Python frame runs per instance.  Every instance must equal what the
+    constructor builds from the same arguments."""
+    objs = list(map(object.__new__, itertools.repeat(cls, len(columns[0]))))
+    for put, column in zip(cls._slot_setters, columns + (itertools.repeat(None),)):  # the Nones are _hash's
+        collections.deque(map(put, objs, column), 0)
+    return objs
 
 
 def is_int(x) -> bool:

@@ -25,7 +25,10 @@ relations, which are cached per (k, N) as read-only flat integer term
 arrays that ``check_relations`` evaluates in one expression for both
 backends.  ``pluecker_relations`` hands the arrays and each relation's
 bounds to ``poly._pair_polys``, the family builder the Segre ideal uses too,
-which makes one polynomial per relation with no per-term constructor call.
+which makes one polynomial per relation with no per-term constructor call,
+and makes the relations themselves through ``gaussrat._unchecked``, as
+``pluecker_coordinates`` makes its set: what they hold is valid as built, so
+they skip the public constructors' checks, which stay for every other caller.
 
 The measure reads "square root of the sum of each coordinate times its
 conjugate" (an l2 norm of the coordinate vector).  A literal product over all
@@ -48,7 +51,7 @@ import numpy as np
 
 from .errors import (MAX_CHOOSE, MAX_TERMS, IndexOutOfRange, MalformedInput, MissingVariable, NonFinite,
                      ShapeError, WrongShape, check_cap, cut_text, short_text)
-from .gaussrat import GR_ZERO, GaussRat, Keyed, Scalar, is_int
+from .gaussrat import GR_ZERO, GaussRat, Keyed, Scalar, _unchecked, is_int
 from .poly import MultiPoly, PluVar, _pair_polys
 from .segre import split_terms
 from .states import (Bipartition, PureState, _check_finite, amplitude_array, amplitudes_to_json,
@@ -126,8 +129,9 @@ class PlueckerSet(Keyed):
 
 class PlueckerRelation(Keyed):
     """One quadric of the relation family, with the (I, J) pair it came from: a
-    MultiPoly and two tuples, else MalformedInput.  The family builds many, so
-    the check reads the fields' types alone, not the tuples' entries."""
+    MultiPoly and two tuples, else MalformedInput.  The check reads the fields'
+    types alone, not the tuples' entries; ``pluecker_relations`` makes its
+    relations without it (``gaussrat._unchecked``)."""
 
     __slots__ = ("poly", "I", "J")
 
@@ -188,8 +192,10 @@ def pluecker_coordinates(mat) -> PlueckerSet:
     _check_shape(k, n)
     widest = min(k, n // 2)
     check_cap(f"minors per row C({n},{widest})", (comb(n, widest),), MAX_CHOOSE)
-    subsets = itertools.combinations(range(1, n + 1), k)
-    return PlueckerSet(k, n, dict(zip(subsets, _maximal_minors(mat))))
+    # the subsets and the minors are valid as built, so the set skips PlueckerSet's checks
+    coords = MappingProxyType(dict(zip(itertools.combinations(range(1, n + 1), k), _maximal_minors(mat))))
+    (ps,) = _unchecked(PlueckerSet, [k], [n], [coords], [(k, n, coords)])
+    return ps
 
 
 Subset = tuple[int, ...]
@@ -280,7 +286,8 @@ def pluecker_relations(k: int, N: int) -> list[PlueckerRelation]:
         return []
     variables = [PluVar(subset) for subset in itertools.combinations(range(1, N + 1), k)]
     polys = _pair_polys(variables, a, b, c, np.searchsorted(rel, range(len(pairs) + 1)).tolist())
-    return [PlueckerRelation(poly, *pair) for poly, pair in zip(polys, pairs)]
+    i_sets, j_sets = zip(*pairs)
+    return _unchecked(PlueckerRelation, polys, i_sets, j_sets, list(zip(polys, i_sets, j_sets)))
 
 
 def check_relations(ps: PlueckerSet):

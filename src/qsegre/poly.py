@@ -14,16 +14,21 @@ Variables (:class:`StateVar`, :class:`PluVar`) and :class:`Monomial` are
 immutable atoms whose constructor computes, once per object, the sort
 ``key()`` and the printed ``text``, and whose hash is computed once, on first
 use (``gaussrat.Keyed``); equality, hashing, sorting and :func:`format_poly`
-only read them.  ``Monomial``'s constructor is the one
+only read them.  An atom's constructor is ``__new__``: it checks its one
+argument and makes the atom through ``gaussrat._unchecked``, the package's one
+unchecked construction path.  ``Monomial``'s constructor is the one
 canonicalizing path for terms of unknown shape.  The Segre and Plucker
 families come as integer term arrays, whose invariants already make every
 term canonical, and one private builder, ``_pair_polys``, turns them into
 polynomials: one variable per index, one monomial per distinct index pair,
-frozen without the constructor's merge and sort, and each polynomial's terms
-set without the constructor's per-term checks.  A family thus pays the atom
-costs once per distinct atom, not once per term, and builds the same objects
-the public constructors build from the same terms, its terms already in key
-order.
+and each monomial and polynomial made through ``_unchecked``, a column at a
+time, without the constructors' merge, sort and per-term checks.  Each
+variable's factor ``(v, 1)`` and key part ``(v.key(), 1)`` are built once per
+family and shared by its monomials, so a pair monomial allocates itself, two
+tuples and its text, and the cyclic collector has fewer containers to walk.  A
+family thus pays the atom costs once per distinct atom, not once per term,
+and builds the same objects the public constructors build from the same
+terms, its terms already in key order.
 
 :func:`evaluate` runs on the real and imaginary parts of the values
 (``states.gauss_ints``): Python ints over one common denominator for exact
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from typing import Union
@@ -43,21 +49,22 @@ from typing import Union
 import numpy as np
 
 from .errors import IndexOutOfRange, MalformedInput, MissingVariable, cut_text, short_text
-from .gaussrat import GR_MINUS_ONE, GR_ONE, Frozen, GaussRat, Keyed, exact_scalar, is_int
+from .gaussrat import GR_MINUS_ONE, GR_ONE, Frozen, GaussRat, Keyed, _unchecked, exact_scalar, is_int
 from .states import amplitude_array, gauss_ints
 
 
 class _Atom(Keyed):
     """A variable or monomial: compared, hashed and printed by what its
     constructor computed once, the sort key and the text; the key is also
-    the ``Keyed`` key."""
+    the ``Keyed`` key.  The constructor is ``__new__``: it checks its one
+    argument and hands the checked values to ``_freeze``."""
 
     __slots__ = ("text",)
 
-    def _freeze(self, arg, key: tuple, text: str) -> None:
-        object.__setattr__(self, type(self).__slots__[0], arg)  # the constructor's one argument
-        self._keep(key)
-        object.__setattr__(self, "text", text)
+    @classmethod
+    def _freeze(cls, arg, key: tuple, text: str):
+        (atom,) = _unchecked(cls, [arg], [text], [key])  # arg is the constructor's one argument
+        return atom
 
     def __str__(self):
         return self.text
@@ -80,10 +87,10 @@ class StateVar(_Atom):
 
     __slots__ = ("index",)
 
-    def __init__(self, index: tuple[int, ...]):
+    def __new__(cls, index: tuple[int, ...]):
         _check_indices(index, 0, "amplitude multi-index")
         sep = "" if all(i <= 9 for i in index) else ","
-        self._freeze(index, ("a", index), "a[" + sep.join(map(str, index)) + "]")
+        return cls._freeze(index, ("a", index), "a[" + sep.join(map(str, index)) + "]")
 
 
 class PluVar(_Atom):
@@ -91,11 +98,11 @@ class PluVar(_Atom):
 
     __slots__ = ("subset",)
 
-    def __init__(self, subset: tuple[int, ...]):
+    def __new__(cls, subset: tuple[int, ...]):
         _check_indices(subset, 1, "Plucker subset")
         if any(a >= b for a, b in zip(subset, subset[1:])):
             raise IndexOutOfRange(f"Plucker subset {short_text(subset)} not strictly increasing")
-        self._freeze(subset, ("P", subset), "P[" + ",".join(map(str, subset)) + "]")
+        return cls._freeze(subset, ("P", subset), "P[" + ",".join(map(str, subset)) + "]")
 
 
 VarId = Union[StateVar, PluVar]
@@ -113,7 +120,7 @@ class Monomial(_Atom):
 
     __slots__ = ("factors",)
 
-    def __init__(self, factors: Iterable[tuple[VarId, int]] = ()):
+    def __new__(cls, factors: Iterable[tuple[VarId, int]] = ()):
         merged: dict[VarId, int] = {}
         # one try around the loop, not a checked copy of factors (10% of a
         # monomial's cost): its body raises neither error once var and exp are checked
@@ -133,7 +140,7 @@ class Monomial(_Atom):
                                  f"got {short_text(factors)}") from None
         pairs = tuple(sorted(merged.items(), key=lambda ve: ve[0]._key))
         text = "*".join(v.text if e == 1 else f"{v.text}^{e}" for v, e in pairs)
-        self._freeze(pairs, tuple((v._key, e) for v, e in pairs), text or "1")
+        return cls._freeze(pairs, tuple((v._key, e) for v, e in pairs), text or "1")
 
     def degree(self) -> int:
         return sum(e for _, e in self.factors)
@@ -235,25 +242,27 @@ def _pair_polys(variables: list[VarId], a: np.ndarray, b: np.ndarray, c: np.ndar
     the same (a, b), and each polynomial's terms in (a, b) order, which is
     their key order.  These invariants make each pair monomial canonical as it
     stands and each coefficient the shared ``GR_ONE`` or ``GR_MINUS_ONE``, so
-    each distinct monomial is frozen once without the constructor's merge and
-    sort, and each polynomial takes its terms without the constructor's
-    checks.  The result equals what the public constructors build from the
-    same terms."""
+    each distinct monomial and each polynomial is made once through
+    ``gaussrat._unchecked``, without the constructors' merge, sort and checks.
+    Each variable's factor ``(v, 1)`` and key part ``(v.key(), 1)`` are built
+    once per call and shared by every monomial that holds the variable, so a
+    monomial allocates only itself, its two pair tuples and its text.  The
+    result equals what the public constructors build from the same terms."""
     n = len(variables)
+    factors = [(v, 1) for v in variables]
+    key_parts = [(v._key, 1) for v in variables]
+    heads, texts = [v.text + "*" for v in variables], [v.text for v in variables]
     pairs, inverse = np.unique(a * n + b, return_inverse=True)
-    monos = np.empty(len(pairs), object)
-    for t, (x, y) in enumerate(zip((pairs // n).tolist(), (pairs % n).tolist())):
-        vx, vy = variables[x], variables[y]
-        mono = monos[t] = Monomial.__new__(Monomial)
-        mono._freeze(((vx, 1), (vy, 1)), ((vx._key, 1), (vy._key, 1)), vx.text + "*" + vy.text)
-    # one stream of (monomial, coefficient) pairs, cut into polynomials by bounds
-    terms = zip(monos[inverse].tolist(), np.where(c > 0, GR_ONE, GR_MINUS_ONE).tolist())
-    polys = []
-    for i, j in zip(bounds, bounds[1:]):
-        poly = MultiPoly.__new__(MultiPoly)
-        object.__setattr__(poly, "_terms", dict(itertools.islice(terms, j - i)))
-        polys.append(poly)
-    return polys
+    xs, ys = (pairs // n).tolist(), (pairs % n).tolist()
+    monos = _unchecked(Monomial, list(zip(map(factors.__getitem__, xs), map(factors.__getitem__, ys))),
+                       list(map(operator.add, map(heads.__getitem__, xs), map(texts.__getitem__, ys))),
+                       list(zip(map(key_parts.__getitem__, xs), map(key_parts.__getitem__, ys))))
+    # one stream of (monomial, coefficient) pairs, cut into polynomials by bounds; the
+    # object array takes the terms' monomials with no Python int per term, as a list would
+    monos = np.fromiter(monos, object, len(monos))[inverse].tolist()
+    terms = zip(monos, np.where(c > 0, GR_ONE, GR_MINUS_ONE).tolist())
+    sizes = np.diff(bounds).tolist()
+    return _unchecked(MultiPoly, list(map(dict, map(itertools.islice, itertools.repeat(terms), sizes))))
 
 
 def is_homogeneous(p: MultiPoly):
@@ -290,6 +299,9 @@ def _float_parts(c: GaussRat) -> tuple:
     return float(c.re), float(c.im), 1
 
 
+_MISSING = object()  # evaluate's marker for a variable the assignment lacks
+
+
 def evaluate(p: MultiPoly, assignment: Mapping[VarId, object]):
     """Evaluate at a point; exact GaussRat result iff every used value is exact.
 
@@ -304,10 +316,13 @@ def evaluate(p: MultiPoly, assignment: Mapping[VarId, object]):
     order (up to the sign of a zero).
     """
     used = p.variables()
-    for v in used:
-        if v not in assignment:
+    values = []
+    for v in used:  # one lookup each: a key equal to v but not v itself costs a Keyed.__eq__ per lookup
+        value = assignment.get(v, _MISSING)
+        if value is _MISSING:
             raise MissingVariable(f"no value for {cut_text(v.text)}")
-    values = amplitude_array([assignment[v] for v in used], (len(used),), "assignment values")
+        values.append(value)
+    values = amplitude_array(values, (len(used),), "assignment values")
     exact = values.dtype == object
     re, im, den = gauss_ints(values)
     point = dict(zip(used, zip(re.tolist(), im.tolist())))

@@ -11,7 +11,10 @@ equals the pair-product sum of squared singular values of the flattening:
 ``segre_generators`` enumerates each generator once, as a sorted integer row
 (p, q, r, s) of amplitude offsets (``_minor_keys``), and hands the rows to
 ``poly._pair_polys``, the family builder the Plucker relations use too, as
-the terms +a_p a_q and -a_r a_s: no per-term constructor call is made.
+the terms +a_p a_q and -a_r a_s: no per-term constructor call is made, and
+the ideal itself is made through ``gaussrat._unchecked``.  The rows are
+cached per dims as a read-only array, as ``grassmann._relation_family``
+caches the relations; the caps are checked on every call, before the lookup.
 
 ``minor_sum`` is the one definition of that quantity, and it runs one private
 kernel per backend.  The exact kernel clears denominators once and evaluates
@@ -66,7 +69,7 @@ import numpy as np
 
 from .errors import (MAX_AMPS, MAX_TERMS, DimensionMismatch, MalformedInput, NonFinite, NotProduct,
                      WrongShape, check_cap, short_text)
-from .gaussrat import Keyed
+from .gaussrat import Keyed, _unchecked
 from .poly import MultiPoly, StateVar, _pair_polys
 from .states import (
     Bipartition,
@@ -136,8 +139,11 @@ class MeasureReport(Keyed):
         self._keep((value, per_bipartition))
 
 
+@functools.lru_cache(maxsize=32)
 def _minor_keys(dims: tuple[int, ...]) -> np.ndarray:
-    """The Segre ideal's generators as sorted rows (p, q, r, s), each built once.
+    """The Segre ideal's generators as sorted rows (p, q, r, s), each built once,
+    in a read-only array cached per dims (the rule ``grassmann._relation_family``
+    follows); ``segre_generators`` checks the caps before it looks a dims up.
 
     Entries are row-major amplitude offsets; a row stands for the binomial
     a_p a_q - a_r a_s with p < q, r < s and p < r.  Offsets order like the
@@ -172,7 +178,9 @@ def _minor_keys(dims: tuple[int, ...]) -> np.ndarray:
         p, q, c, d = np.broadcast_arrays(mat[r1, c1], mat[r2, c2], mat[r1, c2], mat[r2, c1])
         keys.append(np.stack([p, q, np.minimum(c, d), np.maximum(c, d)], axis=-1).reshape(-1, 4))
     keys = np.concatenate(keys)
-    return keys[np.lexsort(keys.T[::-1])]
+    keys = keys[np.lexsort(keys.T[::-1])]
+    keys.flags.writeable = False
+    return keys
 
 
 def _minor_key_count(dims: tuple[int, ...]) -> int:
@@ -206,8 +214,9 @@ def segre_generators(dims) -> SegreIdeal:
     variables = [StateVar(index) for index in itertools.product(*(range(d) for d in dims))]
     # generator g is terms 2g (+a_p a_q) and 2g + 1 (-a_r a_s)
     a, b, c = keys[:, 0::2].ravel(), keys[:, 1::2].ravel(), np.tile([1, -1], len(keys))
-    gens = _pair_polys(variables, a, b, c, range(0, 2 * len(keys) + 1, 2))
-    return SegreIdeal(dims, tuple(gens))
+    gens = tuple(_pair_polys(variables, a, b, c, range(0, 2 * len(keys) + 1, 2)))
+    (ideal,) = _unchecked(SegreIdeal, [dims], [gens], [(dims, gens)])
+    return ideal
 
 
 def _stacked_minor_sums(mats: np.ndarray) -> list[float]:

@@ -1,6 +1,6 @@
 """The public API as the package states it: ``qsegre.__all__`` against what
-``__init__`` binds, no unused import in a module, and the README's library
-tour run line by line."""
+``__init__`` binds, no unused import in a module, the unchecked construction
+path in ``gaussrat`` alone, and the README's library tour run line by line."""
 
 import ast
 import io
@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qsegre
+from qsegre.gaussrat import Frozen
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(qsegre.__file__).resolve().parent
@@ -52,6 +53,41 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
 def test_no_module_imports_a_name_it_never_uses(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def value_types() -> set[str]:
+    """The names of the package's value types, the subclasses of ``gaussrat.Frozen``."""
+    found, todo = set(), [Frozen]
+    while todo:
+        cls = todo.pop()
+        found.add(cls.__name__)
+        todo += cls.__subclasses__()
+    return found
+
+
+def unchecked_constructions(source: str, types: set[str]) -> list[str]:
+    """The calls that make a value without its constructor: ``object.__new__(...)``,
+    and ``X.__new__(...)`` for a value type X."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__new__"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in types | {"object"}):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_unchecked_constructions_are_found():
+    source = ("m = Monomial.__new__(Monomial)\nobject.__new__(cls)\nsuper().__new__(cls)\n"
+              "Other.__new__(Other)\nf(object.__new__)")
+    assert unchecked_constructions(source, {"Monomial"}) == ["1: Monomial.__new__(Monomial)", "2: object.__new__(cls)"]
+
+
+def test_values_are_made_unchecked_in_gaussrat_alone():
+    types = value_types()
+    assert {"Monomial", "MultiPoly", "PlueckerRelation", "PlueckerSet", "SegreIdeal", "StateVar"} <= types
+    for module in sorted(PACKAGE.glob("*.py")):
+        if module.name != "gaussrat.py":
+            assert unchecked_constructions(module.read_text(), types) == [], module.name
 
 
 def tour_lines() -> list[str]:

@@ -1,11 +1,14 @@
-"""The family builder against the public constructors.
+"""The unchecked construction path against the public constructors.
 
 ``segre_generators`` and ``pluecker_relations`` build their polynomials from
-integer term arrays through ``poly._pair_polys``, which skips the
-constructors' checks.  Every polynomial and monomial it builds must be the
-one the public ``Monomial`` and ``MultiPoly`` constructors build from the
-same terms, down to keys, texts, hashes, pickles and copies, with its terms
-stored in key order as the constructor stores them.
+integer term arrays through ``poly._pair_polys``, and they, ``_pair_polys``
+and ``pluecker_coordinates`` make their values through
+``gaussrat._unchecked``, which skips the constructors' checks.  Every value
+made that way must be the one the public constructors build from the same
+arguments, down to keys, texts, hashes, pickles, copies and reprs, with a
+polynomial's terms stored in key order as the constructor stores them.  The
+builder also shares one factor tuple and one key part per variable among the
+monomials that hold it, which the tests count by identity.
 """
 
 import copy
@@ -13,11 +16,15 @@ import itertools
 import pickle
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsegre import GaussRat, Monomial, MultiPoly, PluVar, StateVar, pluecker_relations, segre_generators
-from qsegre.grassmann import _relation_terms
+from qsegre import (GaussRat, Monomial, MultiPoly, PlueckerRelation, PluVar, SegreIdeal, StateVar,
+                    pluecker_coordinates, pluecker_relations, segre_generators)
+from qsegre.grassmann import PlueckerSet, _relation_terms
+from qsegre.poly import _pair_polys
+from qsegre.sampling import default_rng, random_exact_matrix
 from qsegre.segre import _minor_keys
 from test_golden_families import DIGESTS, PLUECKER_SHAPES, SEGRE_DIMS
 
@@ -48,14 +55,35 @@ def assert_same(built: list[MultiPoly], expected: list[MultiPoly]):
     monos = [m for p in built for m in p.terms]
     assert pickle.loads(pickle.dumps(built)) == built and pickle.loads(pickle.dumps(monos)) == monos
     assert [copy.copy(m) for m in monos] == monos
+    assert_shares_atoms(built)
+
+
+def assert_shares_atoms(polys: list[MultiPoly]):
+    """One monomial object per distinct monomial, and one factor tuple ``(v, 1)``
+    and one key part ``(v.key(), 1)`` per variable used, shared by its monomials."""
+    monos = {id(m): m for p in polys for m in p._terms}.values()
+    used = {v for m in monos for v, _ in m.factors}
+    assert len(monos) == len(set(monos))
+    assert len({id(factor) for m in monos for factor in m.factors}) == len(used)
+    assert len({id(part) for m in monos for part in m.key()}) == len(used)
+
+
+def assert_same_value(built, expected):
+    """A value made without its constructor's checks against the constructor's."""
+    assert type(built) is type(expected) and built == expected and built.key() == expected.key()
+    assert repr(built) == repr(expected) and built._hash is None
+    assert pickle.loads(pickle.dumps(built)) == built == copy.copy(built) == copy.deepcopy(built)
 
 
 def check_segre(dims):
     variables = [StateVar(index) for index in itertools.product(*(range(d) for d in dims))]
-    gens = segre_generators(dims).gens
+    ideal = segre_generators(dims)
     keys = _minor_keys(dims).tolist()
-    assert len(gens) == len(keys)
-    assert_same(list(gens), [reference(variables, ((p, q, 1), (r, s, -1))) for p, q, r, s in keys])
+    assert len(ideal.gens) == len(keys)
+    expected = [reference(variables, ((p, q, 1), (r, s, -1))) for p, q, r, s in keys]
+    assert_same(list(ideal.gens), expected)
+    assert_same_value(ideal, SegreIdeal(tuple(dims), tuple(expected)))
+    assert hash(ideal) == hash(SegreIdeal(tuple(dims), tuple(expected)))
 
 
 def check_pluecker(k, n):
@@ -65,7 +93,11 @@ def check_pluecker(k, n):
     assert [(r.I, r.J) for r in rels] == list(pairs)
     rows = list(zip(a.tolist(), b.tolist(), c.tolist()))
     bounds = np.searchsorted(rel, range(len(pairs) + 1)).tolist()
-    assert_same([r.poly for r in rels], [reference(variables, rows[i:j]) for i, j in zip(bounds, bounds[1:])])
+    expected = [reference(variables, rows[i:j]) for i, j in zip(bounds, bounds[1:])]
+    assert_same([r.poly for r in rels], expected)
+    for rel, poly, (I, J) in zip(rels, expected, pairs):
+        assert_same_value(rel, PlueckerRelation(poly, I, J))
+        assert hash(rel) == hash(PlueckerRelation(poly, I, J))
 
 
 def test_golden_segre_families_match_the_constructors():
@@ -88,3 +120,30 @@ def test_random_segre_families_match_the_constructors(dims):
 @given(st.integers(3, 8).flatmap(lambda n: st.tuples(st.integers(1, n - 1), st.just(n))))
 def test_random_pluecker_families_match_the_constructors(kn):
     check_pluecker(*kn)
+
+
+def test_shared_atoms_are_counted_by_identity():
+    x, y, z = StateVar((0,)), StateVar((1,)), StateVar((2,))
+    shared = _pair_polys([x, y, z], np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([1, -1, 1]), [0, 2, 3])
+    assert_shares_atoms(shared)
+    # the public constructor makes a factor tuple per monomial: x's two are not shared
+    fresh = [reference([x, y, z], [(0, 1, 1), (0, 2, -1)]), reference([x, y, z], [(1, 2, 1)])]
+    assert fresh == shared
+    with pytest.raises(AssertionError):
+        assert_shares_atoms(fresh)
+
+
+@pytest.mark.parametrize("k, n", [(1, 2), (1, 5), (2, 5), (3, 6), (4, 5), (6, 7)])
+def test_coordinates_equal_the_constructors_set(k, n):
+    rng = default_rng(11 * k + n)
+    for mat in (random_exact_matrix(rng, k, n), rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))):
+        ps = pluecker_coordinates(mat)
+        public = PlueckerSet(k, n, dict(ps.coords))
+        assert type(ps) is PlueckerSet and ps == public and ps.key() == public.key()
+        assert repr(ps) == repr(public) and ps.exact == public.exact == (not isinstance(mat, np.ndarray))
+        assert list(ps.coords) == list(itertools.combinations(range(1, n + 1), k))
+        with pytest.raises(TypeError):
+            ps.coords[(1,) * k] = 0
+        with pytest.raises(TypeError):
+            hash(ps)
+        assert pickle.loads(pickle.dumps(ps)) == ps == copy.copy(ps)

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -145,8 +146,39 @@ def test_evaluate_klein_on_minors():
 
 
 def test_evaluate_missing_variable():
-    with pytest.raises(MissingVariable):
+    with pytest.raises(MissingVariable, match=r"^no value for a\[(01|10|11)\]$"):
         evaluate(two_qubit_quadric(), {StateVar((0, 0)): GaussRat(1)})
+
+
+class CountingMapping(Mapping):
+    """A read-only mapping that records each key it is asked for, by ``[]`` or ``in``."""
+
+    def __init__(self, values):
+        self.values, self.asked = dict(values), []
+
+    def __getitem__(self, key):
+        self.asked.append(key)
+        return self.values[key]
+
+    def __contains__(self, key):
+        self.asked.append(key)
+        return key in self.values
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __len__(self):
+        return len(self.values)
+
+
+def test_evaluate_looks_each_used_variable_up_once():
+    p = two_qubit_quadric()
+    point = CountingMapping({StateVar(i): GaussRat(1 + sum(i)) for i in ((0, 0), (0, 1), (1, 0), (1, 1))})
+    assert evaluate(p, point) == GaussRat(1 * 3 - 2 * 2)
+    assert sorted(point.asked, key=StateVar.key) == sorted(p.variables(), key=StateVar.key)
+    # and with keys equal to the variables but not the same objects
+    point = CountingMapping({StateVar(v.index): value for v, value in point.values.items()})
+    assert evaluate(p, point) == GaussRat(-1) and len(point.asked) == 4
 
 
 def test_evaluate_mixed_assignment_is_float():

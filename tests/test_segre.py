@@ -238,6 +238,26 @@ def test_minor_keys_pinned_at_eight_qubits():
         "c7cd549c930258bf0ff745add5dbe4feaec5b3bdce6ef66652e46503303a5e71")
 
 
+def test_minor_keys_are_built_once_and_immutable(monkeypatch):
+    segre._minor_keys.cache_clear()
+    dims = (2, 3, 2)
+    first = segre._minor_keys(dims)
+    ideals = [segre_generators(dims) for _ in range(3)]
+    assert segre._minor_keys.cache_info().misses == 1
+    assert segre._minor_keys(dims) is first and not first.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 1
+    assert ideals[0] == ideals[2] and len(ideals[0]) == len(first)
+    # the cap still applies to a dims whose keys are already cached
+    count = segre._minor_key_count(dims)
+    monkeypatch.setattr(segre, "MAX_TERMS", count - 1)
+    with pytest.raises(TooLarge, match=f"\\(2, 3, 2\\) = {count} exceeds cap {count - 1}"):
+        segre_generators(dims)
+    monkeypatch.setattr(segre, "MAX_TERMS", count)
+    assert len(segre_generators(dims)) == count
+    assert segre._minor_keys.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 4), (3, 5, 2, 7), (2,) * 6])
 def test_minor_key_count_is_the_raw_key_count(dims):
     # the closed form against the sum over the sets D of differing modes, and
