@@ -84,7 +84,7 @@ def _unchecked(cls: type, *columns) -> list:
     slots first, then each base's in turn down to ``Keyed``'s ``_key``, which
     must be the key the constructor would store; a Keyed value's ``_hash``
     starts as None, as ``_keep`` leaves it.  So a ``Monomial`` takes columns of
-    factors, texts and keys, and a ``MultiPoly`` one column of term dicts.  Each
+    factors, texts and keys, and a ``MultiPoly`` one column of term tuples.  Each
     slot is set for the whole column by one ``map`` over its descriptor's setter,
     so no Python frame runs per instance.  Every instance must equal what the
     constructor builds from the same arguments."""

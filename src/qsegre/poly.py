@@ -4,11 +4,12 @@ Variables name either state amplitudes (``a[i1...im]``) or Plucker coordinates
 (``P[i1,i2,...]``).  Coefficients are always exact :class:`GaussRat`; the
 float world enters only through :func:`evaluate` with complex assignments.
 Terms are kept canonical: sorted variables inside each monomial, no zero
-exponents, no zero coefficients, and a polynomial's terms stored in monomial
-key order, sorted once when it is built.  So ``MultiPoly.terms`` and
-:func:`format_poly` read the terms as stored, with no sort, and a float
-:func:`evaluate` sums them in printed order.  A polynomial has no ring
-arithmetic: the package builds every polynomial it needs from its terms.
+exponents, no zero coefficients, and a polynomial's terms stored as one tuple
+of ``(Monomial, GaussRat)`` pairs in monomial key order, sorted once when it
+is built.  So ``MultiPoly.terms`` and :func:`format_poly` read the terms as
+stored, with no sort, and a float :func:`evaluate` sums them in printed
+order.  A polynomial has no ring arithmetic: the package builds every
+polynomial it needs from its terms.
 
 Variables (:class:`StateVar`, :class:`PluVar`) and :class:`Monomial` are
 immutable atoms whose constructor computes, once per object, the sort
@@ -21,13 +22,16 @@ canonicalizing path for terms of unknown shape.  The Segre and Plucker
 families come as integer term arrays, whose invariants already make every
 term canonical, and one private builder, ``_pair_polys``, turns them into
 polynomials: one variable per index, one monomial per distinct index pair,
-and each monomial and polynomial made through ``_unchecked``, a column at a
-time, without the constructors' merge, sort and per-term checks.  Each
-variable's factor ``(v, 1)`` and key part ``(v.key(), 1)`` are built once per
-family and shared by its monomials, so a pair monomial allocates itself, two
-tuples and its text, and the cyclic collector has fewer containers to walk.  A
-family thus pays the atom costs once per distinct atom, not once per term,
-and builds the same objects the public constructors build from the same
+one ``(monomial, GR_ONE)`` and one ``(monomial, GR_MINUS_ONE)`` pair per
+distinct monomial, shared by every polynomial holding that term, and each
+polynomial a tuple cut from one stream of those pairs.  The monomials and
+polynomials are made through ``_unchecked``, a column at a time, without the
+constructors' merge, sort and per-term checks, and no monomial is hashed.
+Each variable's factor ``(v, 1)`` and key part ``(v.key(), 1)`` are built once
+per family and shared by its monomials, so a pair monomial allocates itself,
+two tuples and its text, and the cyclic collector has fewer containers to
+walk.  A family thus pays the atom costs once per distinct atom, not once per
+term, and builds the same objects the public constructors build from the same
 terms, its terms already in key order.
 
 :func:`evaluate` runs on the real and imaginary parts of the values
@@ -48,7 +52,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import IndexOutOfRange, MalformedInput, MissingVariable, cut_text, short_text
+from .errors import IndexOutOfRange, MalformedInput, MissingVariable, NonFinite, cut_text, short_text
 from .gaussrat import GR_MINUS_ONE, GR_ONE, Frozen, GaussRat, Keyed, _unchecked, exact_scalar, is_int
 from .states import amplitude_array, gauss_ints
 
@@ -175,11 +179,13 @@ def _is_negative(c: GaussRat) -> bool:
 
 class MultiPoly(Frozen):
     """Immutable sparse polynomial: map from Monomial to nonzero GaussRat,
-    stored in monomial key order.
+    stored as one tuple of ``(Monomial, GaussRat)`` pairs in monomial key order.
 
     ``terms`` is None or a mapping whose keys are Monomials and whose values
     are exact (``gaussrat.exact_scalar``), else MalformedInput.  Any insertion
-    order gives the same stored order."""
+    order gives the same stored tuple, so equality and the hash read it as it
+    stands, and the ``terms`` property returns it as a fresh dict in that
+    order.  Copy and pickle pass ``terms`` back to the constructor."""
 
     __slots__ = ("_terms",)
 
@@ -196,7 +202,11 @@ class MultiPoly(Frozen):
                     raise MalformedInput(f"polynomial coefficients must be exact, got {type(c).__name__}")
                 if g:
                     clean[mono] = g
-        object.__setattr__(self, "_terms", dict(sorted(clean.items(), key=_term_key)))
+        object.__setattr__(self, "_terms", tuple(sorted(clean.items(), key=_term_key)))
+
+    def __reduce__(self):
+        # the constructor takes a mapping, not the stored tuple
+        return type(self), (self.terms,)
 
     @property
     def terms(self) -> dict[Monomial, GaussRat]:
@@ -215,16 +225,16 @@ class MultiPoly(Frozen):
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash(self._terms)
 
     def variables(self) -> set[VarId]:
-        return {v for mono in self._terms for v, _ in mono.factors}
+        return {v for mono, _ in self._terms for v, _ in mono.factors}
 
     def degree(self) -> int | None:
         """Total degree, or None for the zero polynomial."""
         if not self._terms:
             return None
-        return max(m.degree() for m in self._terms)
+        return max(m.degree() for m, _ in self._terms)
 
     def __str__(self):
         return format_poly(self)
@@ -241,35 +251,40 @@ def _pair_polys(variables: list[VarId], a: np.ndarray, b: np.ndarray, c: np.ndar
     ``bounds[i]`` to ``bounds[i + 1]``, from ``bounds[0] = 0``, no two with
     the same (a, b), and each polynomial's terms in (a, b) order, which is
     their key order.  These invariants make each pair monomial canonical as it
-    stands and each coefficient the shared ``GR_ONE`` or ``GR_MINUS_ONE``, so
-    each distinct monomial and each polynomial is made once through
-    ``gaussrat._unchecked``, without the constructors' merge, sort and checks.
-    Each variable's factor ``(v, 1)`` and key part ``(v.key(), 1)`` are built
-    once per call and shared by every monomial that holds the variable, so a
-    monomial allocates only itself, its two pair tuples and its text.  The
-    result equals what the public constructors build from the same terms."""
+    stands, each coefficient the shared ``GR_ONE`` or ``GR_MINUS_ONE`` and
+    each polynomial's slice of the terms its stored tuple, so each distinct
+    monomial and each polynomial is made once through ``gaussrat._unchecked``,
+    without the constructors' merge, sort and checks, and no monomial is
+    hashed.  Each variable's factor ``(v, 1)`` and key part ``(v.key(), 1)``
+    are built once per call and shared by every monomial that holds the
+    variable, so a monomial allocates only itself, its two pair tuples and its
+    text.  Each monomial's two terms, ``(m, GR_ONE)`` and ``(m, GR_MINUS_ONE)``,
+    are made once and shared by every polynomial that holds the term, so a
+    polynomial allocates only itself and its tuple.  The result equals what
+    the public constructors build from the same terms."""
     n = len(variables)
     factors = [(v, 1) for v in variables]
     key_parts = [(v._key, 1) for v in variables]
     heads, texts = [v.text + "*" for v in variables], [v.text for v in variables]
-    pairs, inverse = np.unique(a * n + b, return_inverse=True)
-    xs, ys = (pairs // n).tolist(), (pairs % n).tolist()
+    keys, inverse = np.unique(a * n + b, return_inverse=True)
+    xs, ys = (keys // n).tolist(), (keys % n).tolist()
     monos = _unchecked(Monomial, list(zip(map(factors.__getitem__, xs), map(factors.__getitem__, ys))),
                        list(map(operator.add, map(heads.__getitem__, xs), map(texts.__getitem__, ys))),
                        list(zip(map(key_parts.__getitem__, xs), map(key_parts.__getitem__, ys))))
-    # one stream of (monomial, coefficient) pairs, cut into polynomials by bounds; the
-    # object array takes the terms' monomials with no Python int per term, as a list would
-    monos = np.fromiter(monos, object, len(monos))[inverse].tolist()
-    terms = zip(monos, np.where(c > 0, GR_ONE, GR_MINUS_ONE).tolist())
+    # pair 2u is (monos[u], GR_ONE) and pair 2u + 1 is (monos[u], GR_MINUS_ONE); the object
+    # array takes each term's pair with no Python int per term, as a list would
+    pairs = np.fromiter(itertools.product(monos, (GR_ONE, GR_MINUS_ONE)), object, 2 * len(monos))
+    # one stream of the terms' shared pairs, cut into polynomials by bounds
+    terms = iter(pairs[2 * inverse + (c < 0)].tolist())
     sizes = np.diff(bounds).tolist()
-    return _unchecked(MultiPoly, list(map(dict, map(itertools.islice, itertools.repeat(terms), sizes))))
+    return _unchecked(MultiPoly, list(map(tuple, map(itertools.islice, itertools.repeat(terms), sizes))))
 
 
 def is_homogeneous(p: MultiPoly):
     """Common total degree of all terms, None if mixed, ANY_DEGREE for zero."""
     if p.is_zero():
         return ANY_DEGREE
-    degrees = {m.degree() for m in p._terms}
+    degrees = {m.degree() for m, _ in p._terms}
     if len(degrees) == 1:
         return degrees.pop()
     return None
@@ -313,7 +328,9 @@ def evaluate(p: MultiPoly, assignment: Mapping[VarId, object]):
     coefficient's denominator, and the sum is kept over the lcm of the terms'
     denominators, which for float values is always 1.  A float result is thus
     the complex arithmetic of ``coefficient * factor * ...`` summed in printed
-    order (up to the sign of a zero).
+    order (up to the sign of a zero), and NonFinite when a product, a power or
+    the sum on the way to it passes the float range: an inf or nan, once made,
+    stays in the sum, so the one check on the result catches every one.
     """
     used = p.variables()
     values = []
@@ -329,7 +346,7 @@ def evaluate(p: MultiPoly, assignment: Mapping[VarId, object]):
     coeff_parts = _exact_parts if exact else _float_parts
     total_re = total_im = 0
     scale = 1  # the sum so far is (total_re + i*total_im) / scale
-    for mono, c in p._terms.items():
+    for mono, c in p._terms:
         factors, negate = mono.factors, c is GR_MINUS_ONE
         if factors and (negate or c is GR_ONE):
             # a shared unit coefficient is a sign: the term starts from its first factor
@@ -354,6 +371,8 @@ def evaluate(p: MultiPoly, assignment: Mapping[VarId, object]):
             total_re, total_im = total_re + x, total_im + y
     if exact:
         return GaussRat(Fraction(total_re, scale), Fraction(total_im, scale))
+    if not (math.isfinite(total_re) and math.isfinite(total_im)):
+        raise NonFinite("polynomial value is beyond the float range")
     return complex(total_re, total_im)
 
 
@@ -369,7 +388,7 @@ def format_poly(p: MultiPoly) -> str:
     if not p._terms:
         return "0"
     parts = []
-    for mono, coeff in p._terms.items():
+    for mono, coeff in p._terms:
         if coeff is GR_ONE or coeff is GR_MINUS_ONE:
             parts += (" - " if coeff is GR_MINUS_ONE else " + ", mono.text)
             continue

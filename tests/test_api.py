@@ -1,6 +1,7 @@
 """The public API as the package states it: ``qsegre.__all__`` against what
 ``__init__`` binds, no unused import in a module, the unchecked construction
-path in ``gaussrat`` alone, and the README's library tour run line by line."""
+path in ``gaussrat`` alone, a polynomial's stored terms read in ``poly``
+alone, and the README's library tour run line by line."""
 
 import ast
 import io
@@ -88,6 +89,25 @@ def test_values_are_made_unchecked_in_gaussrat_alone():
     for module in sorted(PACKAGE.glob("*.py")):
         if module.name != "gaussrat.py":
             assert unchecked_constructions(module.read_text(), types) == [], module.name
+
+
+def stored_term_reads(source: str) -> list[str]:
+    """The reads of a polynomial's stored term tuple: any ``x._terms``."""
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "_terms"]
+
+
+def test_stored_term_reads_are_found():
+    source = ("p._terms\nfor m, c in q.poly._terms: pass\np.terms\n_terms = 1\n"
+              "p._terms_seen\nf('_terms')\nx = r._terms[0]")
+    assert stored_term_reads(source) == ["1: p._terms", "2: q.poly._terms", "7: r._terms"]
+
+
+def test_stored_terms_are_read_in_poly_alone():
+    # other modules read a polynomial through terms, which returns the stored order as a dict
+    for module in sorted(PACKAGE.glob("*.py")):
+        if module.name != "poly.py":
+            assert stored_term_reads(module.read_text()) == [], module.name
 
 
 def tour_lines() -> list[str]:

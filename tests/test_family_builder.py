@@ -8,7 +8,9 @@ made that way must be the one the public constructors build from the same
 arguments, down to keys, texts, hashes, pickles, copies and reprs, with a
 polynomial's terms stored in key order as the constructor stores them.  The
 builder also shares one factor tuple and one key part per variable among the
-monomials that hold it, which the tests count by identity.
+monomials that hold it, and one (monomial, coefficient) pair per signed
+monomial among the polynomials that hold it, which the tests count by
+identity, and it hashes no monomial, which a test counts too.
 """
 
 import copy
@@ -20,9 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsegre import (GaussRat, Monomial, MultiPoly, PlueckerRelation, PluVar, SegreIdeal, StateVar,
+from qsegre import (GaussRat, Monomial, MultiPoly, PlueckerRelation, PluVar, SegreIdeal, StateVar, format_poly,
                     pluecker_coordinates, pluecker_relations, segre_generators)
-from qsegre.grassmann import PlueckerSet, _relation_terms
+from qsegre.gaussrat import Keyed
+from qsegre.grassmann import PlueckerSet, _drop_table, _relation_family, _relation_terms
 from qsegre.poly import _pair_polys
 from qsegre.sampling import default_rng, random_exact_matrix
 from qsegre.segre import _minor_keys
@@ -45,7 +48,7 @@ def assert_same(built: list[MultiPoly], expected: list[MultiPoly]):
     assert [hash(p) for p in built] == [hash(p) for p in expected]
     assert [repr(p) for p in built] == [repr(p) for p in expected]  # format_poly's line, wrapped
     for p, q in zip(built, expected):
-        assert list(p._terms) == sorted(p._terms, key=Monomial.key)  # stored in key order
+        assert list(p.terms) == sorted(p.terms, key=Monomial.key)  # stored in key order
         assert list(p.terms) == list(q.terms)  # the same monomials in the same order
         for got, want in zip(p.terms, q.terms):
             assert got.key() == want.key() and got.text == want.text and hash(got) == hash(want)
@@ -56,16 +59,24 @@ def assert_same(built: list[MultiPoly], expected: list[MultiPoly]):
     assert pickle.loads(pickle.dumps(built)) == built and pickle.loads(pickle.dumps(monos)) == monos
     assert [copy.copy(m) for m in monos] == monos
     assert_shares_atoms(built)
+    assert_shares_pairs(built)
 
 
 def assert_shares_atoms(polys: list[MultiPoly]):
     """One monomial object per distinct monomial, and one factor tuple ``(v, 1)``
     and one key part ``(v.key(), 1)`` per variable used, shared by its monomials."""
-    monos = {id(m): m for p in polys for m in p._terms}.values()
+    monos = {id(m): m for p in polys for m in p.terms}.values()
     used = {v for m in monos for v, _ in m.factors}
     assert len(monos) == len(set(monos))
     assert len({id(factor) for m in monos for factor in m.factors}) == len(used)
     assert len({id(part) for m in monos for part in m.key()}) == len(used)
+
+
+def assert_shares_pairs(polys: list[MultiPoly]):
+    """One stored ``(monomial, coefficient)`` pair object per distinct signed
+    monomial, shared by every polynomial that holds the term."""
+    pairs = {id(t): t for p in polys for t in p._terms}.values()
+    assert len(pairs) == len(set(pairs))
 
 
 def assert_same_value(built, expected):
@@ -131,6 +142,52 @@ def test_shared_atoms_are_counted_by_identity():
     assert fresh == shared
     with pytest.raises(AssertionError):
         assert_shares_atoms(fresh)
+
+
+def test_shared_pairs_are_counted_by_identity():
+    # +a[0]*a[1] in two polynomials, a[0]*a[2] and a[1]*a[2] with both signs: five signed monomials
+    x, y, z = StateVar((0,)), StateVar((1,)), StateVar((2,))
+    rows = [[(0, 1, 1), (0, 2, -1)], [(0, 1, 1), (1, 2, -1)], [(0, 2, 1), (1, 2, 1)]]
+    a, b, c = (np.array([term[i] for poly in rows for term in poly]) for i in range(3))
+    shared = _pair_polys([x, y, z], a, b, c, [0, 2, 4, 6])
+    assert len({id(t) for p in shared for t in p._terms}) == 5
+    assert_shares_pairs(shared)
+    # the public constructor makes a pair per term: +a[0]*a[1]'s two are not shared
+    fresh = [reference([x, y, z], poly) for poly in rows]
+    assert fresh == shared
+    with pytest.raises(AssertionError):
+        assert_shares_pairs(fresh)
+
+
+def test_family_builds_hash_no_monomial(monkeypatch):
+    calls = []
+
+    def counted_hash(self):
+        calls.append(self)
+        return hash(self._key)
+
+    monkeypatch.setattr(Keyed, "__hash__", counted_hash)
+    mono = Monomial(((StateVar((0,)), 1), (StateVar((1,)), 1)))
+    calls.clear()
+    assert hash(mono) == hash(mono.key()) and calls == [mono]  # the count sees a monomial's hash
+    calls.clear()
+    _minor_keys.cache_clear(), _drop_table.cache_clear(), _relation_family.cache_clear()
+    for _ in range(2):  # with the integer keys cold, then cached
+        segre_generators((2,) * 4)
+        pluecker_relations(3, 7)
+    assert calls == []
+
+
+@pytest.mark.parametrize("family", [lambda: list(segre_generators((2,) * 4).gens),
+                                    lambda: [r.poly for r in pluecker_relations(3, 6)]],
+                         ids=["segre_2x2x2x2", "pluecker_3_6"])
+def test_family_polynomials_survive_pickle_and_copy(family):
+    polys = family()
+    for clones in (pickle.loads(pickle.dumps(polys)), copy.deepcopy(polys), [copy.copy(p) for p in polys]):
+        assert clones == polys and [hash(p) for p in clones] == [hash(p) for p in polys]
+        assert [list(p.terms.items()) for p in clones] == [list(p.terms.items()) for p in polys]
+        assert list(map(format_poly, clones)) == list(map(format_poly, polys))
+        assert all(type(clone) is MultiPoly and clone is not p for clone, p in zip(clones, polys))
 
 
 @pytest.mark.parametrize("k, n", [(1, 2), (1, 5), (2, 5), (3, 6), (4, 5), (6, 7)])

@@ -207,9 +207,9 @@ def test_evaluate_takes_shared_unit_coefficients_as_signs():
     x, y, z = StateVar((0,)), StateVar((1,)), StateVar((2,))
     xy, x2z, yz = Monomial(((x, 1), (y, 1))), Monomial(((x, 2), (z, 1))), Monomial(((y, 1), (z, 1)))
     shared = MultiPoly({xy: GR_ONE, x2z: GR_MINUS_ONE, yz: GaussRat(2, -1), ONE: GR_MINUS_ONE})
-    assert shared._terms[xy] is GR_ONE and shared._terms[x2z] is GR_MINUS_ONE
-    fresh = MultiPoly({m: GaussRat(c.re, c.im) for m, c in shared._terms.items()})
-    assert not any(c is GR_ONE or c is GR_MINUS_ONE for c in fresh._terms.values())
+    assert shared.terms[xy] is GR_ONE and shared.terms[x2z] is GR_MINUS_ONE
+    fresh = MultiPoly({m: GaussRat(c.re, c.im) for m, c in shared.terms.items()})
+    assert not any(c is GR_ONE or c is GR_MINUS_ONE for c in fresh.terms.values())
     rng = default_rng(5)
     for _ in range(10):
         a, b, c = (random_gaussrat(rng, span=7) for _ in range(3))
@@ -303,7 +303,7 @@ keyed_polys = st.dictionaries(keyed_monos, keyed_coeffs, max_size=6).map(MultiPo
 
 
 def key_sorted(p: MultiPoly) -> list:
-    return sorted(p._terms, key=Monomial.key)
+    return sorted(p.terms, key=Monomial.key)
 
 
 @settings(max_examples=80, deadline=None)
@@ -312,11 +312,11 @@ def key_sorted(p: MultiPoly) -> list:
 def test_any_insertion_order_stores_key_order(case):
     terms, shuffled = case
     p, q = MultiPoly(terms), MultiPoly(dict(shuffled))
-    assert list(p._terms) == list(q._terms) == key_sorted(p)
-    assert list(p.terms.items()) == list(p._terms.items()) == list(q.terms.items())
+    assert list(p.terms) == list(q.terms) == key_sorted(p)
+    assert list(p.terms.items()) == list(q.terms.items())
     assert format_poly(p) == format_poly(q) and p == q and hash(p) == hash(q)
     for built in clones(p):
-        assert list(built._terms) == key_sorted(built)
+        assert list(built.terms) == key_sorted(built)
 
 
 @settings(max_examples=60, deadline=None)
@@ -327,9 +327,9 @@ def test_leading_is_the_term_of_least_key(p):
     if p.is_zero():
         assert leading is None
     else:
-        mono = min(p._terms, key=Monomial.key)
-        assert leading == (mono, p._terms[mono])
-        assert leading[1] is p._terms[mono]
+        mono = min(p.terms, key=Monomial.key)
+        assert leading == (mono, p.terms[mono])
+        assert leading[1] is p.terms[mono]
 
 
 def evaluate_oracle(p: MultiPoly, assignment, exact: bool):
@@ -337,7 +337,7 @@ def evaluate_oracle(p: MultiPoly, assignment, exact: bool):
     ``complex(c) * x**e * ...`` summed from 0j for float values."""
     total = GaussRat(0) if exact else 0j
     for mono in key_sorted(p):
-        c = p._terms[mono]
+        c = p.terms[mono]
         term = c if exact else complex(c)
         for v, e in mono.factors:
             term = term * assignment[v] ** e
@@ -382,6 +382,25 @@ def test_float_evaluate_matches_complex_oracle_in_key_order(p, values):
     # a polynomial with no variables uses no value, and takes the exact backend
     assert isinstance(got, complex if p.variables() else GaussRat)
     assert complex(got) == evaluate_oracle(p, assignment, False)
+
+
+def test_float_evaluate_beyond_the_float_range_raises():
+    # finite values whose product or power passes the float range: NonFinite, not inf or nan
+    x, y = StateVar((0,)), StateVar((1,))
+    xy, x2 = Monomial(((x, 1), (y, 1))), Monomial(((x, 2),))
+    mixed = MultiPoly({ONE: 3, xy: GR_ONE, x2: GaussRat(-1, 2)})  # 3 + a[0]*a[1] - (1-2*i)*a[0]^2
+    product, power = MultiPoly({xy: GR_ONE}), MultiPoly({Monomial(((x, 5),)): GaussRat(2)})
+    for p, assignment in ((mixed, {x: 1e308, y: 1e308}), (product, {x: 1e200, y: 1e200}),
+                          (product, {x: 1e200j, y: -1e200}), (power, {x: 1e62}), (power, {x: 1e62j})):
+        with pytest.raises(NonFinite, match="beyond the float range"):
+            evaluate(p, assignment)
+    # terms that overflow on the way to a sum that would be 0 raise too
+    with pytest.raises(NonFinite, match="beyond the float range"):
+        evaluate(MultiPoly({xy: GR_ONE, x2: GR_MINUS_ONE}), {x: 1e200, y: 1e200})
+    # up to the edge of the range the value is returned, and exact values never overflow
+    assert evaluate(product, {x: 1e154, y: 1e154}) == 1e154 * 1e154
+    assert evaluate(power, {x: 1e61}) == 2 * complex(1e61) ** 5
+    assert evaluate(power, {x: 10**400}) == GaussRat(2 * 10**2000)
 
 
 def test_evaluate_raises_before_any_arithmetic():
@@ -521,6 +540,26 @@ def test_exact_values_survive_pickle_and_copy():
         with pytest.raises(AttributeError, match="immutable"):
             delattr(value, slot)
         assert hasattr(value, slot)
+
+
+@settings(max_examples=40, deadline=None)
+@given(keyed_polys)
+def test_polynomials_survive_pickle_and_copy(p):
+    # copy and pickle go back through the constructor, with the terms as a dict
+    for clone in clones(p):
+        assert type(clone) is MultiPoly and clone == p and hash(clone) == hash(p)
+        assert list(clone.terms.items()) == list(p.terms.items())
+        assert format_poly(clone) == format_poly(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(keyed_polys)
+def test_terms_are_stored_as_one_tuple_of_pairs(p):
+    # the stored tuple holds the (monomial, coefficient) pairs that terms returns, in its order
+    assert type(p._terms) is tuple and all(type(t) is tuple and len(t) == 2 for t in p._terms)
+    assert p._terms == tuple(p.terms.items())
+    assert all(m is n and c is d for (m, c), (n, d) in zip(p._terms, p.terms.items()))
+    assert p.terms is not p.terms
 
 
 def test_float_coefficient_is_malformed():
