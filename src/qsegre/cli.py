@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 
-from .errors import MAX_AMPS, MalformedInput, NotProduct, QsegreError, check_cap, short_text
+from .errors import MAX_AMPS, MalformedInput, NonFinite, NotProduct, QsegreError, ZeroVector, check_cap, short_text
 from .grassmann import pluecker_measure, pluecker_relations
 from .poly import format_poly
 from .segre import (
@@ -102,7 +102,14 @@ def _load_factors(args):
         if not isinstance(vec, list) or len(vec) < 2:
             raise MalformedInput(f"factors[{j}]: expected a list of >= 2 [re, im] pairs")
     check_cap("product of factor lengths", [len(vec) for vec in raw], MAX_AMPS)
-    return [make_local(parse_amplitudes(vec, f"factors[{j}]", args.exact)) for j, vec in enumerate(raw)]
+    factors = []
+    for j, vec in enumerate(raw):
+        amps = parse_amplitudes(vec, f"factors[{j}]", args.exact)
+        try:
+            factors.append(make_local(amps))
+        except (ZeroVector, NonFinite) as exc:  # the vector's own messages do not name the factor
+            raise MalformedInput(f"factors[{j}]: {exc}") from None
+    return factors
 
 
 def _cmd_check_separable(args) -> None:

@@ -94,6 +94,21 @@ def _unchecked(cls: type, *columns) -> list:
     return objs
 
 
+def _power(re, im, e: int) -> tuple:
+    """The parts of ``(re + i*im)**e`` for an int e >= 1: the one square-and-multiply
+    rule, for ``GaussRat.__pow__`` and ``poly.evaluate``'s parts alike.  It squares and
+    multiplies in the order CPython's complex ``**`` takes for e <= 100, so float parts
+    round alike."""
+    out = None
+    while True:
+        if e & 1:
+            out = (re, im) if out is None else (out[0] * re - out[1] * im, out[0] * im + out[1] * re)
+        e >>= 1
+        if not e:
+            return out
+        re, im = re * re - im * im, re * im + im * re
+
+
 def is_int(x) -> bool:
     """An int that is not a bool: the one rule for indices, modes and shape parameters."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -181,15 +196,7 @@ class GaussRat(Frozen):
     def __pow__(self, n: int):
         if not is_int(n) or n < 0:
             return NotImplemented
-        out = GaussRat(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return GaussRat(*_power(self.re, self.im, n)) if n else GaussRat(1)
 
     def conjugate(self) -> "GaussRat":
         return GaussRat(self.re, -self.im)

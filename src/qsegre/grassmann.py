@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, isqrt
@@ -51,27 +50,21 @@ import numpy as np
 
 from .errors import (MAX_CHOOSE, MAX_TERMS, IndexOutOfRange, MalformedInput, MissingVariable, NonFinite,
                      ShapeError, WrongShape, check_cap, cut_text, short_text)
-from .gaussrat import GR_ZERO, GaussRat, Keyed, Scalar, _unchecked, is_int
+from .gaussrat import GR_ZERO, Keyed, Scalar, _unchecked, is_int
 from .poly import MultiPoly, PluVar, _pair_polys
 from .segre import split_terms
 from .states import (Bipartition, PureState, _check_finite, amplitude_array, amplitudes_to_json,
-                     exact_backend, gauss_ints, matrix_array, scale_parts)
+                     exact_backend, gauss_ints, gauss_rats, matrix_array, scale_parts)
 
 
 def _check_shape(k, N) -> None:
-    """The one shape rule of G(k, N): ints (``is_int``) with 1 <= k < N, else ShapeError."""
-    if not (is_int(k) and is_int(N)) or k < 1 or k >= N:
+    """The one shape rule of G(k, N): ints (``is_int``) with 1 <= k < N, else ShapeError,
+    naming the type of a k or N that is not an int."""
+    for name, x in (("k", k), ("N", N)):
+        if not is_int(x):
+            raise ShapeError(f"{name} must be an int, got {type(x).__name__}")
+    if k < 1 or k >= N:
         raise ShapeError(f"need 1 <= k < N, got k={short_text(k)}, N={short_text(N)}")
-
-
-def _are_subsets(keys: list, k: int, N: int) -> bool:
-    """True iff every key is a strictly increasing tuple of k ints (``is_int``) in 1..N.
-    The keys are read a column at a time, in passes that run in C."""
-    if not (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {k}):
-        return False
-    cols = list(zip(*keys))
-    return not cols or (set(map(type, itertools.chain(*cols))) == {int} and min(cols[0]) >= 1
-                        and max(cols[-1]) <= N and all(all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:])))
 
 
 class PlueckerSet(Keyed):
@@ -92,11 +85,11 @@ class PlueckerSet(Keyed):
         if not isinstance(coords, Mapping):
             raise MalformedInput(f"coords must be a mapping, got {type(coords).__name__}")
         coords = dict(coords)
-        keys = list(coords)
-        if not _are_subsets(keys, k, N):
-            bad = next(key for key in keys if not _are_subsets([key], k, N))
-            raise IndexOutOfRange(f"coords key {short_text(bad)} is not a strictly increasing "
-                                  f"{short_text(k)}-subset of 1..{short_text(N)}")
+        for key in coords:  # a strictly increasing tuple of k ints (``is_int``) in 1..N
+            if not (isinstance(key, tuple) and len(key) == k and all(map(is_int, key))
+                    and 0 < key[0] and key[-1] <= N and all(a < b for a, b in zip(key, key[1:]))):
+                raise IndexOutOfRange(f"coords key {short_text(key)} is not a strictly increasing "
+                                      f"{short_text(k)}-subset of 1..{short_text(N)}")
         exact_backend(list(coords.values()), "coords")
         coords = MappingProxyType(coords)
         object.__setattr__(self, "k", k)
@@ -115,8 +108,11 @@ class PlueckerSet(Keyed):
     def get(self, indices) -> Scalar:
         """Coordinate for a tuple or list of ints (``is_int``), else IndexOutOfRange:
         0 on repeats, signed on out-of-order indices (parity of the sorting permutation)."""
-        if not isinstance(indices, (tuple, list)) or not all(map(is_int, indices)):
+        if not isinstance(indices, (tuple, list)):
             raise IndexOutOfRange(f"indices must be a tuple or list of ints, got {type(indices).__name__}")
+        for j, i in enumerate(indices):
+            if not is_int(i):
+                raise IndexOutOfRange(f"indices[{j}] must be an int, got {type(i).__name__}")
         indices = tuple(indices)
         if len(set(indices)) != len(indices):
             return GR_ZERO if self.exact else 0j
@@ -171,9 +167,7 @@ def _maximal_minors(mat: np.ndarray) -> list[Scalar]:
             sign = ((-1) ** (r + np.arange(r + 1))).astype(re.dtype)
             p_re, p_im = (a * c - b * d) @ sign, (a * d + b * c) @ sign
     if mat.dtype == object:
-        scale = den**k
-        return [GaussRat(Fraction(x, scale), Fraction(y, scale))
-                for x, y in zip(p_re.tolist(), p_im.tolist())]
+        return gauss_rats(p_re, p_im, den**k).tolist()
     coords = p_re.astype(np.complex128)
     coords.imag = p_im
     _check_finite(coords, "coords")

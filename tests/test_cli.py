@@ -252,6 +252,11 @@ def test_factors_file_errors_name_the_field(capsys, tmp_path):
     code, _, err = run(capsys, ["segre-map", "--factors", str(fpath), "--exact"])
     assert code == 2
     assert "factors[0][1][0]" in err
+    # a zero factor is refused by the local vector's constructor, and the message names the factor
+    fpath.write_text(json.dumps({"factors": [[[1, 0], [0, 1]], [[0, 0], [0.0, 0]]]}))
+    code, out, err = run(capsys, ["segre-map", "--factors", str(fpath)])
+    assert_clean_exit_2(code, out, err)
+    assert err == "error: factors[1]: all amplitudes are zero\n"
 
 
 STATE_COMMANDS = [["check-separable"], ["concurrence"], ["gen-concurrence"], ["pluecker-measure"], ["factor"]]

@@ -153,6 +153,10 @@ def test_coordinates_shape_errors():
         pluecker_coordinates([[1, 0], [0, 1]])
     with pytest.raises(ShapeError):
         pluecker_coordinates([[1, 0, 0], [0, 1]])
+    # a k or N that is not an int is named by its type, not reported as out of bounds
+    for k, n, message in ((np.int64(2), 4, "k must be an int, got int64"), (2, 4.0, "N must be an int, got float")):
+        with pytest.raises(ShapeError, match=message):
+            pluecker_relations(k, n)
 
 
 def test_exact_is_the_backend_rule_of_the_coordinates():
@@ -206,6 +210,11 @@ def test_signed_lookup():
     for bad in ((1, 9), (1, "a"), 5, (1.0, 2), (1, 10**5000)):
         with pytest.raises(IndexOutOfRange):
             ps.get(bad)
+    # the first entry that is not an int is named by its position and type
+    with pytest.raises(IndexOutOfRange, match=re.escape("indices[0] must be an int, got int64")):
+        ps.get((np.int64(2), 1))
+    with pytest.raises(IndexOutOfRange, match=re.escape("indices[1] must be an int, got str")):
+        ps.get([1, "a", 2.0])
     assert PlueckerSet(2, 4, {}).get((1, 1)) == 0
 
 

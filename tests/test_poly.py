@@ -397,6 +397,10 @@ def test_float_evaluate_beyond_the_float_range_raises():
     # terms that overflow on the way to a sum that would be 0 raise too
     with pytest.raises(NonFinite, match="beyond the float range"):
         evaluate(MultiPoly({xy: GR_ONE, x2: GR_MINUS_ONE}), {x: 1e200, y: 1e200})
+    # a coefficient past the float range raises too, where its conversion would raise OverflowError
+    for huge in (GaussRat(10**400), GaussRat(1, -(10**5000))):
+        with pytest.raises(NonFinite, match="beyond the float range"):
+            evaluate(MultiPoly({Monomial(((x, 1),)): huge}), {x: 1.0})
     # up to the edge of the range the value is returned, and exact values never overflow
     assert evaluate(product, {x: 1e154, y: 1e154}) == 1e154 * 1e154
     assert evaluate(power, {x: 1e61}) == 2 * complex(1e61) ** 5

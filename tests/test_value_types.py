@@ -3,7 +3,9 @@ equality rule of ``gaussrat.Keyed``, clones through the constructor, bounded
 messages for huge or long inputs, and a fuzz of the exported constructors."""
 
 import copy
+import enum
 import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -107,6 +109,13 @@ def test_constructors_check_each_field():
     for key in ((1,), (2, 1), (1, 1), (0, 2), (1, 5), (True, 2), (1, 2.0), "ab", 12, (np.int64(1), 2)):
         with pytest.raises(IndexOutOfRange, match="coords key"):
             PlueckerSet(2, 4, {(3, 4): 1, key: 1})
+    # the keys are read once, in insertion order, and the first bad one is named
+    with pytest.raises(IndexOutOfRange, match=re.escape("coords key (2, 1) is not")):
+        PlueckerSet(2, 4, {(3, 4): 1, (2, 1): 1, (0, 2): 1})
+    # an int subclass other than bool is an int (``is_int``), as Bipartition and PlueckerSet.get take it
+    one = enum.IntEnum("Mode", "ONE TWO").ONE
+    ps = PlueckerSet(2, 4, {(one, 2): 1})
+    assert list(ps.coords) == [(1, 2)] and ps.get((2, 1)) == -1
     for bad in ("a", None, True, [1]):
         with pytest.raises(MalformedInput, match=r"coords\[1\]"):
             PlueckerSet(2, 4, {(1, 2): 1, (1, 3): bad})
