@@ -17,16 +17,22 @@ cached per dims as a read-only array, as ``grassmann._relation_family``
 caches the relations; the caps are checked on every call, before the lookup.
 
 ``minor_sum`` is the one definition of that quantity, and it runs one private
-kernel per backend.  The exact kernel clears denominators once and evaluates
-the right-hand Gram identity over Gaussian integers A + iC, giving one
-Fraction.  With n = ||A + iC||_F^2, Cauchy-Schwarz bounds every Gram entry and
-every partial sum of one by n, and the imaginary part C A^T - A C^T by 2n, so
-the parts run on int64 when 2n < 2**63 (``states.narrow_ints``, the one dtype
-rule) and stay ``object`` arrays of Python ints otherwise; the squares of the
-entries reach n^2 and always take Python ints.  The
-float kernel reads each matrix in one orientation, its small side as rows
-(the minor sums of M and its transpose agree), evaluates the same Gram
-identity on it and keeps the result when it exceeds
+kernel per backend.  Both kernels run on stacks: ``_stacks``, the one stacking
+rule, copies each matrix on its small side as rows (the minor sums of M and
+its transpose agree), the splits of one small side together in chunks of at
+most ``CHUNK_AMPS`` amplitudes.  A matrix's term does not depend on its stack,
+so ``minor_sum`` of one flattening, a stack of one, equals that split's term
+in any chunk, bit for bit when float.
+
+The exact kernel clears denominators once and evaluates the right-hand Gram
+identity over Gaussian integers A + iC, as the twice minor sum
+n^2 - ||G||_F^2, an int, with n = ||A + iC||_F^2 the same for every split of
+a state: a state's terms are ints over its one denominator 2 n^2.  Every
+value it forms before squaring is at most 2n by Cauchy-Schwarz, so the parts
+run on int64 when 2n < 2**63 (``states.narrow_ints``, the one dtype rule) and
+stay ``object`` arrays of Python ints otherwise; the squares reach n^2 and
+always take Python ints.  The float kernel evaluates the same Gram identity
+in complex doubles and keeps the result when it exceeds
 ``GRAM_CUTOFF * ||M||_F^4``.  Its absolute error is a few units of rounding
 times ``||M||_F^4``, so above the cutoff the relative error stays within
 about 1e-12.  Below it, near rank-1 matrices where the identity cancels, the
@@ -34,13 +40,9 @@ kernel takes a rank-1 deflation instead: with x a column of M and
 R = M - x (x* M) / |x|^2, the minor sum is Lagrange's identity for the
 rank-1 part plus R's own minor sum, each free of cancellation, and R is
 formed from M with sums over its small side only.  Product states land here
-on every split, with terms a few units of rounding squared.  The kernel runs
-on stacks: the splits of one small side are copied into chunks of at most
-``CHUNK_AMPS`` amplitudes, and each chunk takes one batched Gram product and
-one batched deflation of its members at or below the cutoff, with no
-factorization.  A matrix's term does not depend on its stack, so
-``minor_sum`` of one flattening, a stack of one, is bitwise equal to that
-split's term in any chunk.
+on every split, with terms a few units of rounding squared.  Each float chunk
+takes one batched Gram product and one batched deflation of its members at or
+below the cutoff, with no factorization.
 
 ``_split_plan`` is the one source of the canonical splits of a ``dims`` and
 their layouts, read by the ideal's generators, the concurrence, the
@@ -48,13 +50,14 @@ separability test and factor recovery.  A measure takes the state's kernel
 input once per call (``_kernel_input``) and hands it to the kernels with the
 layouts it needs, with no ``Flattening`` built per split.
 
-``generalized_concurrence`` takes the m one-mode splits first.  When an
-exact state's terms there are all exactly 0, every one-mode flattening has
-rank 1, the state is a product, and the other terms are 0 without being
-computed.  Float terms of a product state are rounding-level, not 0, so a
-float state has every split computed and reported.  ``is_fully_separable``
-takes split (1,) alone before the other one-mode splits, so an entangled
-state that fails there costs one split.
+``generalized_concurrence`` stacks an exact state's m one-mode splits first.
+When their terms are all exactly 0, every one-mode flattening has rank 1, the
+state is a product, and the other terms are 0 without being computed.  It
+sums the exact terms as ints and divides once.  Float terms of a product
+state are rounding-level, not 0, so a float state has every split computed,
+in one call, and reported.  ``is_fully_separable`` takes split (1,) alone
+before the other one-mode splits, so an entangled state that fails there
+costs one split.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -93,10 +97,11 @@ DEFAULT_TOL = 1e-10
 # Float minor sums at or below this fraction of ||M||_F^4 are recomputed by the
 # rank-1 deflation: the Gram identity's absolute error is ~1e-16 ||M||_F^4.
 GRAM_CUTOFF = 1e-4
-# The float kernel stacks the splits of one small side in chunks of at most this
-# many amplitudes, so a chunk's stack and Gram matrices stay in cache.  Of
-# 2^12..2^16, 2^13 was fastest for float generalized_concurrence at m = 8-12,
-# and unchunked shape groups were slower than one split at a time from m = 10.
+# Both kernels stack the splits of one small side in chunks of at most this
+# many amplitudes (``_stacks``), so a chunk's stack and Gram matrices stay in
+# cache.  Of 2^12..2^16, 2^13 was fastest for float generalized_concurrence at
+# m = 8-12, and unchunked shape groups were slower than one split at a time from
+# m = 10.
 CHUNK_AMPS = 2**13
 
 
@@ -280,84 +285,115 @@ def _squared_norms(mats: np.ndarray) -> list[float]:
     return (v @ v.transpose(0, 2, 1)).reshape(-1).tolist()
 
 
-def _float_terms(arr: np.ndarray, layouts) -> list[float]:
-    """The minor sum of the float array laid out by each ``(perm, rows)``.
+def _stacks(arr: np.ndarray, layouts, nlead: int = 0):
+    """Yield ``(chunk, mats)``: the splits of ``arr`` laid out by ``layouts[i]``
+    for each i in ``chunk``, copied into one stack on their small side.
 
-    Each split is copied into a stack on its small side: a tall one as its
-    transpose, whose minor sum is the same.  The splits of one small side are
-    stacked in chunks of at most ``CHUNK_AMPS`` amplitudes, and each chunk is
-    one ``_stacked_minor_sums``.
+    The stacking rule of both kernels.  The first ``nlead`` axes of ``arr``
+    ride along before its modes: ``mats`` is ``len(chunk) x *lead x small x
+    cols``.  A tall split is copied as its transpose, whose minor sum is the
+    same.  The splits of one small side are stacked in chunks of at most
+    ``CHUNK_AMPS`` amplitudes; one wide split is a stack of one view.
     """
-    size = arr.size
-    if len(layouts) == 1 and layouts[0][1] ** 2 <= size:  # one wide split: a stack of one view
+    lead, size = arr.shape[:nlead], arr.size
+    if nlead:
+        size //= math.prod(lead)
+        shift = tuple(range(nlead))
+        layouts = [(shift + tuple([p + nlead for p in perm]), rows) for perm, rows in layouts]
+    if len(layouts) == 1 and layouts[0][1] ** 2 <= size:
         (perm, rows), = layouts
-        return _stacked_minor_sums(arr.transpose(perm).reshape(1, rows, -1))
+        yield [0], arr.transpose(perm).reshape(1, *lead, rows, -1)
+        return
     per = max(1, CHUNK_AMPS // size)
     groups = {}
     for i, (_, rows) in enumerate(layouts):
         groups.setdefault(min(rows, size // rows), []).append(i)
-    terms = [0.0] * len(layouts)
     for small, group in groups.items():
         for k in range(0, len(group), per):
             chunk = group[k:k + per]
             # each transpose is copied once, into its slot of the stack; a tall
             # split's slot is written through its transpose, a view, as splitting
             # the axes of a view needs no copy
-            mats = np.empty((len(chunk), small, size // small), dtype=arr.dtype)
+            mats = np.empty((len(chunk), *lead, small, size // small), dtype=arr.dtype)
             for mat, i in zip(mats, chunk):
                 perm, rows = layouts[i]
                 src = arr.transpose(perm)
-                (mat if rows == small else mat.T).reshape(src.shape)[...] = src
-            for i, t in zip(chunk, _stacked_minor_sums(mats)):
-                terms[i] = t
+                (mat if rows == small else mat.swapaxes(-1, -2)).reshape(src.shape)[...] = src
+            yield chunk, mats
+
+
+def _float_terms(arr: np.ndarray, layouts) -> list[float]:
+    """The minor sum of the float array laid out by each ``(perm, rows)``: one
+    ``_stacked_minor_sums`` per stack of ``_stacks``."""
+    terms = [0.0] * len(layouts)
+    for chunk, mats in _stacks(arr, layouts):
+        for i, t in zip(chunk, _stacked_minor_sums(mats)):
+            terms[i] = t
     return terms
 
 
-def _twice_int_minor_sum(a: np.ndarray, c: np.ndarray) -> int:
-    """Twice the minor sum of the Gaussian-integer matrix A + iC, an int.
+def _int_terms(ac: np.ndarray, n: int, layouts) -> list[int]:
+    """Twice the minor sum of the Gaussian-integer array A + iC, given as the
+    pair ``ac = [A, C]``, laid out by each ``(perm, rows)``, an int each, with
+    n = ||A + iC||_F^2: the term of a state whose parts these are is each int
+    over 2 n^2.  One ``_stacked_int_minor_sums`` per stack of ``_stacks``."""
+    terms = [0] * len(layouts)
+    for chunk, mats in _stacks(ac, layouts, 1):
+        for i, t in zip(chunk, _stacked_int_minor_sums(mats, n)):
+            terms[i] = t
+    return terms
 
-    The Gram matrix is taken on the smaller side:
-    A A^T + C C^T + i (C A^T - A C^T), whose trace is n = ||A + iC||_F^2.
-    By Cauchy-Schwarz every Gram entry and every partial sum of one is at
-    most n in modulus, and an entry of the imaginary part at most 2n, so the
-    parts may be int64 when n < 2**62 (``_gram_parts``); the squares reach
-    n^2 and take Python ints.
+
+def _stacked_int_minor_sums(mats: np.ndarray, n: int) -> list[int]:
+    """Twice the minor sum of each Gaussian-integer matrix A + iC of a
+    k x 2 x rows x cols stack with rows <= cols (A at ``[:, 0]``, C at
+    ``[:, 1]``), each of squared norm n = ||A + iC||_F^2, as Python ints.
+
+    The Gram matrix is G = A A^T + C C^T + i (C A^T - A C^T), whose trace is
+    n.  Its real part is symmetric and its imaginary part antisymmetric, so
+    P = Re G + Im G = (A + C) A^T + (C - A) C^T has ||P||_F = ||G||_F, and the
+    twice minor sum n^2 - ||G||_F^2 takes two batched products.  By
+    Cauchy-Schwarz, every entry of A + C and C - A, of either product, and
+    every partial sum of one, is at most 2n in modulus, so the parts may be
+    int64 when 2n < 2**63 (``_gram_parts``).  The squares reach n^2 and take
+    Python ints.
     """
-    if a.shape[0] > a.shape[1]:
-        a, c = a.T, c.T
-    g_re = a @ a.T + c @ c.T
-    x = c @ a.T
-    g_im = x - x.T
-    n = int(g_re.trace())
-    g = np.concatenate((g_re, g_im), axis=None).astype(object)
-    return n * n - int(g.dot(g))
+    a, c = mats[:, 0], mats[:, 1]
+    p = (a + c) @ a.transpose(0, 2, 1) + (c - a) @ c.transpose(0, 2, 1)
+    nn = n * n
+    return [nn - sum(map(operator.mul, row, row)) for row in p.reshape(len(p), -1).tolist()]
 
 
-def _gram_parts(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """An exact array's ``gauss_ints`` parts A, C in the Gram kernel's dtype,
-    n = ||A + iC||_F^2 and the denominator.  The kernel forms values up to 2n
-    before it squares them, so the parts are int64 when n < 2**62."""
+def _gram_parts(arr: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """An exact array's ``gauss_ints`` parts as one pair ``[A, C]`` in the Gram
+    kernel's dtype, n = ||A + iC||_F^2 and the denominator.  The kernel forms
+    values up to 2n before it squares them, so the parts are int64 when
+    n < 2**62 (``_stacked_int_minor_sums``)."""
     a, c, den = gauss_ints(arr)
-    n = int((a * a + c * c).sum())
-    return *narrow_ints(2 * n, a, c), n, den
+    ac = np.stack((a, c))
+    n = int((ac * ac).sum())
+    (ac,) = narrow_ints(2 * n, ac)
+    return ac, n, den
 
 
 def minor_sum(f: Flattening):
     """Sum of squared moduli of all 2x2 minors of the flattening.
 
     Exact: the Gram identity in integers over the common denominator of the
-    entries, a Fraction.  Float: the matrix on its small side, a tall one
-    transposed as a split's stack holds it; the Gram identity when it is above
+    entries, a Fraction.  Float: the Gram identity when it is above
     ``GRAM_CUTOFF * ||M||_F^4``, else the rank-1 deflation
     (``_deflated_minor_sums``), which does not cancel near rank-1 matrices.
     The entries are first divided by a power of two 2^e that brings the
     largest part into [0.5, 1), and the sum is multiplied by 2^(4e), so any
     finite matrix gives its sum, or NonFinite when that is beyond the float
-    range; both steps are exact, so the bits equal that split's term.
+    range; both steps are exact, so the bits equal that split's term.  Either
+    backend runs its split kernel on a stack of one, the matrix on its small
+    side, a tall one transposed as a split's stack holds it.
     """
     if f.exact:
-        a, c, _, den = _gram_parts(f.entries)
-        return Fraction(_twice_int_minor_sum(a, c), 2 * den ** 4)
+        ac, n, den = _gram_parts(f.entries)
+        (t,) = _int_terms(ac, n, [((0, 1), f.rows)])
+        return Fraction(t, 2 * den ** 4)
     parts, e, _ = scale_parts(f.entries.view(np.float64))
     try:
         return math.ldexp(_float_terms(parts.view(np.complex128), [((0, 1), f.rows)])[0], 4 * e)
@@ -390,13 +426,13 @@ def split_terms(s: PureState, splits: Iterable[Bipartition]) -> Iterator:
     """Iterate over the normalized state's ``minor_sum`` at each split, in order.
 
     Each split is checked and laid out by :func:`~qsegre.states.flat_layout`.
-    Float terms are computed together when this is called, the splits of one
-    shape stacked (``CHUNK_AMPS``); exact terms lazily, one split at a time.
-    An exact state's norm may be irrational, so its denominators are cleared
-    once, to A + iC with n = ||A + iC||_F^2, and each term is
+    The terms are computed together when this is called, the splits of one
+    shape stacked (``CHUNK_AMPS``), by either backend's kernel.  An exact
+    state's norm may be irrational, so its denominators are cleared once, to
+    A + iC with n = ||A + iC||_F^2, and each term is the Fraction
     (n^2 - ||G||_F^2) / (2 n^2): the denominators cancel.
     """
-    return _unit_terms(_kernel_input(s), [flat_layout(s.dims, b) for b in splits])
+    return iter(_unit_terms(_kernel_input(s), [flat_layout(s.dims, b) for b in splits]))
 
 
 def _kernel_input(s: PureState):
@@ -405,38 +441,44 @@ def _kernel_input(s: PureState):
     return _gram_parts(s.array) if s.exact else _unit_array(s.array)
 
 
-def _unit_terms(unit, layouts) -> Iterator:
-    """``split_terms`` at split layouts, from the state's ``_kernel_input``."""
+def _unit_terms(unit, layouts) -> list:
+    """``split_terms`` at split layouts, from the state's ``_kernel_input``:
+    floats, or Fractions over 2 n^2."""
     if isinstance(unit, np.ndarray):
-        return iter(_float_terms(unit, layouts))
-    a, c, n, _ = unit
-    return (Fraction(_twice_int_minor_sum(a.transpose(perm).reshape(rows, -1),
-                                          c.transpose(perm).reshape(rows, -1)), 2 * n * n)
-            for perm, rows in layouts)
+        return _float_terms(unit, layouts)
+    ac, n, _ = unit
+    return [Fraction(t, 2 * n * n) for t in _int_terms(ac, n, layouts)]
 
 
 def generalized_concurrence(s: PureState) -> MeasureReport:
     """2 * sqrt(mean over canonical bipartitions of the flattening minor sum).
 
     Normalizes internally; scale- and LU-invariant; zero exactly on the
-    product states.  Reduces to the two-qubit concurrence at m = 2.  The
-    one-mode splits are reduced first; when an exact state's are all exactly
-    0, the state is a product and every other term is 0 without being computed.
+    product states.  Reduces to the two-qubit concurrence at m = 2.  An exact
+    state's one-mode splits are reduced first, stacked; when their terms are
+    all exactly 0, the state is a product and every other term is 0
+    without being computed.  Exact terms are ints over the one denominator
+    2 n^2 (``_int_terms``), summed as ints and divided once; int true
+    division rounds correctly, so each float is that of the exact Fraction.
     """
     if s.num_modes < 2:
         raise WrongShape("measure needs >= 2 modes")
     plan = _split_plan(s.dims)
-    lazy = _unit_terms(_kernel_input(s), plan.layouts)
-    terms = [None] * len(plan.parts)
-    singles = plan.order[:plan.singles]
-    for i, t in zip(singles, lazy):
+    unit = _kernel_input(s)
+    if s.exact:
+        ac, n, _ = unit
+        den = 2 * n * n
+        found = _int_terms(ac, n, plan.layouts[:plan.singles])
+        rest = plan.layouts[plan.singles:]
+        found += _int_terms(ac, n, rest) if any(found) else [0] * len(rest)
+    else:
+        den = 1
+        found = _float_terms(unit, plan.layouts)
+    terms = [0] * len(found)
+    for i, t in zip(plan.order, found):
         terms[i] = t
-    if s.exact and not any(terms[i] for i in singles):
-        lazy = itertools.repeat(Fraction(0))
-    for i, t in zip(plan.order[plan.singles:], lazy):
-        terms[i] = t
-    value = 2.0 * math.sqrt(float(sum(terms) / len(terms)))
-    return MeasureReport(value, dict(zip(plan.parts, map(float, terms))))
+    value = 2.0 * math.sqrt(sum(terms) / (den * len(terms)))
+    return MeasureReport(value, {b: t / den for b, t in zip(plan.parts, terms)})
 
 
 def concurrence2(s: PureState) -> float:
@@ -500,7 +542,7 @@ def local_factors(s: PureState, tol: float) -> list[LocalState]:
         raise NotProduct(f"state is not fully separable at tol {short_text(tol)}")
     if s.num_modes == 1:
         return [LocalState(normalize(s).array)]
-    re, im = unit[:2] if s.exact else (unit.real, unit.imag)
+    re, im = unit[0] if s.exact else (unit.real, unit.imag)
     pivot = np.unravel_index(int(np.argmax(re * re + im * im)), s.dims)  # first on ties
     fibers = [pivot[:j] + (slice(None),) + pivot[j + 1:] for j in range(s.num_modes)]
     if s.exact:

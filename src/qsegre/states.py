@@ -152,10 +152,10 @@ def gauss_ints(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     if arr.dtype != object:
         return arr.real, arr.imag, 1
     flat = arr.reshape(-1).tolist()
-    fracs = [x.re for x in flat] + [x.im for x in flat]
-    dens = [f.denominator for f in fracs]
-    den = math.lcm(*dens)
-    parts = np.array([f.numerator * (den // d) for f, d in zip(fracs, dens)], dtype=object)
+    # each part read once; the lcm is over the distinct denominators
+    ratios = [x.re.as_integer_ratio() for x in flat] + [x.im.as_integer_ratio() for x in flat]
+    den = math.lcm(*{d for _, d in ratios})
+    parts = np.array([p * (den // d) for p, d in ratios], dtype=object)
     return parts[:len(flat)].reshape(arr.shape), parts[len(flat):].reshape(arr.shape), den
 
 

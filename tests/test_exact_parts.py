@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsegre import (
+    Bipartition,
     GaussRat,
     canonical_bipartitions,
     flatten,
@@ -139,9 +140,11 @@ def test_exact_path_matches_object_oracle_on_object(case):
 
 
 def test_parts_past_two_to_the_31_stay_object(monkeypatch):
+    # one dtype per matrix the stacked kernel takes
     seen = []
-    kernel = segre._twice_int_minor_sum
-    monkeypatch.setattr(segre, "_twice_int_minor_sum", lambda a, c: seen.append(a.dtype) or kernel(a, c))
+    kernel = segre._stacked_int_minor_sums
+    monkeypatch.setattr(segre, "_stacked_int_minor_sums",
+                        lambda mats, n: seen.extend([mats.dtype] * len(mats)) or kernel(mats, n))
     s = make_state([2, 2, 2], [GaussRat(2**31, 1), 1, 0, GaussRat(0, 3), 5, 0, 0, GaussRat(-7, 2)])
     parts = canonical_bipartitions(3)
     assert list(split_terms(s, parts)) == split_terms_oracle(s, parts)
@@ -163,7 +166,7 @@ def test_gram_dtype_switches_at_two_to_the_62(n, dtype):
     parts = squares_summing_to(n)
     parts += [0] * (16 - len(parts))
     s = make_state([2, 2, 2], [GaussRat(a, b) for a, b in zip(parts[:8], parts[8:])])
-    assert segre._gram_parts(s.array)[2] == n and gram_dtype(s) == dtype
+    assert segre._gram_parts(s.array)[1] == n and gram_dtype(s) == dtype
     splits = canonical_bipartitions(3)
     assert list(split_terms(s, splits)) == split_terms_oracle(s, splits)
     assert [minor_sum(flatten(s, b)) for b in splits] == [minor_sum_oracle(flatten(s, b)) for b in splits]
@@ -247,9 +250,11 @@ def test_irrational_normalize_matches_the_gauss_rat_path():
 
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_exact_concurrence_kernel_calls(monkeypatch, m):
+    # one entry per matrix the stacked kernel takes
     calls = []
-    kernel = segre._twice_int_minor_sum
-    monkeypatch.setattr(segre, "_twice_int_minor_sum", lambda a, c: calls.append(1) or kernel(a, c))
+    kernel = segre._stacked_int_minor_sums
+    monkeypatch.setattr(segre, "_stacked_int_minor_sums",
+                        lambda mats, n: calls.extend([1] * len(mats)) or kernel(mats, n))
     rng = default_rng(70 + m)
     parts = canonical_bipartitions(m)
     product = random_exact_product_state(rng, [2] * m)
@@ -263,6 +268,81 @@ def test_exact_concurrence_kernel_calls(monkeypatch, m):
     assert len(calls) == 2 ** (m - 1) - 1
     assert list(report.per_bipartition) == parts
     assert report.per_bipartition == {b: float(t) for b, t in zip(parts, split_terms_oracle(entangled, parts))}
+
+
+def gaussian_int_state(rng, dims, bits):
+    """A state of random Gaussian-integer amplitudes below 2**bits in each part."""
+    parts = rng.integers(-2**bits, 2**bits, size=(math.prod(dims), 2))
+    return make_state(list(dims), [GaussRat(int(x), int(y)) for x, y in parts])
+
+
+def measure_oracle(s):
+    """The Fraction-sum path the integer sum replaced: each term an object-kernel
+    Fraction, their mean a Fraction, and one float of it."""
+    parts = canonical_bipartitions(s.num_modes)
+    terms = split_terms_oracle(s, parts)
+    return 2 * math.sqrt(float(sum(terms) / len(terms))), {b: float(t) for b, t in zip(parts, terms)}
+
+
+@pytest.mark.parametrize("dims, bits, dtype", [
+    ((2, 2, 2), 9, np.int64), ((3, 2, 4), 9, np.int64), ((2, 3, 2, 2), 40, object),
+    ((3, 2, 4), 40, object), ((2,) * 10, 3, np.int64)])
+def test_exact_measure_report_equals_fraction_sum_oracle(dims, bits, dtype):
+    # (3, 2, 4) has tall splits, which are stacked as their transposes; at ten
+    # qubits each shape group of splits spans several chunks
+    rng = default_rng(sum(dims) + bits)
+    entangled = gaussian_int_state(rng, dims, bits)
+    assert gram_dtype(entangled) == dtype
+    if len(dims) == 10:
+        rows = [math.prod(dims[j - 1] for j in b.left) for b in canonical_bipartitions(10)]
+        assert max(map(rows.count, rows)) > segre.CHUNK_AMPS // 2**10
+    for s in (entangled, random_exact_product_state(rng, list(dims))):
+        report = generalized_concurrence(s)
+        value, per = measure_oracle(s)
+        assert report.value.hex() == value.hex()
+        assert list(report.per_bipartition) == list(per)
+        assert [t.hex() for t in report.per_bipartition.values()] == [t.hex() for t in per.values()]
+
+
+def test_exact_split_terms_follow_the_callers_order():
+    # repeated and non-canonical splits, in no particular order, each get the
+    # term of their own flattening, as the chunks hand them back out of order
+    rng = default_rng(41)
+    for dims in ((2, 3, 2, 2), (3, 2, 4)):
+        s = gaussian_int_state(rng, dims, 6)
+        m = len(dims)
+        parts = canonical_bipartitions(m)
+        splits = [parts[2], Bipartition((2,)), parts[0], Bipartition(tuple(range(2, m + 1))), parts[2],
+                  Bipartition((m,)), parts[-1], Bipartition((2, m)), parts[0]]
+        terms = list(split_terms(s, splits))
+        assert terms == split_terms_oracle(s, splits)
+        assert terms[0] == terms[4] and terms[2] == terms[3] == terms[8]
+
+
+def brute_minor_sum(entries):
+    """The sum of |det|^2 over every 2x2 minor, in GaussRat arithmetic."""
+    rows, cols = entries.shape
+    total = Fraction(0)
+    for i in range(rows):
+        for j in range(i + 1, rows):
+            for k in range(cols):
+                for l in range(k + 1, cols):
+                    det = entries[i, k] * entries[j, l] - entries[i, l] * entries[j, k]
+                    total += det.abs_sq()
+    return total
+
+
+@pytest.mark.parametrize("dims, left", [((2, 2, 2), (1, 2)), ((3, 2, 4), (1, 3)), ((2, 5), (2,))])
+def test_exact_minor_sum_of_a_tall_flattening(dims, left):
+    rng = default_rng(len(left) + sum(dims))
+    for bits in (5, 40):
+        s = gaussian_int_state(rng, dims, bits)
+        f = flatten(s, Bipartition(left))
+        assert f.rows > f.cols
+        got = minor_sum(f)
+        assert got == brute_minor_sum(f.entries) == minor_sum_oracle(f)
+        right = tuple(j for j in range(1, len(dims) + 1) if j not in left)
+        assert got == minor_sum(flatten(s, Bipartition(right)))
 
 
 def test_float_local_factors_normalize_once(monkeypatch):
